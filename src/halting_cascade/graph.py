@@ -18,21 +18,22 @@ log = logging.getLogger(__name__)
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list input; carries the offending 1-based line number."""
+    """Malformed edge-list input; carries the 1-based line number (None: whole file)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
 class Network:
     """A simple graph over nodes 0..n-1, directed or undirected.
 
-    Self-loops and duplicate edges are rejected. Adjacency is stored in
+    Self-loops and duplicate edges are rejected. Out-adjacency is stored in
     compressed sparse form; ``out_neighbors`` returns a sorted array view.
+    In-adjacency is not stored; it is computed on demand from the out-arcs.
     """
 
-    __slots__ = ("n", "directed", "_out_ptr", "_out_idx", "_in_ptr", "_in_idx")
+    __slots__ = ("n", "directed", "_out_ptr", "_out_idx")
 
     def __init__(
         self,
@@ -42,7 +43,7 @@ class Network:
     ):
         if n < 0:
             raise ValueError("node count must be non-negative")
-        self.n = int(n)
+        self.n = n = int(n)
         self.directed = bool(directed)
 
         pairs = np.asarray(
@@ -53,13 +54,18 @@ class Network:
                 raise ValueError("edge endpoint out of range")
             if (pairs[:, 0] == pairs[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
-        canon = pairs if directed else np.sort(pairs, axis=1)
-        if len(np.unique(canon, axis=0)) != len(canon):
+
+        # one key u*n + v per arc: sorted keys list the arcs in (source, target)
+        # order, and a repeated arc (or reversed undirected edge) repeats a key
+        u, v = pairs[:, 0], pairs[:, 1]
+        keys = u * n + v if directed else np.concatenate([u * n + v, v * n + u])
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
 
-        arcs = canon if directed else np.concatenate([canon, canon[:, ::-1]])
-        self._out_ptr, self._out_idx = _build_csr(self.n, arcs[:, 0], arcs[:, 1])
-        self._in_ptr, self._in_idx = _build_csr(self.n, arcs[:, 1], arcs[:, 0])
+        # n = 0 admits no arc, so there is no key to decode
+        sources, self._out_idx = np.divmod(keys, n) if n else (keys, keys)
+        self._out_ptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
 
     # -- structure ---------------------------------------------------------
 
@@ -78,7 +84,9 @@ class Network:
         return self._out_idx[self._out_ptr[u] : self._out_ptr[u + 1]]
 
     def in_neighbors(self, u: int) -> np.ndarray:
-        return self._in_idx[self._in_ptr[u] : self._in_ptr[u + 1]]
+        """Sources of the arcs into ``u``, ascending (scans every arc)."""
+        arcs_in = np.flatnonzero(self._out_idx == u)
+        return np.searchsorted(self._out_ptr, arcs_in, side="right") - 1
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -86,7 +94,7 @@ class Network:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self._in_ptr)
+        return np.bincount(self._out_idx, minlength=self.n)
 
     def out_arcs(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All arcs leaving ``sources``, in ascending (source, target) order.
@@ -134,13 +142,6 @@ class Network:
         for u, v in zip(src, self._out_idx):
             if self.directed or u < v:
                 fh.write(f"{u} {v}\n")
-
-
-def _build_csr(n: int, src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    ptr = np.searchsorted(src, np.arange(n + 1))
-    return ptr.astype(np.int64), dst.astype(np.int64)
 
 
 # -- generators -------------------------------------------------------------
@@ -205,8 +206,7 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
         core = [(0, 1)]
     else:
         core = [(i, (i + 1) % n0) for i in range(n0)]
-    edges = list(core)
-    # one entry per edge endpoint; sampling this list is degree-proportional
+    # both endpoints of each edge in turn; sampling this list is degree-proportional
     endpoints: list[int] = [v for e in core for v in e]
 
     for new in range(n0, n):
@@ -223,10 +223,9 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
                 if len(targets) == k:
                     break
         for t in sorted(targets):
-            edges.append((new, t))
             endpoints.append(new)
             endpoints.append(t)
-    return Network(n, edges, directed=False)
+    return Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
 
 
 def generate_star(n: int, reach_fraction: float, seed) -> Network:
@@ -261,31 +260,25 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
         with open(source, "r", encoding="utf-8") as fh:
             raw = _parse_lines(fh)
 
-    labels = sorted({u for e in raw for u in e})
-    index = {lab: i for i, lab in enumerate(labels)}
+    if not raw:
+        raise EdgeListError(None, "no edges")
 
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    self_loops = 0
-    duplicates = 0
-    for a, b in raw:
-        u, v = index[a], index[b]
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        edges.append(key)
+    flat = [label for pair in raw for label in pair]
+    index = {lab: i for i, lab in enumerate(sorted(set(flat)))}
+    n = len(index)
+    pairs = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)).reshape(-1, 2)
+
+    loops = pairs[:, 0] == pairs[:, 1]
+    canon = pairs[~loops] if directed else np.sort(pairs[~loops], axis=1)
+    keys = np.unique(canon[:, 0] * n + canon[:, 1])
+    self_loops, duplicates = int(loops.sum()), len(canon) - len(keys)
     if self_loops or duplicates:
         log.info(
             "edge list: dropped %d self-loops and %d duplicate edges",
             self_loops,
             duplicates,
         )
-    return Network(len(labels), edges, directed=directed)
+    return Network(n, np.column_stack(np.divmod(keys, n)), directed=directed)
 
 
 def _parse_lines(fh: IO[str]) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -352,7 +353,76 @@ class TestEmpirical:
         assert code == EXIT_IO
         assert "line 2" in err
 
+    def test_empty_edge_list_exits_io(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# no edges here\n", encoding="utf-8")
+        code, _, err = _run(capsys, ["empirical", str(path), "--seed", "1"])
+        assert code == EXIT_IO
+        assert "no edges" in err
+
     def test_path_required(self, capsys):
         code, _, err = _run(capsys, ["empirical", "--seed", "1"])
         assert code == EXIT_CONFIG
         assert "edge_list is required" in err
+
+
+_PIN_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n1 4\n"
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, sha256",
+    [
+        (
+            "heatmap",
+            {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
+             "p_h": [0.5], "reps": 5},
+            ["--seed", "11"],
+            "743e1d13a2eb793f5aa76e00c9d8271d39f700f48ef1599b217a198361721a5b",
+        ),
+        (
+            "ba-vs-er",
+            {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
+             "reps": 6},
+            ["--seed", "4"],
+            "c051777a93b42a0b30e5e43717999b8b18d38e8cea8eb38d4468d1ebbd1f039b",
+        ),
+        (
+            "ihc-vs-oracle",
+            {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
+             "p_r": [0.3, 1.0], "reps": 5},
+            ["--seed", "8"],
+            "3c0089247ec2632d8522b49281e6be55b25244e184ed4062583c76199f1bdbbf",
+        ),
+        (
+            "empirical",
+            None,
+            ["--seed", "3", "--reps", "9"],
+            "06ecae00d1087a014db120da6c748994eafbecea89918f77a0ec4364825c8cf1",
+        ),
+        (
+            "empirical",
+            None,
+            ["--seed", "3", "--reps", "9", "--directed"],
+            "ec8a42f6e4d0671999183e484c6cc4b8795bcaa369efda876c2e82d1844b9cbd",
+        ),
+    ],
+)
+def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha256):
+    """Outputs pinned across versions, not only across reruns of one version.
+
+    A change of the draw schedule or of graph construction order moves these
+    hashes; such a change must say which outputs moved and re-pin them.
+    """
+    argv = [command]
+    if config is None:
+        edges = tmp_path / "edges.txt"
+        edges.write_text(_PIN_EDGES, encoding="utf-8")
+        argv.append(str(edges))
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    out = tmp_path / "out.csv"
+    code, _, _ = _run(capsys, argv + flags + ["--out", str(out)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

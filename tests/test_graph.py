@@ -1,8 +1,9 @@
 import io
+import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halting_cascade.graph import (
@@ -30,6 +31,38 @@ def _is_connected(network: Network) -> bool:
                 seen.add(int(v))
                 stack.append(int(v))
     return len(seen) == network.n
+
+
+def _reference_arcs(edges: list[tuple[int, int]], directed: bool) -> list[tuple[int, int]]:
+    reversed_edges = [] if directed else [(v, u) for u, v in edges]
+    return sorted(set(edges) | set(reversed_edges))
+
+
+def _reference_csr(n: int, arcs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    ptr = [0] * (n + 1)
+    for u, _ in arcs:
+        ptr[u + 1] += 1
+    for i in range(n):
+        ptr[i + 1] += ptr[i]
+    return ptr, [v for _, v in arcs]
+
+
+@st.composite
+def _simple_graphs(draw):
+    """(n, distinct edges in arbitrary order, directed), n in 0..30."""
+    n = draw(st.integers(0, 30))
+    directed = draw(st.booleans())
+    if n < 2:
+        return n, [], directed
+    node = st.integers(0, n - 1)
+    edges = draw(
+        st.lists(
+            st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+            max_size=60,
+            unique_by=(lambda e: e) if directed else (lambda e: (min(e), max(e))),
+        )
+    )
+    return n, edges, directed
 
 
 class TestNetwork:
@@ -65,6 +98,30 @@ class TestNetwork:
         assert net.in_neighbors(0).tolist() == [3]
         assert net.out_degrees.tolist() == [2, 0, 0, 1]
         assert net.in_degrees.tolist() == [1, 1, 1, 0]
+
+    @given(graph=_simple_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pure_python_reference(self, graph):
+        n, edges, directed = graph
+        net = Network(n, edges, directed=directed)
+        arcs = _reference_arcs(edges, directed)
+        ptr, idx = _reference_csr(n, arcs)
+        assert net._out_ptr.tolist() == ptr
+        assert net._out_idx.tolist() == idx
+        assert net.in_degrees.tolist() == [sum(v == w for _, v in arcs) for w in range(n)]
+        for w in range(n):
+            assert net.in_neighbors(w).tolist() == [u for u, v in arcs if v == w]
+
+    @given(graph=_simple_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_or_reversed_pair_rejected(self, graph, data):
+        n, edges, directed = graph
+        assume(edges)
+        u, v = data.draw(st.sampled_from(edges))
+        repeat = (u, v) if directed else data.draw(st.sampled_from([(u, v), (v, u)]))
+        at = data.draw(st.integers(0, len(edges)))
+        with pytest.raises(ValueError, match="duplicate"):
+            Network(n, edges[:at] + [repeat] + edges[at:], directed=directed)
 
     def test_out_arcs_gathers_sorted_pairs(self):
         net = Network(4, [(0, 1), (0, 3), (2, 1)], directed=True)
@@ -193,6 +250,35 @@ class TestLoadEdgeList:
         assert net.edge_count == 1
         directed = load_edge_list(io.StringIO("0 1\n1 0\n"), directed=True)
         assert directed.edge_count == 2
+
+    def test_dropped_counts_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="halting_cascade.graph")
+        net = load_edge_list(io.StringIO("5 5\n0 1\n1 0\n0 1\n"))
+        assert net.n == 3 and net.edge_count == 1
+        assert "dropped 1 self-loops and 2 duplicate edges" in caplog.text
+        caplog.clear()
+        load_edge_list(io.StringIO("5 5\n0 1\n1 0\n0 1\n"), directed=True)
+        assert "dropped 1 self-loops and 1 duplicate edges" in caplog.text
+
+    def test_labels_beyond_int64_remapped_in_sorted_order(self):
+        # raw labels that overflow or wrap in int64 must stay distinct nodes
+        text = "18446744073709551615 -7\n-7 3\n18446744073709551619 3\n"
+        net = load_edge_list(io.StringIO(text))
+        assert net.n == 4  # -7, 3, 2**64 - 1, 2**64 + 3 -> 0, 1, 2, 3
+        assert net.edges() == {(2, 0), (0, 2), (0, 1), (1, 0), (3, 1), (1, 3)}
+        directed = load_edge_list(io.StringIO(text), directed=True)
+        assert directed.edges() == {(2, 0), (0, 1), (3, 1)}
+
+    def test_empty_edge_list_rejected(self):
+        for text in ("", "# only a comment\n\n"):
+            with pytest.raises(EdgeListError, match="no edges") as exc_info:
+                load_edge_list(io.StringIO(text))
+            assert exc_info.value.line_no is None
+
+    def test_self_loop_only_file_loads(self):
+        net = load_edge_list(io.StringIO("5 5\n"))
+        assert net.n == 1
+        assert net.edge_count == 0
 
     def test_parse_error_reports_line_number(self):
         with pytest.raises(EdgeListError) as exc_info:
