@@ -18,7 +18,7 @@ engines produce identical spreads from a shared seed.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,23 +47,18 @@ class StateCounts(NamedTuple):
 class IHCParams:
     """Independent-halting-cascade probabilities.
 
-    ``p_r`` is a scalar or a per-arc table keyed by ordered pair (u, v);
-    ``p_a`` and ``p_h`` are scalars or length-n per-agent sequences.
+    ``p_r`` is a scalar shared by every arc; ``p_a`` and ``p_h`` are
+    scalars or length-n per-agent sequences.
     ``max_steps`` defaults to the node count at run time.
     """
 
-    p_r: float | Mapping[tuple[int, int], float]
+    p_r: float
     p_a: float | Sequence[float] | np.ndarray
     p_h: float | Sequence[float] | np.ndarray
     max_steps: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.p_r, Mapping):
-            bad = [k for k, v in self.p_r.items() if not 0 <= v <= 1]
-            if bad:
-                raise ValueError(f"p_r out of [0, 1] for arcs {bad[:3]}")
-        else:
-            _check_prob("p_r", self.p_r)
+        _check_prob("p_r", self.p_r)
         for name in ("p_a", "p_h"):
             value = getattr(self, name)
             if np.isscalar(value):
@@ -99,19 +94,6 @@ class CascadeResult:
     seeds: tuple[int, ...]
     trace: tuple[StateCounts, ...] | None = None
 
-    def csv_row(self, replication_id: int) -> dict[str, object]:
-        seed_node = (
-            self.seeds[0] if len(self.seeds) == 1 else ";".join(map(str, self.seeds))
-        )
-        return {
-            "replication_id": replication_id,
-            "success": int(self.success),
-            "chain_length": self.chain_length,
-            "applicants": self.applicants,
-            "steps": self.steps,
-            "seed_node": seed_node,
-        }
-
 
 def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
     arr = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
@@ -129,15 +111,6 @@ def _per_agent(value, n: int, name: str) -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
     return arr
-
-
-def _arc_probs(p_r, src: np.ndarray, dst: np.ndarray):
-    if not isinstance(p_r, Mapping):
-        return float(p_r)
-    try:
-        return np.array([p_r[(int(u), int(v))] for u, v in zip(src, dst)])
-    except KeyError as exc:
-        raise ValueError(f"p_r table has no entry for arc {exc.args[0]}") from None
 
 
 def _counts(state: np.ndarray) -> StateCounts:
@@ -181,14 +154,13 @@ def run_cascade(
     for step in range(1, max_steps + 1):
         steps = step
         passive_before = state == AgentState.PASSIVE
-        src, dst = network.out_arcs(frontier)
-        keep = passive_before[dst]
-        src, dst = src[keep], dst[keep]
+        _, dst = network.out_arcs(frontier)
+        dst = dst[passive_before[dst]]
         state[frontier] = AgentState.SPENT
 
         newly = np.empty(0, dtype=np.int64)
         if dst.size:
-            hit = rng.random(dst.size) < _arc_probs(params.p_r, src, dst)
+            hit = rng.random(dst.size) < params.p_r
             newly = np.unique(dst[hit])
 
         appliers = np.empty(0, dtype=np.int64)
@@ -243,12 +215,11 @@ def ic_reference(network, p_r, seeds: Iterable[int], rng_seed) -> int:
     frontier = seed_arr
     for _ in range(n):
         inactive_before = ~active
-        src, dst = network.out_arcs(frontier)
-        keep = inactive_before[dst]
-        src, dst = src[keep], dst[keep]
+        _, dst = network.out_arcs(frontier)
+        dst = dst[inactive_before[dst]]
         newly = np.empty(0, dtype=np.int64)
         if dst.size:
-            hit = rng.random(dst.size) < _arc_probs(p_r, src, dst)
+            hit = rng.random(dst.size) < p_r
             newly = np.unique(dst[hit])
         if newly.size:
             active[newly] = True
@@ -271,9 +242,12 @@ def run_batch(
     """Run ``n_reps`` cascades on a fixed network.
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
-    the given set is reused. Replication i derives all of its randomness
-    from (master_seed, i), so results do not depend on execution order and
-    any prefix of a longer batch is reproducible on its own.
+    the given set is reused. Replication i follows the CLI's stream rule
+    with an empty cell path: it spawns the seed-node and cascade streams, in
+    that order, from ``SeedSequence([master_seed, i])`` (the seed-node
+    stream goes unread when ``seeds`` is given). Results do not depend on
+    execution order, and any prefix of a longer batch is reproducible on
+    its own.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -18,12 +19,19 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cascade import IHCParams, run_cascade
-from .graph import EdgeListError, degree_stats, generate_ba, generate_er, load_edge_list
+from .cascade import CascadeResult, IHCParams, run_cascade
+from .graph import (
+    EdgeListError,
+    Network,
+    degree_stats,
+    generate_ba,
+    generate_er,
+    load_edge_list,
+)
 from .incentives import compute_payouts
 from .metrics import classify_regime, degree_bin, summarize
 from .oracle import (
@@ -78,6 +86,8 @@ def _number(lo: float | None = None, hi: float | None = None, open_lo: bool = Fa
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
         v = float(value)
+        if not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v}")
         if lo is not None and (v <= lo if open_lo else v < lo):
             bound = "greater than" if open_lo else "at least"
             raise ConfigError(f"{name} must be {bound} {lo}, got {v}")
@@ -117,7 +127,7 @@ def _budget(name: str, value: Any) -> Fraction:
         raise ConfigError(f"{name} must be a number or a fraction string like '5/2'")
     try:
         b = Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"{name} is not a valid amount: {value!r}") from None
     if b <= 0:
         raise ConfigError(f"{name} must be positive")
@@ -275,12 +285,52 @@ def _write_output(text: str, out: str | None) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _seed_tree(master: int, *path: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(master), *map(int, path)])
+def _replicate(
+    seed: int,
+    path: tuple[int, ...],
+    reps: int,
+    network: Network | Callable[[np.random.SeedSequence], Network],
+    params: IHCParams | float,
+    skills: tuple[float, int] | None = None,
+    reach_fraction: float | None = None,
+) -> Iterator[tuple[Network, int, CascadeResult, CascadeResult | None]]:
+    """Run the ``reps`` replications of one sweep cell, one at a time.
 
+    Stream rule: replication ``rep`` of the cell at grid position ``path``
+    spawns children of ``SeedSequence([seed, *path, rep])``, one per stream
+    it uses, in the fixed order skill world, network, seed node, cascade,
+    oracle. A child depends only on its index, so every sweep's layout is a
+    prefix-in-order of that one list.
 
-def _random_seed_node(node_ss: np.random.SeedSequence, n: int) -> int:
-    return int(np.random.default_rng(node_ss).integers(n))
+    ``network`` is a fixed ``Network`` or a factory called with the network
+    stream. ``params`` holds the cascade probabilities; with ``skills`` =
+    (skill_rate, vacancy_size) it is ``p_r`` alone, and each replication
+    samples a skill world for the network's agents and binds ``p_a``/``p_h``
+    from it. ``reach_fraction`` adds the oracle on that same world. Build
+    factories inside the subcommand, so that layer functions such as
+    ``generate_er`` are looked up by their module-level names at call time
+    (the benchmark's tracer patches those names).
+
+    Yields (network, seed node, cascade result, oracle result or None).
+    """
+    used = (skills is not None, callable(network), True, True, reach_fraction is not None)
+    for rep in range(reps):
+        children = iter(np.random.SeedSequence([seed, *path, rep]).spawn(sum(used)))
+        world_ss, net_ss, node_ss, run_ss, oracle_ss = (
+            next(children) if u else None for u in used
+        )
+        net = network(net_ss) if callable(network) else network
+        seed_node = int(np.random.default_rng(node_ss).integers(net.n))
+        world = None
+        cascade_params = params
+        if skills is not None:
+            world = sample_skill_world(net.n, *skills, world_ss)
+            cascade_params = bind_params(world, params)
+        result = run_cascade(net, cascade_params, (seed_node,), run_ss)
+        oracle = None
+        if reach_fraction is not None:
+            oracle = simulate_oracle(world, reach_fraction, params, oracle_ss)
+        yield net, seed_node, result, oracle
 
 
 def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
@@ -298,14 +348,11 @@ def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
     ]
     rows = []
     grid = list(itertools.product(cfg["p_r"], cfg["p_a"], cfg["p_h"]))
+    er = functools.partial(generate_er, cfg["n"], cfg["mean_degree"])
     for cell, (p_r, p_a, p_h) in enumerate(grid):
         params = IHCParams(p_r=p_r, p_a=p_a, p_h=p_h)
-        results = []
-        for rep in range(cfg["reps"]):
-            net_ss, node_ss, run_ss = _seed_tree(cfg["seed"], cell, rep).spawn(3)
-            network = generate_er(cfg["n"], cfg["mean_degree"], net_ss)
-            seed_node = _random_seed_node(node_ss, network.n)
-            results.append(run_cascade(network, params, (seed_node,), run_ss))
+        runs = _replicate(cfg["seed"], (cell,), cfg["reps"], er, params)
+        results = [result for _, _, result, _ in runs]
         report = classify_regime(cfg["mean_degree"], p_r, p_a, p_h)
         rows.append(
             {
@@ -338,21 +385,17 @@ def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
         *_SUMMARY_FIELDS,
     ]
     ba_core = cfg["ba_core"] if cfg["ba_core"] is not None else cfg["ba_attachment"]
+    er = functools.partial(generate_er, cfg["n"], cfg["er_mean_degree"])
+    ba = functools.partial(generate_ba, cfg["n"], ba_core, cfg["ba_attachment"])
     rows = []
-    for topo_idx, topology in enumerate(("er", "ba")):
+    for topo_idx, (topology, build) in enumerate((("er", er), ("ba", ba))):
         for p_r_idx, p_r in enumerate(cfg["p_r"]):
             params = IHCParams(p_r=p_r, p_a=cfg["p_a"], p_h=cfg["p_h"])
+            runs = _replicate(cfg["seed"], (topo_idx, p_r_idx), cfg["reps"], build, params)
             groups: dict[tuple[int, int], list] = {}
-            for rep in range(cfg["reps"]):
-                net_ss, node_ss, run_ss = _seed_tree(
-                    cfg["seed"], topo_idx, p_r_idx, rep
-                ).spawn(3)
-                if topology == "er":
-                    network = generate_er(cfg["n"], cfg["er_mean_degree"], net_ss)
-                else:
-                    network = generate_ba(cfg["n"], ba_core, cfg["ba_attachment"], net_ss)
-                seed_node = _random_seed_node(node_ss, network.n)
-                result = run_cascade(network, params, (seed_node,), run_ss)
+            # ``network`` stays referenced until the next cell has built its
+            # own, so the allocator does not hand its pages back in between
+            for network, seed_node, result, _ in runs:
                 key = degree_bin(int(network.out_degrees[seed_node]))
                 groups.setdefault(key, []).append(result)
             for lo, hi in sorted(groups):
@@ -393,6 +436,7 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
     ]
     rows = []
     grid = list(itertools.product(cfg["vacancy_sizes"], cfg["p_r"]))
+    er = functools.partial(generate_er, cfg["population"], cfg["mean_degree"])
     for cell, (vacancy_size, p_r) in enumerate(grid):
         spec = OracleSpec(
             population=cfg["population"],
@@ -402,23 +446,11 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
             vacancy_size=vacancy_size,
         )
         analytic = oracle_success_probability(spec, cfg["mass_threshold"])
-        cascade_runs = []
-        baseline_runs = []
-        for rep in range(cfg["reps"]):
-            world_ss, net_ss, node_ss, run_ss, oracle_ss = _seed_tree(
-                cfg["seed"], cell, rep
-            ).spawn(5)
-            world = sample_skill_world(
-                cfg["population"], cfg["skill_rate"], vacancy_size, world_ss
-            )
-            network = generate_er(cfg["population"], cfg["mean_degree"], net_ss)
-            seed_node = _random_seed_node(node_ss, network.n)
-            cascade_runs.append(
-                run_cascade(network, bind_params(world, p_r), (seed_node,), run_ss)
-            )
-            baseline_runs.append(
-                simulate_oracle(world, cfg["reach_fraction"], p_r, oracle_ss)
-            )
+        skills = (cfg["skill_rate"], vacancy_size)
+        runs = _replicate(
+            cfg["seed"], (cell,), cfg["reps"], er, p_r, skills, cfg["reach_fraction"]
+        )
+        cascade_runs, baseline_runs = zip(*[(result, oracle) for _, _, result, oracle in runs])
         for system, results in (("ihc", cascade_runs), ("oracle", baseline_runs)):
             rows.append(
                 {
@@ -515,20 +547,11 @@ def cmd_empirical(cfg: dict) -> tuple[list[str], list[dict]]:
         "skill_rate": cfg["skill_rate"],
         "vacancy_size": cfg["vacancy_size"],
     }
-    cascade_runs = []
-    baseline_runs = []
-    for rep in range(cfg["reps"]):
-        world_ss, node_ss, run_ss, oracle_ss = _seed_tree(cfg["seed"], rep).spawn(4)
-        world = sample_skill_world(
-            network.n, cfg["skill_rate"], cfg["vacancy_size"], world_ss
-        )
-        seed_node = _random_seed_node(node_ss, network.n)
-        cascade_runs.append(
-            run_cascade(network, bind_params(world, cfg["p_r"]), (seed_node,), run_ss)
-        )
-        baseline_runs.append(
-            simulate_oracle(world, cfg["reach_fraction"], cfg["p_r"], oracle_ss)
-        )
+    skills = (cfg["skill_rate"], cfg["vacancy_size"])
+    runs = _replicate(
+        cfg["seed"], (), cfg["reps"], network, cfg["p_r"], skills, cfg["reach_fraction"]
+    )
+    cascade_runs, baseline_runs = zip(*[(result, oracle) for _, _, result, oracle in runs])
     rows = [
         {"record": "summary", "system": "ihc", **base, **summarize(cascade_runs).as_dict()},
         {"record": "summary", "system": "oracle", **base, **summarize(baseline_runs).as_dict()},

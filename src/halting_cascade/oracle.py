@@ -36,8 +36,7 @@ class OracleSpec:
             raise ValueError("reach_fraction must lie in [0, 1]")
         if not 0 <= self.p_r <= 1:
             raise ValueError("p_r must lie in [0, 1]")
-        if self.skill_rate < 0:
-            raise ValueError("skill_rate must be non-negative")
+        _check_skill_rate(self.skill_rate)
         if self.vacancy_size < 0:
             raise ValueError("vacancy_size must be non-negative")
 
@@ -136,6 +135,11 @@ def _catalog_cap(population: int, skill_rate: float, mass_threshold: float) -> i
     return k
 
 
+def _check_skill_rate(skill_rate: float) -> None:
+    if not 0 <= skill_rate < math.inf:
+        raise ValueError(f"skill_rate must be finite and non-negative, got {skill_rate}")
+
+
 def _check_mass_threshold(mass_threshold: float) -> None:
     if not 0 < mass_threshold <= 1:
         raise ValueError("mass_threshold must lie in (0, 1]")
@@ -156,8 +160,7 @@ def p_lambda(
     """
     if population < 1:
         raise ValueError("population must be at least 1")
-    if skill_rate < 0:
-        raise ValueError("skill_rate must be non-negative")
+    _check_skill_rate(skill_rate)
     if vacancy_size < 0:
         raise ValueError("vacancy_size must be non-negative")
     _check_mass_threshold(mass_threshold)

@@ -87,18 +87,6 @@ class TestSingleRun:
         assert result.chain_length == 4
         assert not result.success
 
-    def test_arc_table_spread(self):
-        network = _directed_path(3)
-        params = IHCParams({(0, 1): 1.0, (1, 2): 0.0}, 0.0, 1.0)
-        result = run_cascade(network, params, (0,), 1)
-        assert not result.success
-        assert result.chain_length == 2
-        assert result.steps == 2
-
-        missing = IHCParams({(0, 1): 1.0}, 0.0, 1.0)
-        with pytest.raises(ValueError, match="no entry"):
-            run_cascade(network, missing, (0,), 1)
-
     def test_trace_off_by_default(self):
         result = run_cascade(_complete(4), IHCParams(0.5, 0.5, 0.5), (0,), 11)
         assert result.trace is None
@@ -120,25 +108,10 @@ class TestSingleRun:
             IHCParams(0.5, -0.1, 0.5)
         with pytest.raises(ValueError, match="p_h"):
             IHCParams(0.5, 0.5, [0.5, 2.0])
-        with pytest.raises(ValueError, match="p_r out of"):
-            IHCParams({(0, 1): 1.2}, 0.5, 0.5)
         with pytest.raises(ValueError, match="max_steps"):
             IHCParams(0.5, 0.5, 0.5, max_steps=0)
         with pytest.raises(ValueError, match="length-3"):
             run_cascade(_complete(3), IHCParams(0.5, [0.1, 0.2], 0.5), (0,), 0)
-
-    def test_csv_row(self):
-        result = run_cascade(_complete(11), IHCParams(1.0, 1.0, 1.0), (0,), 7)
-        assert result.csv_row(17) == {
-            "replication_id": 17,
-            "success": 1,
-            "chain_length": 2,
-            "applicants": 10,
-            "steps": 1,
-            "seed_node": 0,
-        }
-        multi = run_cascade(_complete(11), IHCParams(0.0, 1.0, 1.0), (2, 0), 7)
-        assert multi.csv_row(0)["seed_node"] == "0;2"
 
 
 class TestProperties:

@@ -133,6 +133,22 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert _rows(out)[0]["n_runs"] == "2"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(f'{{"skill_rate": {literal}}}', encoding="utf-8")
+        code, out, err = _run(capsys, ["oracle-analytic", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "skill_rate must be finite" in err
+
+        path.write_text(f'{{"budget": {literal}}}', encoding="utf-8")
+        code, _, err = _run(
+            capsys, ["payout", "--chain-length", "2", "--config", str(path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "not a valid amount" in err
+
     def test_unwritable_output_exits_io(self, tmp_path, capsys):
         code, _, err = _run(
             capsys,

@@ -1,10 +1,19 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart and config commands run as written."""
 from __future__ import annotations
 
+import csv
+import io
+import json
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+from halting_cascade.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SUMMARY = "n_runs,success_rate,median_chain_length,mean_chain_depth,mean_applicants"
 
 
 def test_readme_python_block_runs(capsys):
@@ -13,3 +22,47 @@ def test_readme_python_block_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def _config_commands() -> list[tuple[str, str]]:
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^halting-cascade (\S+) --config (scripts/\S+\.json)$", text, flags=re.M)
+
+
+def test_readme_names_every_config():
+    assert _config_commands()
+    assert sorted(path for _, path in _config_commands()) == sorted(
+        str(p.relative_to(ROOT)) for p in (ROOT / "scripts").glob("*.json")
+    )
+
+
+def _heatmap_shape(cfg: dict) -> tuple[str, int]:
+    header = "p_r,p_a,p_h,n,mean_degree,diffusion_value,halting_value,regime," + SUMMARY
+    return header, len(cfg["p_r"]) * len(cfg["p_a"]) * len(cfg["p_h"])
+
+
+def _ihc_vs_oracle_shape(cfg: dict) -> tuple[str, int]:
+    header = (
+        "system,population,mean_degree,reach_fraction,skill_rate,vacancy_size,p_r,"
+        "analytic_oracle_success," + SUMMARY
+    )
+    return header, 2 * len(cfg["vacancy_sizes"]) * len(cfg["p_r"])
+
+
+_SHAPES = {"heatmap": _heatmap_shape, "ihc-vs-oracle": _ihc_vs_oracle_shape}
+
+
+@pytest.mark.parametrize("command, path", _config_commands())
+def test_readme_config_command_runs(capsys, command, path):
+    cfg = json.loads((ROOT / path).read_text(encoding="utf-8"))
+    assert cfg["reps"] > 2
+    code = main([command, "--config", str(ROOT / path), "--reps", "2"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    header, n_rows = _SHAPES[command](cfg)
+    assert out.splitlines()[0] == header
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == n_rows
+    for row in rows:
+        assert row["n_runs"] == "2"
+        assert 0.0 <= float(row["success_rate"]) <= 1.0

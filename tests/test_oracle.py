@@ -173,8 +173,9 @@ class TestQualifiedProbability:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             p_lambda(3.0, 4, 0)
-        with pytest.raises(ValueError):
-            p_lambda(-1.0, 4, 100)
+        for bad_rate in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="skill_rate"):
+                p_lambda(bad_rate, 4, 100)
         with pytest.raises(ValueError):
             p_lambda(3.0, -1, 100)
         with pytest.raises(ValueError):
@@ -271,8 +272,9 @@ class TestSuccessProbability:
             OracleSpec(100, 1.5, 0.2, 3.0, 4)
         with pytest.raises(ValueError):
             OracleSpec(100, 0.5, -0.2, 3.0, 4)
-        with pytest.raises(ValueError):
-            OracleSpec(100, 0.5, 0.2, -3.0, 4)
+        for bad_rate in (-3.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="skill_rate"):
+                OracleSpec(100, 0.5, 0.2, bad_rate, 4)
         with pytest.raises(ValueError):
             OracleSpec(100, 0.5, 0.2, 3.0, -4)
 
