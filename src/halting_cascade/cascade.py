@@ -65,7 +65,7 @@ class IHCParams:
                 _check_prob(name, float(value))  # type: ignore[arg-type]
             else:
                 arr = np.asarray(value, dtype=float)
-                if arr.size and (arr.min() < 0 or arr.max() > 1):
+                if not np.all((arr >= 0) & (arr <= 1)):
                     raise ValueError(f"{name} values must lie in [0, 1]")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
@@ -154,7 +154,7 @@ def run_cascade(
     for step in range(1, max_steps + 1):
         steps = step
         passive_before = state == AgentState.PASSIVE
-        _, dst = network.out_arcs(frontier)
+        dst = network.out_arcs(frontier)
         dst = dst[passive_before[dst]]
         state[frontier] = AgentState.SPENT
 
@@ -215,7 +215,7 @@ def ic_reference(network, p_r, seeds: Iterable[int], rng_seed) -> int:
     frontier = seed_arr
     for _ in range(n):
         inactive_before = ~active
-        _, dst = network.out_arcs(frontier)
+        dst = network.out_arcs(frontier)
         dst = dst[inactive_before[dst]]
         newly = np.empty(0, dtype=np.int64)
         if dst.size:

@@ -96,20 +96,18 @@ class Network:
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self._out_idx, minlength=self.n)
 
-    def out_arcs(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All arcs leaving ``sources``, in ascending (source, target) order.
+    def out_arcs(self, sources: np.ndarray) -> np.ndarray:
+        """Targets of all arcs leaving ``sources``, in ascending (source, target) order.
 
         ``sources`` must already be sorted ascending.
         """
         sources = np.asarray(sources, dtype=np.int64)
-        lens = self._out_ptr[sources + 1] - self._out_ptr[sources]
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        starts = np.repeat(self._out_ptr[sources], lens)
-        local = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        return np.repeat(sources, lens), self._out_idx[starts + local]
+        starts = self._out_ptr[sources]
+        lens = self._out_ptr[sources + 1] - starts
+        offsets = starts - (np.cumsum(lens) - lens)
+        arcs = np.repeat(offsets, lens)
+        arcs += np.arange(arcs.size)
+        return self._out_idx[arcs]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):

@@ -12,13 +12,14 @@ probability mass.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import CascadeResult, IHCParams, run_cascade
 from .graph import generate_star
-from .skills import SkillWorld, hiring_probability
+from .skills import SkillWorld
 
 
 @dataclass(frozen=True)
@@ -202,11 +203,19 @@ def truncation_bounds(
 
 
 def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -> float:
-    """Chance the hub's direct posting produces at least one hire."""
+    """Chance the hub's direct posting produces at least one hire.
+
+    The hypergeometric terms are ``hypergeom_pmf``'s log-space expression,
+    evaluated from one table of ``lgamma(i + 1)`` in the same operation order,
+    so every term is bit-identical to the scalar kernels'.
+    """
     n = spec.population
     p_q = p_lambda(spec.skill_rate, spec.vacancy_size, n, mass_threshold)
     bounds = truncation_bounds(n, p_q, spec.skill_rate, mass_threshold)
     draws = round(spec.reach_fraction * n)
+    lf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    trial = [p_success_trial(k, spec.p_r) for k in range(min(draws, bounds.l_max) + 1)]
+    log_all_draws = lf[n] - lf[draws] - lf[n - draws]
 
     total = 0.0
     for qualified in range(bounds.l_min, bounds.l_max + 1):
@@ -215,10 +224,15 @@ def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -
             continue
         lo = max(0, draws - (n - qualified))
         hi = min(qualified, draws)
+        in_reach = np.arange(lo, hi + 1)
+        missed = n - qualified
+        log_terms = (
+            (lf[qualified] - lf[in_reach] - lf[qualified - in_reach])
+            + (lf[missed] - lf[draws - in_reach] - lf[missed - draws + in_reach])
+            - log_all_draws
+        )
         reached_terms = math.fsum(
-            hypergeom_pmf(in_reach, n, qualified, draws)
-            * p_success_trial(in_reach, spec.p_r)
-            for in_reach in range(lo, hi + 1)
+            map(operator.mul, map(math.exp, log_terms.tolist()), trial[lo : hi + 1])
         )
         total += outer * reached_terms
     return min(1.0, total)
@@ -243,7 +257,7 @@ def simulate_oracle(
     """
     star_ss, run_ss = _spawn2(seed)
     star = generate_star(world.n, reach_fraction, star_ss)
-    p_h = np.array([hiring_probability(s, world.vacancy) for s in world.agent_skills])
+    p_h = (world.coverage() == len(world.vacancy)).astype(float)
     params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
     return run_cascade(star, params, seeds=(0,), rng_seed=run_ss)
 

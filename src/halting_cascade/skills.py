@@ -1,9 +1,10 @@
 """Skill-based agent heterogeneity.
 
-A skill world fixes a shared catalog of skill ids, one skill set per agent,
-and the set of skills a vacancy requires. Hiring is all-or-nothing: an
-agent can be hired only if it holds every required skill. Application
-propensity scales with the fraction of required skills the agent holds.
+A skill world fixes a shared catalog of skill ids, which skills each agent
+holds (one boolean matrix row per agent), and the set of skills a vacancy
+requires. Hiring is all-or-nothing: an agent can be hired only if it holds
+every required skill. Application propensity scales with the fraction of
+required skills the agent holds.
 """
 from __future__ import annotations
 
@@ -16,16 +17,51 @@ import numpy as np
 from .cascade import IHCParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SkillWorld:
+    """Agent skills as a read-only ``(n, universe_size)`` boolean matrix.
+
+    ``held[i, s]`` is true when agent ``i`` holds skill ``s``; the per-agent
+    sets, the JSON form and equality are views of it.
+    """
+
     universe_size: int
     vacancy: frozenset[int]
-    agent_skills: tuple[frozenset[int], ...]
+    held: np.ndarray
     skill_rate: float  # Poisson mean of per-agent skill counts
+
+    def __post_init__(self):
+        held = np.array(self.held, dtype=bool)
+        if held.ndim != 2 or held.shape[1] != self.universe_size:
+            raise ValueError("held must be an (n, universe_size) matrix")
+        _check_skill_ids(self.vacancy, self.universe_size)
+        held.flags.writeable = False
+        object.__setattr__(self, "held", held)
 
     @property
     def n(self) -> int:
-        return len(self.agent_skills)
+        return self.held.shape[0]
+
+    @property
+    def agent_skills(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(ids) for ids in self._skill_lists())
+
+    def coverage(self) -> np.ndarray:
+        """How many of the vacancy's required skills each agent holds."""
+        return self.held[:, sorted(self.vacancy)].sum(axis=1)
+
+    def _skill_lists(self) -> list[list[int]]:
+        return [np.flatnonzero(row).tolist() for row in self.held]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SkillWorld):
+            return NotImplemented
+        return (
+            self.universe_size == other.universe_size
+            and self.vacancy == other.vacancy
+            and self.skill_rate == other.skill_rate
+            and bool(np.array_equal(self.held, other.held))
+        )
 
     def to_json(self) -> str:
         return json.dumps(
@@ -33,19 +69,29 @@ class SkillWorld:
                 "universe_size": self.universe_size,
                 "skill_rate": self.skill_rate,
                 "vacancy": sorted(self.vacancy),
-                "agent_skills": [sorted(s) for s in self.agent_skills],
+                "agent_skills": self._skill_lists(),
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SkillWorld":
         data = json.loads(text)
+        universe = int(data["universe_size"])
+        held = np.zeros((len(data["agent_skills"]), universe), dtype=bool)
+        for row, ids in zip(held, data["agent_skills"]):
+            _check_skill_ids(ids, universe)
+            row[ids] = True
         return cls(
-            universe_size=int(data["universe_size"]),
+            universe_size=universe,
             vacancy=frozenset(data["vacancy"]),
-            agent_skills=tuple(frozenset(s) for s in data["agent_skills"]),
+            held=held,
             skill_rate=float(data["skill_rate"]),
         )
+
+
+def _check_skill_ids(ids, universe_size: int) -> None:
+    if not all(0 <= s < universe_size for s in ids):
+        raise ValueError(f"skill ids must lie in [0, {universe_size}), got {sorted(ids)}")
 
 
 def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> SkillWorld:
@@ -71,15 +117,14 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
     counts = rng.poisson(skill_rate, size=n)
     universe = int(max(counts.max(), vacancy_size))
     order = np.argsort(rng.random((n, universe)), axis=1)
-    skills = tuple(
-        frozenset(row[:count]) for row, count in zip(order.tolist(), counts.tolist())
-    )
+    held = np.empty((n, universe), dtype=bool)
+    held[np.arange(n)[:, None], order] = np.arange(universe) < counts[:, None]
     vacancy = (
         frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
         if vacancy_size
         else frozenset()
     )
-    return SkillWorld(universe, vacancy, skills, float(skill_rate))
+    return SkillWorld(universe, vacancy, held, float(skill_rate))
 
 
 def hiring_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
@@ -95,7 +140,14 @@ def application_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
 
 
 def bind_params(world: SkillWorld, p_r, max_steps: int | None = None) -> IHCParams:
-    """Cascade parameters with per-agent application and hiring probabilities."""
-    p_a = np.array([application_probability(s, world.vacancy) for s in world.agent_skills])
-    p_h = np.array([hiring_probability(s, world.vacancy) for s in world.agent_skills])
+    """Cascade parameters with per-agent application and hiring probabilities.
+
+    Both come from each agent's coverage of the vacancy: ``p_a`` is the
+    covered fraction, ``p_h`` is 1.0 at full coverage; an empty vacancy
+    binds both to 1.0.
+    """
+    required = len(world.vacancy)
+    coverage = world.coverage()
+    p_a = coverage / required if required else np.ones(world.n)
+    p_h = (coverage == required).astype(float)
     return IHCParams(p_r=p_r, p_a=p_a, p_h=p_h, max_steps=max_steps)

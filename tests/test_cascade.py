@@ -113,6 +113,15 @@ class TestSingleRun:
         with pytest.raises(ValueError, match="length-3"):
             run_cascade(_complete(3), IHCParams(0.5, [0.1, 0.2], 0.5), (0,), 0)
 
+    def test_nan_per_agent_probabilities_rejected(self):
+        # NaN fails every comparison, so a min/max range check lets it through
+        with pytest.raises(ValueError, match="p_a"):
+            IHCParams(0.5, [math.nan] * 10, 0.5)
+        with pytest.raises(ValueError, match="p_h"):
+            IHCParams(0.5, 0.5, [0.5] * 9 + [math.nan])
+        with pytest.raises(ValueError, match="p_a"):
+            IHCParams(0.5, np.array([0.2, math.nan, 0.7]), [1.0, 1.0, 1.0])
+
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)

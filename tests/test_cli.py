@@ -442,3 +442,19 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
     code, _, _ = _run(capsys, argv + flags + ["--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+def test_analytic_output_pinned(tmp_path, capsys):
+    """The closed-form table has no draws, so any change to its bytes is a
+    change of arithmetic, not of the draw schedule."""
+    path = tmp_path / "config.json"
+    config = {"population": 3000, "reach_fraction": 0.4, "skill_rate": 3.0,
+              "vacancy_sizes": [0, 1, 4, 8], "p_r": [0.0, 0.2, 1.0]}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code, _, _ = _run(capsys, ["oracle-analytic", "--config", str(path), "--out", str(out)])
+    assert code == EXIT_OK
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "9bccb8b5da2cfcc294e2af72059836399dac3d84127e5c8577c282124dd893bf"
+    )

@@ -1,6 +1,7 @@
 """Tests for the direct-recommendation baseline, analytic and simulated."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -208,7 +209,43 @@ class TestTruncationBounds:
             truncation_bounds(100, 0.5, 3.0, mass_threshold=0.0)
 
 
+def _scalar_kernel_success(spec: OracleSpec, mass_threshold: float = 0.98) -> float:
+    """The double sum term by term from the public scalar kernels."""
+    n = spec.population
+    p_q = p_lambda(spec.skill_rate, spec.vacancy_size, n, mass_threshold)
+    bounds = truncation_bounds(n, p_q, spec.skill_rate, mass_threshold)
+    draws = round(spec.reach_fraction * n)
+    total = 0.0
+    for qualified in range(bounds.l_min, bounds.l_max + 1):
+        outer = binomial_pmf(qualified, n, p_q)
+        if outer == 0.0:
+            continue
+        lo = max(0, draws - (n - qualified))
+        hi = min(qualified, draws)
+        total += outer * math.fsum(
+            hypergeom_pmf(in_reach, n, qualified, draws) * p_success_trial(in_reach, spec.p_r)
+            for in_reach in range(lo, hi + 1)
+        )
+    return min(1.0, total)
+
+
 class TestSuccessProbability:
+    @pytest.mark.parametrize("population", [1, 2, 37, 500, 5000])
+    def test_equals_scalar_kernel_sum(self, population):
+        specs = [
+            OracleSpec(population, reach, p_r, 3.0, vacancy)
+            for reach, p_r, vacancy in itertools.product(
+                (0.0, 0.35, 1.0), (0.0, 0.2, 1.0), (0, 2, 6)
+            )
+        ]
+        specs += [OracleSpec(population, 0.5, 0.2, rate, 2) for rate in (0.0, 7.5)]
+        for spec in specs:
+            assert oracle_success_probability(spec) == _scalar_kernel_success(spec), spec
+        tight = OracleSpec(population, 0.5, 0.2, 3.0, 4)
+        assert oracle_success_probability(tight, 0.999) == _scalar_kernel_success(
+            tight, 0.999
+        )
+
     def test_matches_independent_reference(self):
         for vacancy_size in (4, 6, 8):
             spec = OracleSpec(5000, 0.5, 0.2, 3.0, vacancy_size)

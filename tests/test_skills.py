@@ -1,6 +1,8 @@
 """Tests for skill worlds and the probabilities they induce."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -137,7 +139,73 @@ class TestBinding:
         assert np.all(np.asarray(params.p_h) == 1.0)
 
 
+class TestArrayStorage:
+    def test_held_is_a_read_only_matrix(self):
+        world = sample_skill_world(40, 3.0, 4, seed=3)
+        assert world.held.dtype == bool
+        assert world.held.shape == (40, world.universe_size)
+        with pytest.raises(ValueError):
+            world.held[0, 0] = not world.held[0, 0]
+
+    def test_constructor_copies_its_matrix(self):
+        held = np.array([[True, False], [False, False]])
+        world = SkillWorld(2, frozenset({1}), held, 1.0)
+        held[1, 1] = True
+        assert held.flags.writeable
+        assert world.agent_skills == (frozenset({0}), frozenset())
+
+    def test_rejects_matrix_of_wrong_width(self):
+        with pytest.raises(ValueError, match="universe_size"):
+            SkillWorld(3, frozenset(), np.zeros((4, 2), dtype=bool), 1.0)
+
+    def test_row_sums_are_the_poisson_counts(self):
+        world = sample_skill_world(3000, 3.0, 4, seed=17)
+        counts = np.random.default_rng(17).poisson(3.0, 3000)
+        assert np.array_equal(world.held.sum(axis=1), counts)
+
+    def test_agent_skills_view_matches_rows(self):
+        world = sample_skill_world(200, 4.0, 3, seed=8)
+        assert len(world.agent_skills) == world.n == 200
+        for row, skills in zip(world.held, world.agent_skills):
+            assert skills == frozenset(np.flatnonzero(row).tolist())
+
+    def test_coverage_counts_required_skills_held(self):
+        world = sample_skill_world(200, 4.0, 3, seed=8)
+        expected = [len(skills & world.vacancy) for skills in world.agent_skills]
+        assert world.coverage().tolist() == expected
+
+    def test_rejects_skill_ids_outside_catalog(self):
+        with pytest.raises(ValueError, match="skill ids"):
+            SkillWorld(3, frozenset({3}), np.zeros((2, 3), dtype=bool), 1.0)
+        text = sample_skill_world(5, 2.0, 1, seed=0).to_json()
+        for bad in ([[-1]] * 5, [[99]] * 5):
+            data = {**json.loads(text), "agent_skills": bad}
+            with pytest.raises(ValueError, match="skill ids"):
+                SkillWorld.from_json(json.dumps(data))
+
+    def test_one_cell_changes_equality(self):
+        world = sample_skill_world(20, 3.0, 2, seed=1)
+        held = world.held.copy()
+        held[0, 0] = not held[0, 0]
+        other = SkillWorld(world.universe_size, world.vacancy, held, world.skill_rate)
+        assert other != world
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
-        world = sample_skill_world(30, 2.5, 3, seed=9)
-        assert SkillWorld.from_json(world.to_json()) == world
+        for args in [(30, 2.5, 3, 9), (10, 0.0, 5, 0), (50, 2.0, 0, 2), (1, 0.0, 0, 4)]:
+            world = sample_skill_world(*args)
+            again = SkillWorld.from_json(world.to_json())
+            assert again == world
+            assert again.to_json() == world.to_json()
+            assert again.agent_skills == world.agent_skills
+
+    def test_json_bytes_pinned(self):
+        # the JSON text is an interchange format: these bytes must not move
+        pins = {
+            (60, 3.0, 4, 31): "e04b002a3d195c080843ae43ceb635ff35e3dfa58ff1258319990be570d84a6c",
+            (25, 2.0, 0, 32): "46bf4fd7ec26c653c7c566ff75ad1f31e267765d66c166efcaaeb019e1f21bb8",
+        }
+        for args, sha256 in pins.items():
+            text = sample_skill_world(*args).to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == sha256
