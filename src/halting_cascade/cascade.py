@@ -243,11 +243,11 @@ def run_batch(
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
     the given set is reused. Replication i follows the CLI's stream rule
-    with an empty cell path: it spawns the seed-node and cascade streams, in
-    that order, from ``SeedSequence([master_seed, i])`` (the seed-node
-    stream goes unread when ``seeds`` is given). Results do not depend on
-    execution order, and any prefix of a longer batch is reproducible on
-    its own.
+    for a group of one cell with an empty path: it spawns the seed-node and
+    cascade streams, in that order, from ``SeedSequence([master_seed, i])``
+    (the seed-node stream goes unread when ``seeds`` is given). Results do
+    not depend on execution order, and any prefix of a longer batch is
+    reproducible on its own.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")

@@ -1,9 +1,10 @@
 """Experiment driver: parameter sweeps over the cascade model and the baseline.
 
 Every subcommand is a pure function of its configuration: the master seed
-feeds a per-cell, per-replication seed tree, rows are buffered and written
-in grid order, and a rerun with the same inputs produces byte-identical
-output. Configuration merges built-in defaults, an optional scale preset,
+feeds a per-cell, per-replication seed tree, the cells of a group share
+each replication's network, rows are buffered and written in grid order,
+and a rerun with the same inputs produces byte-identical output.
+Configuration merges built-in defaults, an optional scale preset,
 an optional JSON config file, and command-line flags, in that order.
 """
 from __future__ import annotations
@@ -287,54 +288,71 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _replicate(
     seed: int,
-    path: tuple[int, ...],
+    paths: Sequence[tuple[int, ...]],
     reps: int,
     network: Network | Callable[[np.random.SeedSequence], Network],
-    params: IHCParams | float,
+    params: Sequence[IHCParams | float],
     skills: tuple[float, int] | None = None,
     reach_fraction: float | None = None,
-) -> Iterator[tuple[Network, int, CascadeResult, CascadeResult | None]]:
-    """Run the ``reps`` replications of one sweep cell, one at a time.
+) -> Iterator[tuple[Network, int, list[tuple[CascadeResult, CascadeResult | None]]]]:
+    """Run the ``reps`` replications of one group of sweep cells, rep-major.
 
-    Stream rule: replication ``rep`` of the cell at grid position ``path``
-    spawns children of ``SeedSequence([seed, *path, rep])``, one per stream
-    it uses, in the fixed order skill world, network, seed node, cascade,
-    oracle. A child depends only on its index, so every sweep's layout is a
-    prefix-in-order of that one list.
+    A group is a list of cells that differ only in cascade parameters: cell
+    ``i`` sits at grid position ``paths[i]`` and runs with ``params[i]``.
+    Each replication builds the group's shared draws once (skill world,
+    network, seed node) and runs every cell's cascade, and oracle, on them.
+    So the cells of a group are dependent, each keeps its marginal
+    distribution, and contrasts between them are paired.
+
+    Stream rule: replication ``rep`` of the cell at ``path`` spawns children
+    of ``SeedSequence([seed, *path, rep])``, one per stream the sweep uses,
+    in the fixed order skill world, network, seed node, cascade, oracle.
+    The shared streams are those of the group's first cell (the leader);
+    every cell reads its own cascade and oracle children. Each stream thus
+    comes from a distinct (key, child index) pair, and the leader's draws
+    are those of a group that holds it alone.
 
     ``network`` is a fixed ``Network`` or a factory called with the network
-    stream. ``params`` holds the cascade probabilities; with ``skills`` =
-    (skill_rate, vacancy_size) it is ``p_r`` alone, and each replication
-    samples a skill world for the network's agents and binds ``p_a``/``p_h``
-    from it. ``reach_fraction`` adds the oracle on that same world. Build
-    factories inside the subcommand, so that layer functions such as
-    ``generate_er`` are looked up by their module-level names at call time
-    (the benchmark's tracer patches those names).
+    stream. Each ``params[i]`` holds the cascade probabilities; with
+    ``skills`` = (skill_rate, vacancy_size) it is ``p_r`` alone, and the
+    cell binds ``p_a``/``p_h`` from the replication's skill world.
+    ``reach_fraction`` adds the oracle on that same world. Build factories
+    inside the subcommand, so that layer functions such as ``generate_er``
+    are looked up by their module-level names at call time (the benchmark's
+    tracer patches those names).
 
-    Yields (network, seed node, cascade result, oracle result or None).
+    Yields, per replication, (network, seed node, one (cascade result,
+    oracle result or None) per cell). Only one network is alive at a time:
+    the last one stays referenced until the next is built, so the allocator
+    does not hand its pages back in between.
     """
     used = (skills is not None, callable(network), True, True, reach_fraction is not None)
     for rep in range(reps):
-        children = iter(np.random.SeedSequence([seed, *path, rep]).spawn(sum(used)))
-        world_ss, net_ss, node_ss, run_ss, oracle_ss = (
-            next(children) if u else None for u in used
-        )
+        streams = []
+        for path in paths:
+            children = iter(np.random.SeedSequence([seed, *path, rep]).spawn(sum(used)))
+            streams.append([next(children) if u else None for u in used])
+        world_ss, net_ss, node_ss, _, _ = streams[0]
         net = network(net_ss) if callable(network) else network
         seed_node = int(np.random.default_rng(node_ss).integers(net.n))
-        world = None
-        cascade_params = params
-        if skills is not None:
-            world = sample_skill_world(net.n, *skills, world_ss)
-            cascade_params = bind_params(world, params)
-        result = run_cascade(net, cascade_params, (seed_node,), run_ss)
-        oracle = None
-        if reach_fraction is not None:
-            oracle = simulate_oracle(world, reach_fraction, params, oracle_ss)
-        yield net, seed_node, result, oracle
+        world = None if skills is None else sample_skill_world(net.n, *skills, world_ss)
+        outcomes = []
+        for cell_params, (_, _, _, run_ss, oracle_ss) in zip(params, streams):
+            cascade_params = cell_params if world is None else bind_params(world, cell_params)
+            result = run_cascade(net, cascade_params, (seed_node,), run_ss)
+            oracle = None
+            if reach_fraction is not None:
+                oracle = simulate_oracle(world, reach_fraction, cell_params, oracle_ss)
+            outcomes.append((result, oracle))
+        yield net, seed_node, outcomes
 
 
 def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
-    """Success and chain-length grid over p_r x p_a x p_h on fresh ER draws."""
+    """Success and chain-length grid over p_r x p_a x p_h on ER draws.
+
+    The whole grid is one group: each replication's ER network and seed
+    node are shared by every cell.
+    """
     fields = [
         "p_r",
         "p_a",
@@ -346,13 +364,14 @@ def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
         "regime",
         *_SUMMARY_FIELDS,
     ]
-    rows = []
     grid = list(itertools.product(cfg["p_r"], cfg["p_a"], cfg["p_h"]))
     er = functools.partial(generate_er, cfg["n"], cfg["mean_degree"])
-    for cell, (p_r, p_a, p_h) in enumerate(grid):
-        params = IHCParams(p_r=p_r, p_a=p_a, p_h=p_h)
-        runs = _replicate(cfg["seed"], (cell,), cfg["reps"], er, params)
-        results = [result for _, _, result, _ in runs]
+    params = [IHCParams(p_r=p_r, p_a=p_a, p_h=p_h) for p_r, p_a, p_h in grid]
+    paths = [(cell,) for cell in range(len(grid))]
+    runs = _replicate(cfg["seed"], paths, cfg["reps"], er, params)
+    per_cell = zip(*[outcomes for _, _, outcomes in runs])
+    rows = []
+    for (p_r, p_a, p_h), cell_runs in zip(grid, per_cell):
         report = classify_regime(cfg["mean_degree"], p_r, p_a, p_h)
         rows.append(
             {
@@ -364,14 +383,18 @@ def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
                 "diffusion_value": report.diffusion_value,
                 "halting_value": report.halting_value,
                 "regime": report.regime.value,
-                **summarize(results).as_dict(),
+                **summarize([result for result, _ in cell_runs]).as_dict(),
             }
         )
     return fields, rows
 
 
 def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
-    """Seed-degree-binned outcomes on preferential-attachment vs ER networks."""
+    """Seed-degree-binned outcomes on preferential-attachment vs ER networks.
+
+    The ``p_r`` cells of one topology are one group: they share each
+    replication's network and seed node.
+    """
     fields = [
         "topology",
         "n",
@@ -387,18 +410,20 @@ def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
     ba_core = cfg["ba_core"] if cfg["ba_core"] is not None else cfg["ba_attachment"]
     er = functools.partial(generate_er, cfg["n"], cfg["er_mean_degree"])
     ba = functools.partial(generate_ba, cfg["n"], ba_core, cfg["ba_attachment"])
+    params = [IHCParams(p_r=p_r, p_a=cfg["p_a"], p_h=cfg["p_h"]) for p_r in cfg["p_r"]]
     rows = []
     for topo_idx, (topology, build) in enumerate((("er", er), ("ba", ba))):
-        for p_r_idx, p_r in enumerate(cfg["p_r"]):
-            params = IHCParams(p_r=p_r, p_a=cfg["p_a"], p_h=cfg["p_h"])
-            runs = _replicate(cfg["seed"], (topo_idx, p_r_idx), cfg["reps"], build, params)
-            groups: dict[tuple[int, int], list] = {}
-            # ``network`` stays referenced until the next cell has built its
-            # own, so the allocator does not hand its pages back in between
-            for network, seed_node, result, _ in runs:
-                key = degree_bin(int(network.out_degrees[seed_node]))
-                groups.setdefault(key, []).append(result)
-            for lo, hi in sorted(groups):
+        paths = [(topo_idx, p_r_idx) for p_r_idx in range(len(params))]
+        runs = _replicate(cfg["seed"], paths, cfg["reps"], build, params)
+        bins: list[dict[tuple[int, int], list]] = [{} for _ in params]
+        # ``network`` stays referenced until the next topology has built its
+        # first one, so the allocator does not hand its pages back in between
+        for network, seed_node, outcomes in runs:
+            key = degree_bin(int(network.out_degrees[seed_node]))
+            for cell_bins, (result, _) in zip(bins, outcomes):
+                cell_bins.setdefault(key, []).append(result)
+        for p_r, cell_bins in zip(cfg["p_r"], bins):
+            for lo, hi in sorted(cell_bins):
                 rows.append(
                     {
                         "topology": topology,
@@ -410,7 +435,7 @@ def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
                         "p_h": cfg["p_h"],
                         "degree_bin_lo": lo,
                         "degree_bin_hi": hi,
-                        **summarize(groups[(lo, hi)]).as_dict(),
+                        **summarize(cell_bins[(lo, hi)]).as_dict(),
                     }
                 )
     return fields, rows
@@ -420,8 +445,10 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
     """Cascade vs direct-posting comparison on shared skill worlds.
 
     Each replication draws one skill world and feeds it to both systems:
-    the cascade runs on a fresh ER network, the baseline on its reach star.
-    The closed-form baseline value rides along as a reference column.
+    the cascade runs on an ER network, the baseline on its reach star. The
+    ``p_r`` cells of one vacancy size are one group: they share each
+    replication's skill world, network and seed node. The closed-form
+    baseline value rides along as a reference column.
     """
     fields = [
         "system",
@@ -435,36 +462,40 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
         *_SUMMARY_FIELDS,
     ]
     rows = []
-    grid = list(itertools.product(cfg["vacancy_sizes"], cfg["p_r"]))
     er = functools.partial(generate_er, cfg["population"], cfg["mean_degree"])
-    for cell, (vacancy_size, p_r) in enumerate(grid):
-        spec = OracleSpec(
-            population=cfg["population"],
-            reach_fraction=cfg["reach_fraction"],
-            p_r=p_r,
-            skill_rate=cfg["skill_rate"],
-            vacancy_size=vacancy_size,
-        )
-        analytic = oracle_success_probability(spec, cfg["mass_threshold"])
+    n_p_r = len(cfg["p_r"])
+    for vacancy_idx, vacancy_size in enumerate(cfg["vacancy_sizes"]):
+        # cells are numbered in (vacancy, p_r) grid order
+        paths = [(vacancy_idx * n_p_r + p_r_idx,) for p_r_idx in range(n_p_r)]
         skills = (cfg["skill_rate"], vacancy_size)
         runs = _replicate(
-            cfg["seed"], (cell,), cfg["reps"], er, p_r, skills, cfg["reach_fraction"]
+            cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills, cfg["reach_fraction"]
         )
-        cascade_runs, baseline_runs = zip(*[(result, oracle) for _, _, result, oracle in runs])
-        for system, results in (("ihc", cascade_runs), ("oracle", baseline_runs)):
-            rows.append(
-                {
-                    "system": system,
-                    "population": cfg["population"],
-                    "mean_degree": cfg["mean_degree"] if system == "ihc" else None,
-                    "reach_fraction": cfg["reach_fraction"] if system == "oracle" else None,
-                    "skill_rate": cfg["skill_rate"],
-                    "vacancy_size": vacancy_size,
-                    "p_r": p_r,
-                    "analytic_oracle_success": analytic,
-                    **summarize(results).as_dict(),
-                }
+        per_cell = zip(*[outcomes for _, _, outcomes in runs])
+        for p_r, cell_runs in zip(cfg["p_r"], per_cell):
+            spec = OracleSpec(
+                population=cfg["population"],
+                reach_fraction=cfg["reach_fraction"],
+                p_r=p_r,
+                skill_rate=cfg["skill_rate"],
+                vacancy_size=vacancy_size,
             )
+            analytic = oracle_success_probability(spec, cfg["mass_threshold"])
+            cascade_runs, baseline_runs = zip(*cell_runs)
+            for system, results in (("ihc", cascade_runs), ("oracle", baseline_runs)):
+                rows.append(
+                    {
+                        "system": system,
+                        "population": cfg["population"],
+                        "mean_degree": cfg["mean_degree"] if system == "ihc" else None,
+                        "reach_fraction": cfg["reach_fraction"] if system == "oracle" else None,
+                        "skill_rate": cfg["skill_rate"],
+                        "vacancy_size": vacancy_size,
+                        "p_r": p_r,
+                        "analytic_oracle_success": analytic,
+                        **summarize(results).as_dict(),
+                    }
+                )
     return fields, rows
 
 
@@ -549,9 +580,9 @@ def cmd_empirical(cfg: dict) -> tuple[list[str], list[dict]]:
     }
     skills = (cfg["skill_rate"], cfg["vacancy_size"])
     runs = _replicate(
-        cfg["seed"], (), cfg["reps"], network, cfg["p_r"], skills, cfg["reach_fraction"]
+        cfg["seed"], [()], cfg["reps"], network, [cfg["p_r"]], skills, cfg["reach_fraction"]
     )
-    cascade_runs, baseline_runs = zip(*[(result, oracle) for _, _, result, oracle in runs])
+    cascade_runs, baseline_runs = zip(*[outcomes[0] for _, _, outcomes in runs])
     rows = [
         {"record": "summary", "system": "ihc", **base, **summarize(cascade_runs).as_dict()},
         {"record": "summary", "system": "oracle", **base, **summarize(baseline_runs).as_dict()},
@@ -634,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "heatmap",
-        help="success/chain-length grid over p_r x p_a x p_h on fresh ER networks",
+        help="success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
     )
     add_common(p, "heatmap", stochastic=True)
 

@@ -30,7 +30,6 @@ class Network:
 
     Self-loops and duplicate edges are rejected. Out-adjacency is stored in
     compressed sparse form; ``out_neighbors`` returns a sorted array view.
-    In-adjacency is not stored; it is computed on demand from the out-arcs.
     """
 
     __slots__ = ("n", "directed", "_out_ptr", "_out_idx")
@@ -83,18 +82,9 @@ class Network:
     def out_neighbors(self, u: int) -> np.ndarray:
         return self._out_idx[self._out_ptr[u] : self._out_ptr[u + 1]]
 
-    def in_neighbors(self, u: int) -> np.ndarray:
-        """Sources of the arcs into ``u``, ascending (scans every arc)."""
-        arcs_in = np.flatnonzero(self._out_idx == u)
-        return np.searchsorted(self._out_ptr, arcs_in, side="right") - 1
-
     @property
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._out_ptr)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self._out_idx, minlength=self.n)
 
     def out_arcs(self, sources: np.ndarray) -> np.ndarray:
         """Targets of all arcs leaving ``sources``, in ascending (source, target) order.

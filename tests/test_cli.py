@@ -6,8 +6,10 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
+from halting_cascade import cli
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -385,6 +387,138 @@ class TestEmpirical:
 _PIN_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n1 4\n"
 
 
+_HEATMAP_2X2 = {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
+                "p_h": [0.5], "reps": 3}
+_BA_VS_ER = {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
+             "reps": 3}
+_IHC_VS_ORACLE = {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
+                  "p_r": [0.3, 1.0], "reps": 3}
+
+
+def _sweep(tmp_path, capsys, command: str, config: dict | None, seed: int = 5) -> list[dict]:
+    argv = [command]
+    if config is None:
+        edges = tmp_path / "edges.txt"
+        edges.write_text(_PIN_EDGES, encoding="utf-8")
+        argv.append(str(edges))
+        config = {"reps": 3}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, _ = _run(capsys, argv + ["--config", str(path), "--seed", str(seed)])
+    assert code == EXIT_OK
+    return _rows(out)
+
+
+def _record(monkeypatch, name: str, calls: list) -> None:
+    """Wrap ``cli.<name>`` so that each call appends (args, result) to ``calls``."""
+    original = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cli, name, wrapper)
+
+
+class TestCommonRandomNetworks:
+    """Cells that differ only in cascade parameters share each replication's draws."""
+
+    @pytest.mark.parametrize(
+        "command, config, groups, cells",
+        [
+            ("heatmap", _HEATMAP_2X2, 1, 4),
+            ("ba-vs-er", _BA_VS_ER, 2, 2),
+            ("ihc-vs-oracle", _IHC_VS_ORACLE, 2, 2),
+        ],
+    )
+    def test_one_network_per_group_and_rep(
+        self, tmp_path, capsys, monkeypatch, command, config, groups, cells
+    ):
+        built, cascades, worlds, bound = [], [], [], []
+        _record(monkeypatch, "generate_er", built)
+        _record(monkeypatch, "generate_ba", built)
+        _record(monkeypatch, "run_cascade", cascades)
+        _record(monkeypatch, "sample_skill_world", worlds)
+        _record(monkeypatch, "bind_params", bound)
+        _sweep(tmp_path, capsys, command, config)
+
+        reps = config["reps"]
+        assert len(built) == groups * reps
+        assert len(cascades) == groups * cells * reps
+        by_network: dict[int, list] = {id(net): [] for _, net in built}
+        for (network, _, seeds, run_ss), _ in cascades:
+            by_network[id(network)].append((seeds, tuple(run_ss.entropy)))
+        for runs in by_network.values():
+            # one seed node, and one cascade per cell (a cell's key names it)
+            assert len({seeds for seeds, _ in runs}) == 1
+            assert len({key for _, key in runs}) == len(runs) == cells
+
+        if command == "ihc-vs-oracle":
+            assert len(worlds) == groups * reps
+            by_world: dict[int, list] = {id(world): [] for _, world in worlds}
+            for (world, p_r), _ in bound:
+                by_world[id(world)].append(p_r)
+            assert all(sorted(p) == config["p_r"] for p in by_world.values())
+        else:
+            assert worlds == bound == []
+
+    @pytest.mark.parametrize(
+        "command, config, leader",
+        [
+            ("ba-vs-er", _BA_VS_ER, {"p_r": [0.1]}),
+            ("heatmap", _HEATMAP_2X2, {"p_r": [0.1], "p_a": [0.2]}),
+            ("ihc-vs-oracle", {**_IHC_VS_ORACLE, "vacancy_sizes": [2]}, {"p_r": [0.3]}),
+        ],
+    )
+    def test_group_leader_matches_a_sweep_of_it_alone(
+        self, tmp_path, capsys, command, config, leader
+    ):
+        """A group's first cell draws the shared streams from its own key, so
+        its rows do not depend on which other cells share them."""
+        full = _sweep(tmp_path, capsys, command, config)
+        alone = _sweep(tmp_path, capsys, command, {**config, **leader})
+        projected = [
+            row for row in full
+            if all(float(row[key]) in values for key, values in leader.items())
+        ]
+        assert projected == alone
+        assert len(alone) < len(full)
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("heatmap", _HEATMAP_2X2),
+            ("ba-vs-er", _BA_VS_ER),
+            ("ihc-vs-oracle", _IHC_VS_ORACLE),
+            ("empirical", None),
+        ],
+    )
+    def test_every_stream_is_distinct(self, tmp_path, capsys, monkeypatch, command, config):
+        """No two generators of one sweep start from the same state.
+
+        ``SeedSequence`` zero-pads its entropy to four words, so keys such as
+        ``[seed, 0, 1]`` and ``[seed, 0, 1, 0]`` give equal children; a
+        stream rule that keyed shared draws by a shorter path would collide.
+        """
+        seeded, cascades = [], []
+        default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            if isinstance(seed, np.random.SeedSequence):
+                seeded.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        _record(monkeypatch, "run_cascade", cascades)
+        _sweep(tmp_path, capsys, command, config)
+        unique = {id(ss): ss for ss in seeded}.values()
+        states = {tuple(ss.generate_state(4)) for ss in unique}
+        assert len(states) == len(unique)
+        # every cascade stream plus at least the seed-node streams were seen
+        assert len(unique) > len(cascades) > 0
+
+
 @pytest.mark.parametrize(
     "command, config, flags, sha256",
     [
@@ -393,21 +527,21 @@ _PIN_EDGES = "0 1\n1 2\n2 0\n2 3\n3 4\n4 0\n1 4\n"
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11"],
-            "743e1d13a2eb793f5aa76e00c9d8271d39f700f48ef1599b217a198361721a5b",
+            "cf605761fd98d928bc90db9d194403783bb9dc42531adbfd6703c5b2b0f3cb04",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4"],
-            "c051777a93b42a0b30e5e43717999b8b18d38e8cea8eb38d4468d1ebbd1f039b",
+            "7608c8d8e7d619975a608ab1bcdb4d02742028dc0c4ce60c2b1c98fe78e00ff8",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "3c0089247ec2632d8522b49281e6be55b25244e184ed4062583c76199f1bdbbf",
+            "e4181cec26d473e0d3922d5c213f136e3d161904ed7b4dd043ac6528e21356aa",
         ),
         (
             "empirical",
