@@ -12,7 +12,6 @@ from .cascade import (
     CascadeResult,
     IHCParams,
     StateCounts,
-    ic_reference,
     run_batch,
     run_cascade,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "generate_star",
     "hiring_probability",
     "hypergeom_pmf",
-    "ic_reference",
     "load_edge_list",
     "oracle_success_probability",
     "p_lambda",

@@ -11,9 +11,10 @@ applicants forever; they neither spread nor retry.
 Randomness contract: each step consumes uniform draws in three blocks --
 recommendation draws over candidate arcs in ascending (source, target)
 order, application draws over newly recommended agents in ascending id,
-then hiring draws over new applicants in ascending id. ``ic_reference``
-replays the identical schedule, so with application probability zero both
-engines produce identical spreads from a shared seed.
+then hiring draws over new applicants in ascending id. The tests hold two
+references that follow this schedule: the engine as first written, whose
+results this one must equal, and a plain independent cascade, whose reach
+equals the engine's when the application probability is zero.
 """
 from __future__ import annotations
 
@@ -95,8 +96,19 @@ class CascadeResult:
     trace: tuple[StateCounts, ...] | None = None
 
 
+def _sort_unique(arr: np.ndarray) -> np.ndarray:
+    """``np.unique(arr)`` by an in-place sort; ``arr`` must be the caller's own copy."""
+    if arr.size > 1:
+        arr.sort()
+        distinct = np.empty(arr.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=distinct[1:])
+        arr = arr[distinct]
+    return arr
+
+
 def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
-    arr = np.unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
+    arr = _sort_unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
     if arr.size == 0:
         raise ValueError("at least one seed agent is required")
     if arr[0] < 0 or arr[-1] >= n:
@@ -104,9 +116,10 @@ def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
     return arr
 
 
-def _per_agent(value, n: int, name: str) -> np.ndarray:
+def _per_agent(value, n: int, name: str) -> float | np.ndarray:
+    """A scalar stays a float; a per-agent sequence becomes a length-n array."""
     if np.isscalar(value):
-        return np.full(n, float(value))
+        return float(value)
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
@@ -116,6 +129,10 @@ def _per_agent(value, n: int, name: str) -> np.ndarray:
 def _counts(state: np.ndarray) -> StateCounts:
     binned = np.bincount(state, minlength=5)
     return StateCounts(*(int(c) for c in binned[:5]))
+
+
+_PASSIVE, _FRESH, _SPENT, _APPLIED, _HALTED = (int(s) for s in AgentState)
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def run_cascade(
@@ -132,102 +149,93 @@ def run_cascade(
     carriers remain, or after ``max_steps`` steps. All agents hired at the
     final step are recorded as halters; they necessarily share one chain
     length. ``rng_seed`` is anything ``numpy.random.default_rng`` accepts.
+
+    Each step costs time in the arcs leaving its frontier, not in ``n``:
+    passive targets are found by reading their state per arc, recruits are
+    deduplicated by sorting them, and the next frontier is the recruits
+    that did not apply. Scalar ``p_a``/``p_h`` are compared to the draws
+    directly. Every agent recruited at step s belongs to generation s + 1,
+    so the deepest generation is one more than the last step that recruited
+    anyone, and halters, all recruited at the final step, sit at that depth.
     """
     n = network.n
     seed_arr = _normalize_seeds(seeds, n)
     p_a = _per_agent(params.p_a, n, "p_a")
     p_h = _per_agent(params.p_h, n, "p_h")
+    per_agent_a = isinstance(p_a, np.ndarray)
+    per_agent_h = isinstance(p_h, np.ndarray)
+    p_r = params.p_r
     max_steps = params.max_steps if params.max_steps is not None else n
     rng = np.random.default_rng(rng_seed)
 
-    state = np.full(n, AgentState.PASSIVE, dtype=np.int8)
-    state[seed_arr] = AgentState.FRESH
-    generation = np.zeros(n, dtype=np.int64)
-    generation[seed_arr] = 1
+    state = np.zeros(n, dtype=np.int8)
+    state[seed_arr] = _FRESH
 
     frontier = seed_arr
     applicants_total = 0
-    halters = np.empty(0, dtype=np.int64)
+    last_recruiting_step = 0
+    halters = _NONE
     trace = [_counts(state)] if record_trace else None
     steps = 0
 
     for step in range(1, max_steps + 1):
         steps = step
-        passive_before = state == AgentState.PASSIVE
         dst = network.out_arcs(frontier)
-        dst = dst[passive_before[dst]]
-        state[frontier] = AgentState.SPENT
+        dst = dst[state[dst] == _PASSIVE]
+        state[frontier] = _SPENT
 
-        newly = np.empty(0, dtype=np.int64)
+        frontier = _NONE
         if dst.size:
-            hit = rng.random(dst.size) < params.p_r
-            newly = np.unique(dst[hit])
-
-        appliers = np.empty(0, dtype=np.int64)
-        if newly.size:
-            state[newly] = AgentState.FRESH
-            generation[newly] = step + 1
-            appliers = newly[rng.random(newly.size) < p_a[newly]]
-
-        if appliers.size:
-            state[appliers] = AgentState.APPLIED
-            applicants_total += int(appliers.size)
-            halters = appliers[rng.random(appliers.size) < p_h[appliers]]
-            state[halters] = AgentState.HALTED
+            newly = _sort_unique(dst[rng.random(dst.size) < p_r])
+            if newly.size:
+                state[newly] = _FRESH
+                last_recruiting_step = step
+                draws = rng.random(newly.size)
+                applies = draws < (p_a[newly] if per_agent_a else p_a)
+                appliers = newly[applies]
+                if appliers.size:
+                    state[appliers] = _APPLIED
+                    applicants_total += int(appliers.size)
+                    draws = rng.random(appliers.size)
+                    halters = appliers[draws < (p_h[appliers] if per_agent_h else p_h)]
+                    state[halters] = _HALTED
+                    frontier = newly[~applies]
+                else:
+                    frontier = newly
 
         if trace is not None:
             trace.append(_counts(state))
-        if halters.size:
-            break
-        frontier = np.setdiff1d(newly, appliers, assume_unique=True)
-        if frontier.size == 0:
+        if halters.size or frontier.size == 0:
             break
 
-    if halters.size:
-        chain_length = int(generation[halters].min())
-    else:
-        chain_length = int(generation.max())
     return CascadeResult(
         success=bool(halters.size),
-        chain_length=chain_length,
+        chain_length=last_recruiting_step + 1,
         applicants=applicants_total,
-        halters=frozenset(int(h) for h in halters),
+        halters=frozenset(halters.tolist()),
         steps=steps,
-        seeds=tuple(int(s) for s in seed_arr),
+        seeds=tuple(seed_arr.tolist()),
         trace=tuple(trace) if trace is not None else None,
     )
 
 
-def ic_reference(network, p_r, seeds: Iterable[int], rng_seed) -> int:
-    """Plain independent-cascade spread; returns the reached-set size.
+def stream_children(seed, count: int) -> list[np.random.SeedSequence]:
+    """The first ``count`` children of ``seed``, as a fresh ``spawn(count)`` gives them.
 
-    Kept as a separate minimal implementation for cross-checking the full
-    engine: it consumes one placeholder draw per newly activated node so
-    its draw schedule matches ``run_cascade`` with zero application
-    probability, making the two reached sets identical under a shared seed.
+    ``seed`` is a ``SeedSequence`` or the entropy to build one from (an int
+    or a sequence of ints). Each child is built from the parent's entropy and
+    spawn key directly, so no parent pool is mixed, and a ``SeedSequence``
+    passed in is left unchanged: the same object gives the same children
+    every time, where ``spawn`` would move on to new ones.
     """
-    n = network.n
-    seed_arr = _normalize_seeds(seeds, n)
-    rng = np.random.default_rng(rng_seed)
-
-    active = np.zeros(n, dtype=bool)
-    active[seed_arr] = True
-    frontier = seed_arr
-    for _ in range(n):
-        inactive_before = ~active
-        dst = network.out_arcs(frontier)
-        dst = dst[inactive_before[dst]]
-        newly = np.empty(0, dtype=np.int64)
-        if dst.size:
-            hit = rng.random(dst.size) < p_r
-            newly = np.unique(dst[hit])
-        if newly.size:
-            active[newly] = True
-            rng.random(newly.size)  # placeholder application block
-        frontier = newly
-        if frontier.size == 0:
-            break
-    return int(active.sum())
+    if not isinstance(seed, np.random.SeedSequence):
+        return [np.random.SeedSequence(seed, spawn_key=(j,)) for j in range(count)]
+    return [
+        np.random.SeedSequence(
+            seed.entropy, spawn_key=(*seed.spawn_key, j), pool_size=seed.pool_size
+        )
+        for j in range(count)
+    ]
 
 
 def run_batch(
@@ -243,19 +251,20 @@ def run_batch(
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
     the given set is reused. Replication i follows the CLI's stream rule
-    for a group of one cell with an empty path: it spawns the seed-node and
-    cascade streams, in that order, from ``SeedSequence([master_seed, i])``
-    (the seed-node stream goes unread when ``seeds`` is given). Results do
-    not depend on execution order, and any prefix of a longer batch is
-    reproducible on its own.
+    for a group of one cell with an empty path: its seed-node and cascade
+    streams are children 0 and 1 of ``SeedSequence([master_seed, i])``,
+    built directly by ``stream_children`` (the seed-node stream goes unread
+    when ``seeds`` is given). Results do not depend on execution order, and
+    any prefix of a longer batch is reproducible on its own.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
+    master_seed = int(master_seed)
     results = []
     for i in range(n_reps):
-        node_ss, run_ss = np.random.SeedSequence([int(master_seed), i]).spawn(2)
+        node_ss, run_ss = stream_children([master_seed, i], 2)
         if seeds is None:
             rep_seeds: Sequence[int] = (
                 int(np.random.default_rng(node_ss).integers(network.n)),

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, run_cascade
+from .cascade import CascadeResult, IHCParams, run_cascade, stream_children
 from .graph import (
     EdgeListError,
     Network,
@@ -304,9 +304,11 @@ def _replicate(
     So the cells of a group are dependent, each keeps its marginal
     distribution, and contrasts between them are paired.
 
-    Stream rule: replication ``rep`` of the cell at ``path`` spawns children
-    of ``SeedSequence([seed, *path, rep])``, one per stream the sweep uses,
-    in the fixed order skill world, network, seed node, cascade, oracle.
+    Stream rule: replication ``rep`` of the cell at ``path`` reads the
+    children of ``SeedSequence([seed, *path, rep])``, one per stream the
+    sweep uses, in the fixed order skill world, network, seed node, cascade,
+    oracle. ``stream_children`` builds them directly, the same children that
+    ``spawn`` gives, without mixing the parent's pool.
     The shared streams are those of the group's first cell (the leader);
     every cell reads its own cascade and oracle children. Each stream thus
     comes from a distinct (key, child index) pair, and the leader's draws
@@ -330,7 +332,7 @@ def _replicate(
     for rep in range(reps):
         streams = []
         for path in paths:
-            children = iter(np.random.SeedSequence([seed, *path, rep]).spawn(sum(used)))
+            children = iter(stream_children([seed, *path, rep], sum(used)))
             streams.append([next(children) if u else None for u in used])
         world_ss, net_ss, node_ss, _, _ = streams[0]
         net = network(net_ss) if callable(network) else network

@@ -64,6 +64,7 @@ class Network:
 
         # n = 0 admits no arc, so there is no key to decode
         sources, self._out_idx = np.divmod(keys, n) if n else (keys, keys)
+        self._out_idx.flags.writeable = False  # out_arcs and out_neighbors hand out views
         self._out_ptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
 
     # -- structure ---------------------------------------------------------
@@ -89,9 +90,12 @@ class Network:
     def out_arcs(self, sources: np.ndarray) -> np.ndarray:
         """Targets of all arcs leaving ``sources``, in ascending (source, target) order.
 
-        ``sources`` must already be sorted ascending.
+        ``sources`` must already be sorted ascending. A single source gets a
+        read-only view of the network's own storage, as ``out_neighbors`` does.
         """
         sources = np.asarray(sources, dtype=np.int64)
+        if sources.size == 1:
+            return self.out_neighbors(sources.item())
         starts = self._out_ptr[sources]
         lens = self._out_ptr[sources + 1] - starts
         offsets = starts - (np.cumsum(lens) - lens)

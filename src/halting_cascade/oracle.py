@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, run_cascade
+from .cascade import CascadeResult, IHCParams, run_cascade, stream_children
 from .graph import generate_star
 from .skills import SkillWorld
 
@@ -253,16 +253,12 @@ def simulate_oracle(
     * (n - 1)) uniformly chosen agents, and the cascade engine runs with
     application probability one and per-agent hiring given by full skill
     coverage. The hub seeds the run and never applies, so its own skills are
-    unused. Successful runs always report chain length 2.
+    unused. Successful runs always report chain length 2. The star and the
+    cascade read children 0 and 1 of ``seed``, which is left unchanged, so
+    one seed gives one trial however often it is passed.
     """
-    star_ss, run_ss = _spawn2(seed)
+    star_ss, run_ss = stream_children(seed, 2)
     star = generate_star(world.n, reach_fraction, star_ss)
     p_h = (world.coverage() == len(world.vacancy)).astype(float)
     params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
     return run_cascade(star, params, seeds=(0,), rng_seed=run_ss)
-
-
-def _spawn2(seed: int | np.random.SeedSequence) -> list[np.random.SeedSequence]:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed.spawn(2)
-    return np.random.SeedSequence(seed).spawn(2)

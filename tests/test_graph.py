@@ -139,6 +139,14 @@ class TestNetwork:
         assert net.out_arcs(np.array([2])).tolist() == [1]
         assert net.out_arcs(np.array([1, 3])).size == 0
 
+    def test_single_source_arcs_are_a_read_only_view(self):
+        net = generate_er(40, 6, seed=1)
+        for u in range(net.n):
+            arcs = net.out_arcs(np.array([u]))
+            assert arcs.tolist() == sorted(v for s, v in net.edges() if s == u)
+            with pytest.raises(ValueError, match="read-only"):
+                arcs[:1] = 0
+
 
 class TestGenerateEr:
     def test_zero_mean_degree_gives_empty_graph(self):

@@ -352,6 +352,16 @@ class TestSimulatedOracle:
             world, 0.5, 0.3, seed=7
         )
 
+    def test_same_seed_object_gives_same_trial(self):
+        # the seed is read, not spawned from, so passing one SeedSequence
+        # twice repeats the trial instead of drawing a new one
+        world = sample_skill_world(200, 3.0, 2, seed=0)
+        ss = np.random.SeedSequence(42)
+        first = simulate_oracle(world, 0.5, 0.5, seed=ss)
+        second = simulate_oracle(world, 0.5, 0.5, seed=ss)
+        assert first == second
+        assert first == simulate_oracle(world, 0.5, 0.5, seed=42)
+
     def test_rate_matches_closed_form(self):
         population, reps = 400, 600
         spec = OracleSpec(population, 0.5, 0.2, 3.0, 4)
