@@ -30,7 +30,6 @@ from .metrics import (
     BatchSummary,
     Regime,
     RegimeReport,
-    bin_by_seed_degree,
     classify_regime,
     degree_bin,
     summarize,
@@ -50,9 +49,7 @@ from .oracle import (
 )
 from .skills import (
     SkillWorld,
-    application_probability,
     bind_params,
-    hiring_probability,
     sample_skill_world,
 )
 
@@ -73,8 +70,6 @@ __all__ = [
     "SkillWorld",
     "StateCounts",
     "TruncationBounds",
-    "application_probability",
-    "bin_by_seed_degree",
     "bind_params",
     "binomial_pmf",
     "classify_regime",
@@ -84,7 +79,6 @@ __all__ = [
     "generate_ba",
     "generate_er",
     "generate_star",
-    "hiring_probability",
     "hypergeom_pmf",
     "load_edge_list",
     "oracle_success_probability",

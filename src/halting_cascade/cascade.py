@@ -219,8 +219,9 @@ def run_cascade(
     )
 
 
-def stream_children(seed, count: int) -> list[np.random.SeedSequence]:
-    """The first ``count`` children of ``seed``, as a fresh ``spawn(count)`` gives them.
+def stream_children(seed, count: int, start: int = 0) -> list[np.random.SeedSequence]:
+    """``count`` children of ``seed`` from child index ``start`` on, as a fresh
+    ``spawn(start + count)[start:]`` gives them.
 
     ``seed`` is a ``SeedSequence`` or the entropy to build one from (an int
     or a sequence of ints). Each child is built from the parent's entropy and
@@ -228,13 +229,14 @@ def stream_children(seed, count: int) -> list[np.random.SeedSequence]:
     passed in is left unchanged: the same object gives the same children
     every time, where ``spawn`` would move on to new ones.
     """
+    indices = range(start, start + count)
     if not isinstance(seed, np.random.SeedSequence):
-        return [np.random.SeedSequence(seed, spawn_key=(j,)) for j in range(count)]
+        return [np.random.SeedSequence(seed, spawn_key=(j,)) for j in indices]
     return [
         np.random.SeedSequence(
             seed.entropy, spawn_key=(*seed.spawn_key, j), pool_size=seed.pool_size
         )
-        for j in range(count)
+        for j in indices
     ]
 
 

@@ -312,7 +312,9 @@ def _replicate(
     The shared streams are those of the group's first cell (the leader);
     every cell reads its own cascade and oracle children. Each stream thus
     comes from a distinct (key, child index) pair, and the leader's draws
-    are those of a group that holds it alone.
+    are those of a group that holds it alone. Only the children read are
+    built: the leader's shared ones, and each cell's own from the child
+    index after the shared ones.
 
     ``network`` is a fixed ``Network`` or a factory called with the network
     stream. Each ``params[i]`` holds the cascade probabilities; with
@@ -328,23 +330,22 @@ def _replicate(
     the last one stays referenced until the next is built, so the allocator
     does not hand its pages back in between.
     """
-    used = (skills is not None, callable(network), True, True, reach_fraction is not None)
+    shared = (skills is not None, callable(network), True)  # skill world, network, seed node
+    own = 2 if reach_fraction is not None else 1  # cascade, oracle
     for rep in range(reps):
-        streams = []
-        for path in paths:
-            children = iter(stream_children([seed, *path, rep], sum(used)))
-            streams.append([next(children) if u else None for u in used])
-        world_ss, net_ss, node_ss, _, _ = streams[0]
+        leader = iter(stream_children([seed, *paths[0], rep], sum(shared)))
+        world_ss, net_ss, node_ss = [next(leader) if used else None for used in shared]
         net = network(net_ss) if callable(network) else network
         seed_node = int(np.random.default_rng(node_ss).integers(net.n))
         world = None if skills is None else sample_skill_world(net.n, *skills, world_ss)
         outcomes = []
-        for cell_params, (_, _, _, run_ss, oracle_ss) in zip(params, streams):
+        for path, cell_params in zip(paths, params):
+            run_ss, *oracle_ss = stream_children([seed, *path, rep], own, sum(shared))
             cascade_params = cell_params if world is None else bind_params(world, cell_params)
             result = run_cascade(net, cascade_params, (seed_node,), run_ss)
             oracle = None
             if reach_fraction is not None:
-                oracle = simulate_oracle(world, reach_fraction, cell_params, oracle_ss)
+                oracle = simulate_oracle(world, reach_fraction, cell_params, *oracle_ss)
             outcomes.append((result, oracle))
         yield net, seed_node, outcomes
 

@@ -187,37 +187,77 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
 
     Each of the n - n0 added nodes attaches k distinct edges to existing
     nodes, drawn proportionally to current degree (collisions redrawn).
+
+    Draw schedule: the endpoint list holds both endpoints of each edge in
+    turn, the core's first, so a uniform index into it picks a node with
+    probability proportional to its degree. Per added node, one pool of
+    ``2*want+4`` indices into the list as it stands, with ``want = k``, is
+    drawn by ``rng.integers``; the node's targets are the first k distinct
+    candidates in draw order. A node whose pool holds fewer than k distinct
+    candidates keeps them all and draws more pools with ``want`` the number
+    still missing, scanning each in draw order until it has k. Its k targets,
+    sorted, are then appended after the node as k edges (new, target). The
+    first node after a one-node core, whose list is empty, draws its pool
+    uniformly over the existing nodes instead. The tests keep this schedule
+    as a plain list-and-set loop, which must give ``==`` graphs.
     """
     if not 1 <= k <= n0 < n:
         raise ValueError("need 1 <= k <= n0 < n")
     rng = np.random.default_rng(seed)
 
     if n0 == 1:
-        core: list[tuple[int, int]] = []
+        core = np.empty((0, 2), dtype=np.int64)
     elif n0 == 2:
-        core = [(0, 1)]
+        core = np.array([[0, 1]])
     else:
-        core = [(i, (i + 1) % n0) for i in range(n0)]
-    # both endpoints of each edge in turn; sampling this list is degree-proportional
-    endpoints: list[int] = [v for e in core for v in e]
+        ring = np.arange(n0)
+        core = np.column_stack([ring, (ring + 1) % n0])
+    # every added node adds exactly k edges, so the list's fill level at each
+    # node is known and the whole list is allocated up front
+    pairs = np.empty((len(core) + k * (n - n0), 2), dtype=np.int64)
+    pairs[: len(core)] = core
+    pairs[len(core) :, 0] = np.repeat(np.arange(n0, n), k)
+    endpoints = pairs.reshape(-1)
+    targets = pairs[len(core) :].reshape(n - n0, k, 2)[:, :, 1]
 
-    for new in range(n0, n):
-        targets: set[int] = set()
-        while len(targets) < k:
-            want = k - len(targets)
-            if endpoints:
-                pool = rng.integers(0, len(endpoints), size=2 * want + 4)
-                cands = (endpoints[c] for c in pool)
-            else:  # isolated core: fall back to uniform over existing nodes
-                cands = (int(c) for c in rng.integers(0, new, size=2 * want + 4))
-            for t in cands:
-                targets.add(t)
-                if len(targets) == k:
-                    break
-        for t in sorted(targets):
-            endpoints.append(new)
-            endpoints.append(t)
-    return Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
+    pool = 2 * k + 4
+    draw = np.arange(pool)
+    # first[v]: the first draw index of node v in the current pool, ``pool``
+    # when absent; np.minimum.at applies every repeated index in turn
+    first = np.full(n, pool)
+    for row, new in enumerate(range(n0, n)):
+        size = 2 * (len(core) + k * row)
+        chosen: set[int] = set()
+        if size:
+            cands = endpoints[rng.integers(0, size, size=pool)]
+            np.minimum.at(first, cands, draw)
+            distinct = cands[first[cands] == draw]
+            first[cands] = pool
+            if len(distinct) >= k:
+                picked = distinct[:k]
+                picked.sort()
+                targets[row] = picked
+                continue
+            chosen.update(distinct.tolist())
+        targets[row] = _redraw(rng, endpoints[:size], new, k, chosen)
+    return Network(n, pairs, directed=False)
+
+
+def _redraw(
+    rng: np.random.Generator, endpoints: np.ndarray, new: int, k: int, chosen: set[int]
+) -> list[int]:
+    """Complete a short node's targets, pool by pool, one candidate at a time."""
+    while len(chosen) < k:
+        want = k - len(chosen)
+        if len(endpoints):
+            cands = endpoints[rng.integers(0, len(endpoints), size=2 * want + 4)]
+        else:  # isolated core: fall back to uniform over existing nodes
+            cands = rng.integers(0, new, size=2 * want + 4)
+        for t in cands.tolist():
+            chosen.add(t)
+            if len(chosen) == k:
+                break
+    return sorted(chosen)
 
 
 def generate_star(n: int, reach_fraction: float, seed) -> Network:

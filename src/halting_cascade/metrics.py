@@ -4,10 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cascade import CascadeResult
-from .graph import Network
 
 
 class Regime(Enum):
@@ -109,19 +108,3 @@ def degree_bin(degree: int) -> tuple[int, int]:
         return (0, 1)
     exp = degree.bit_length() - 1
     return (1 << exp, 1 << (exp + 1))
-
-
-def bin_by_seed_degree(
-    results: Iterable[CascadeResult], network: Network
-) -> dict[tuple[int, int], BatchSummary]:
-    """Group runs by the out-degree bin of their first seed node.
-
-    Bins are power-of-two intervals; bins with no runs are omitted. Returned
-    in ascending bin order.
-    """
-    degrees = network.out_degrees
-    grouped: dict[tuple[int, int], list[CascadeResult]] = {}
-    for result in results:
-        key = degree_bin(int(degrees[result.seeds[0]]))
-        grouped.setdefault(key, []).append(result)
-    return {key: summarize(batch) for key, batch in sorted(grouped.items())}

@@ -9,7 +9,6 @@ required skills the agent holds.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,18 +124,6 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
         else frozenset()
     )
     return SkillWorld(universe, vacancy, held, float(skill_rate))
-
-
-def hiring_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
-    """1.0 when the agent holds every required skill, else 0.0."""
-    return 1.0 if vacancy <= agent_skills else 0.0
-
-
-def application_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
-    """Fraction of required skills the agent holds; 1.0 for an empty vacancy."""
-    if not vacancy:
-        return 1.0
-    return len(agent_skills & vacancy) / len(vacancy)
 
 
 def bind_params(world: SkillWorld, p_r, max_steps: int | None = None) -> IHCParams:

@@ -17,7 +17,7 @@ from scipy import stats
 from halting_cascade.cascade import IHCParams, run_batch, run_cascade
 from halting_cascade.graph import generate_ba, generate_er
 from halting_cascade.incentives import compute_payouts, surplus_to_length
-from halting_cascade.metrics import bin_by_seed_degree, summarize
+from halting_cascade.metrics import summarize
 from halting_cascade.oracle import (
     OracleSpec,
     binomial_pmf,
@@ -29,6 +29,7 @@ from halting_cascade.oracle import (
 )
 from halting_cascade.skills import bind_params, sample_skill_world
 from test_cascade import ic_reference
+from test_metrics import bin_by_seed_degree
 
 
 def _regime_batch(master: int, p_r: float, p_a: float, p_h: float, reps: int = 200):

@@ -471,6 +471,20 @@ class TestStreamChildren:
         for child, reference in zip(got, want, strict=True):
             assert child.generate_state(4).tolist() == reference.generate_state(4).tolist()
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [20260815, 3, 1], lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0))],
+        ids=["int-list", "spawned-seed-sequence"],
+    )
+    def test_start_gives_the_later_children_of_a_fresh_spawn(self, make):
+        got = stream_children(make(), 2, start=3)
+        parent = make()
+        if not isinstance(parent, np.random.SeedSequence):
+            parent = np.random.SeedSequence(parent)
+        want = parent.spawn(5)[3:]
+        for child, reference in zip(got, want, strict=True):
+            assert child.generate_state(4).tolist() == reference.generate_state(4).tolist()
+
     def test_same_parent_object_gives_same_children(self):
         parent = np.random.SeedSequence(11)
         first = [c.generate_state(4).tolist() for c in stream_children(parent, 2)]

@@ -464,6 +464,26 @@ class TestCommonRandomNetworks:
             assert worlds == bound == []
 
     @pytest.mark.parametrize(
+        "command, config, groups, cells",
+        [("heatmap", _HEATMAP_2X2, 1, 4), ("ba-vs-er", _BA_VS_ER, 2, 2)],
+    )
+    def test_only_the_streams_read_are_built(
+        self, tmp_path, capsys, monkeypatch, command, config, groups, cells
+    ):
+        """Per replication, the leader's shared children (network, seed node)
+        and one cascade child per cell; none of a follower's shared ones."""
+        built = []
+
+        class Counting(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        _sweep(tmp_path, capsys, command, config)
+        assert len(built) == groups * config["reps"] * (2 + cells)
+
+    @pytest.mark.parametrize(
         "command, config, leader",
         [
             ("ba-vs-er", _BA_VS_ER, {"p_r": [0.1]}),

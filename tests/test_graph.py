@@ -3,9 +3,10 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from halting_cascade import graph
 from halting_cascade.graph import (
     EdgeListError,
     Network,
@@ -55,6 +56,52 @@ def _in_neighbors(net: Network, w: int) -> list[int]:
 
 def _in_degrees(net: Network) -> list[int]:
     return np.bincount(net._out_idx, minlength=net.n).tolist()
+
+
+def _reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
+    """``generate_ba`` as first written, on a Python list of endpoints and a
+    set of targets per node, and the number of nodes that drew more than one
+    pool. It draws the schedule stated in ``generate_ba``'s docstring, and
+    the library's array form must give ``==`` networks."""
+    rng = np.random.default_rng(seed)
+    if n0 == 1:
+        core: list[tuple[int, int]] = []
+    elif n0 == 2:
+        core = [(0, 1)]
+    else:
+        core = [(i, (i + 1) % n0) for i in range(n0)]
+    endpoints: list[int] = [v for e in core for v in e]
+    short = 0
+    for new in range(n0, n):
+        targets: set[int] = set()
+        pools = 0
+        while len(targets) < k:
+            pools += 1
+            want = k - len(targets)
+            if endpoints:
+                pool = rng.integers(0, len(endpoints), size=2 * want + 4)
+                cands = (endpoints[c] for c in pool)
+            else:
+                cands = (int(c) for c in rng.integers(0, new, size=2 * want + 4))
+            for t in cands:
+                targets.add(t)
+                if len(targets) == k:
+                    break
+        short += pools > 1
+        for t in sorted(targets):
+            endpoints.append(new)
+            endpoints.append(t)
+    network = Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
+    return network, short
+
+
+@st.composite
+def _ba_params(draw):
+    """(n, n0, k) with 1 <= k <= n0 < n, small enough for the list loop."""
+    n0 = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n0))
+    n = draw(st.integers(n0 + 1, n0 + 60))
+    return n, n0, k
 
 
 @st.composite
@@ -224,6 +271,39 @@ class TestGenerateBa:
 
     def test_same_seed_same_graph(self):
         assert generate_ba(60, 4, 3, seed=9) == generate_ba(60, 4, 3, seed=9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(params=_ba_params(), seed=st.integers(0, 2**32 - 1))
+    @example(params=(30, 1, 1), seed=0)  # empty core
+    @example(params=(30, 2, 2), seed=0)  # one-edge core, k = n0
+    @example(params=(60, 20, 20), seed=0)  # short first pools
+    def test_equals_reference(self, params, seed):
+        got = generate_ba(*params, seed)
+        want, _ = _reference_ba(*params, seed)
+        assert got == want
+        assert got._out_ptr.dtype == want._out_ptr.dtype
+        assert got._out_idx.dtype == want._out_idx.dtype
+
+    @pytest.mark.parametrize(
+        "n, n0, k, least", [(60, 20, 20, 1), (2000, 50, 50, 1), (30, 1, 1, 0), (40, 4, 4, 0)]
+    )
+    def test_short_nodes_take_the_redraw_branch(self, monkeypatch, n, n0, k, least):
+        """Every node whose first pool is short, and only those, redraws; the
+        first node after an empty core does too."""
+        calls = []
+        redraw = graph._redraw
+
+        def counting(*args):
+            calls.append(args)
+            return redraw(*args)
+
+        monkeypatch.setattr(graph, "_redraw", counting)
+        for seed in range(3):
+            calls.clear()
+            want, short = _reference_ba(n, n0, k, seed)
+            assert generate_ba(n, n0, k, seed) == want
+            assert short >= least
+            assert len(calls) == short + (n0 == 1)
 
 
 class TestGenerateStar:

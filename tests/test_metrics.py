@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,27 @@ from halting_cascade.metrics import (
     BatchSummary,
     Regime,
     RegimeReport,
-    bin_by_seed_degree,
     classify_regime,
     degree_bin,
     summarize,
 )
+
+
+def bin_by_seed_degree(
+    results: Iterable[CascadeResult], network: Network
+) -> dict[tuple[int, int], BatchSummary]:
+    """Group runs by the out-degree bin of their first seed node.
+
+    Bins are power-of-two intervals; bins with no runs are omitted. Returned
+    in ascending bin order. A reference for one fixed network; the CLI's
+    ``ba-vs-er`` bins each replication's own network by hand.
+    """
+    degrees = network.out_degrees
+    grouped: dict[tuple[int, int], list[CascadeResult]] = {}
+    for result in results:
+        key = degree_bin(int(degrees[result.seeds[0]]))
+        grouped.setdefault(key, []).append(result)
+    return {key: summarize(batch) for key, batch in sorted(grouped.items())}
 
 
 def _result(success: bool, chain_length: int, applicants: int = 0, seed: int = 0):

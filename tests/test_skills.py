@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Set
 
 import numpy as np
 import pytest
@@ -13,11 +14,22 @@ from scipy import stats
 
 from halting_cascade.skills import (
     SkillWorld,
-    application_probability,
     bind_params,
-    hiring_probability,
     sample_skill_world,
 )
+
+
+# scalar references for one agent's skill set; ``bind_params`` must agree
+def hiring_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
+    """1.0 when the agent holds every required skill, else 0.0."""
+    return 1.0 if vacancy <= agent_skills else 0.0
+
+
+def application_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
+    """Fraction of required skills the agent holds; 1.0 for an empty vacancy."""
+    if not vacancy:
+        return 1.0
+    return len(agent_skills & vacancy) / len(vacancy)
 
 
 def _poisson_tail(rate: float, at_least: int) -> float:
