@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graph import _sort_unique
+
 
 class AgentState(enum.IntEnum):
     """Cascade states; values only ever increase for a given agent."""
@@ -94,17 +96,6 @@ class CascadeResult:
     steps: int
     seeds: tuple[int, ...]
     trace: tuple[StateCounts, ...] | None = None
-
-
-def _sort_unique(arr: np.ndarray) -> np.ndarray:
-    """``np.unique(arr)`` by an in-place sort; ``arr`` must be the caller's own copy."""
-    if arr.size > 1:
-        arr.sort()
-        distinct = np.empty(arr.size, dtype=bool)
-        distinct[0] = True
-        np.not_equal(arr[1:], arr[:-1], out=distinct[1:])
-        arr = arr[distinct]
-    return arr
 
 
 def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:

@@ -6,7 +6,10 @@ over arcs see a deterministic order regardless of construction history.
 """
 from __future__ import annotations
 
+import io
 import logging
+import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,15 +60,23 @@ class Network:
         # one key u*n + v per arc: sorted keys list the arcs in (source, target)
         # order, and a repeated arc (or reversed undirected edge) repeats a key
         u, v = pairs[:, 0], pairs[:, 1]
-        keys = u * n + v if directed else np.concatenate([u * n + v, v * n + u])
+        m = len(pairs)
+        keys = np.empty(m if directed else 2 * m, dtype=np.int64)
+        np.multiply(u, n, out=keys[:m])
+        keys[:m] += v
+        if not directed:
+            np.multiply(v, n, out=keys[m:])
+            keys[m:] += u
         keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
 
-        # n = 0 admits no arc, so there is no key to decode
-        sources, self._out_idx = np.divmod(keys, n) if n else (keys, keys)
+        # row u holds the keys in [u*n, (u+1)*n); subtracting u*n leaves the target
+        rows = np.arange(n + 1, dtype=np.int64) * n
+        self._out_ptr = np.searchsorted(keys, rows)
+        keys -= np.repeat(rows[:-1], np.diff(self._out_ptr))
+        self._out_idx = keys
         self._out_idx.flags.writeable = False  # out_arcs and out_neighbors hand out views
-        self._out_ptr = np.concatenate([[0], np.cumsum(np.bincount(sources, minlength=n))])
 
     # -- structure ---------------------------------------------------------
 
@@ -161,25 +172,32 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
         pos = -1
         while True:
             block = int((total_pairs - pos) * p * 1.1) + 16
-            jumps = rng.geometric(p, size=block)
+            steps = rng.geometric(p, size=block)
             # tiny p can overflow the int64 geometric draw; any jump past the
             # pair range exits the walk regardless of magnitude, so clamping
             # keeps the distribution exact and the cumsum overflow-free
-            jumps = np.where(jumps <= 0, total_pairs + 1, np.minimum(jumps, total_pairs + 1))
-            steps = pos + np.cumsum(jumps)
-            inside = steps[steps < total_pairs]
-            parts.append(inside)
-            if len(inside) < len(steps):
+            np.minimum(steps, total_pairs + 1, out=steps)
+            steps[steps <= 0] = total_pairs + 1
+            np.cumsum(steps, out=steps)
+            steps += pos
+            # jumps are positive, so the steps ascend and the walk leaves the
+            # pair range at one cut
+            cut = int(np.searchsorted(steps, total_pairs))
+            parts.append(steps[:cut])
+            if cut < len(steps):
                 break
             pos = int(steps[-1])
         selected = np.concatenate(parts)
 
-    # pair index t -> (i, j) with i < j, row-major over the upper triangle
+    # pair index t -> (i, j) with i < j, row-major over the upper triangle;
+    # selected ascends, so row i's pairs are one run found by n searches
     i_all = np.arange(n, dtype=np.int64)
     offsets = i_all * (n - 1) - i_all * (i_all - 1) // 2
-    i = np.searchsorted(offsets, selected, side="right") - 1
-    j = selected - offsets[i] + i + 1
-    return Network(n, np.column_stack([i, j]), directed=False)
+    counts = np.diff(np.searchsorted(selected, offsets), append=len(selected))
+    pairs = np.empty((len(selected), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(i_all, counts)
+    np.subtract(selected, np.repeat(offsets - i_all - 1, counts), out=pairs[:, 1])
+    return Network(n, pairs, directed=False)
 
 
 def generate_ba(n: int, n0: int, k: int, seed) -> Network:
@@ -282,27 +300,36 @@ def generate_star(n: int, reach_fraction: float, seed) -> Network:
 def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Network:
     """Parse a whitespace-separated edge list into a dense-index Network.
 
-    Lines starting with ``#`` and blank lines are skipped; extra columns are
-    ignored. Arbitrary integer labels are remapped to 0..n-1 in sorted label
-    order. Self-loops and duplicate edges are dropped (counts logged).
+    Lines whose first non-blank character is ``#`` and blank lines are
+    skipped; a ``#`` anywhere else belongs to a column. Columns after the
+    second are ignored. Arbitrary integer labels are remapped to 0..n-1 in
+    sorted label order. Self-loops and duplicate edges are dropped (counts
+    logged).
     """
     if hasattr(source, "read"):
-        raw = _parse_lines(source)  # type: ignore[arg-type]
+        text = source.read()  # type: ignore[union-attr]
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            raw = _parse_lines(fh)
+            text = fh.read()
 
-    if not raw:
-        raise EdgeListError(None, "no edges")
-
-    flat = [label for pair in raw for label in pair]
-    index = {lab: i for i, lab in enumerate(sorted(set(flat)))}
-    n = len(index)
-    pairs = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)).reshape(-1, 2)
+    labels = _read_labels(text)
+    if labels is None:
+        raw = _parse_lines(io.StringIO(text))
+        if not raw:
+            raise EdgeListError(None, "no edges")
+        # Python ints: labels beyond int64 stay distinct and sort by value
+        labels = np.array(raw, dtype=object)
+    ids, pairs = np.unique(labels, return_inverse=True)
+    n = len(ids)
+    pairs = pairs.reshape(-1, 2)
 
     loops = pairs[:, 0] == pairs[:, 1]
-    canon = pairs[~loops] if directed else np.sort(pairs[~loops], axis=1)
-    keys = np.unique(canon[:, 0] * n + canon[:, 1])
+    kept = pairs[~loops]
+    u, v = kept[:, 0], kept[:, 1]
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    canon = u * n + v
+    keys = _sort_unique(canon)
     self_loops, duplicates = int(loops.sum()), len(canon) - len(keys)
     if self_loops or duplicates:
         log.info(
@@ -311,6 +338,42 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
             duplicates,
         )
     return Network(n, np.column_stack(np.divmod(keys, n)), directed=directed)
+
+
+# a "#" straight after a non-blank character: numpy's tokenizer starts a
+# comment there, while the line parser keeps it as part of the column
+_GLUED_COMMENT = re.compile(r"\S#")
+
+
+def _read_labels(text: str) -> np.ndarray | None:
+    """The first two columns as int64 rows, read by numpy's tokenizer.
+
+    None when the text needs the line parser, which alone gives line numbers
+    in its errors and reads labels beyond int64: numpy raised or warned (a
+    short line, a label it cannot read, a lone carriage return inside a
+    line, no data at all), or a ``#`` is glued to a column.
+    """
+    if "#" in text and _GLUED_COMMENT.search(text):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(
+                io.StringIO(text), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
+            )
+        except (ValueError, Warning):
+            return None
+
+
+def _sort_unique(arr: np.ndarray) -> np.ndarray:
+    """``np.unique(arr)`` by an in-place sort; ``arr`` must be the caller's own copy."""
+    if arr.size > 1:
+        arr.sort()
+        distinct = np.empty(arr.size, dtype=bool)
+        distinct[0] = True
+        np.not_equal(arr[1:], arr[:-1], out=distinct[1:])
+        arr = arr[distinct]
+    return arr
 
 
 def _parse_lines(fh: IO[str]) -> list[tuple[int, int]]:

@@ -1,5 +1,8 @@
 import io
 import logging
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,108 @@ def _reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
             endpoints.append(t)
     network = Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
     return network, short
+
+
+def _reference_er(n: int, mean_degree: float, seed) -> Network:
+    """``generate_er`` as it was before its in-place walk and per-row search:
+    the draws and the pair order it fixes, which the library must keep."""
+    p = mean_degree / (n - 1)
+    total_pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(seed)
+    if p == 0:
+        selected = np.empty(0, dtype=np.int64)
+    else:
+        parts = []
+        pos = -1
+        while True:
+            block = int((total_pairs - pos) * p * 1.1) + 16
+            jumps = rng.geometric(p, size=block)
+            jumps = np.where(jumps <= 0, total_pairs + 1, np.minimum(jumps, total_pairs + 1))
+            steps = pos + np.cumsum(jumps)
+            inside = steps[steps < total_pairs]
+            parts.append(inside)
+            if len(inside) < len(steps):
+                break
+            pos = int(steps[-1])
+        selected = np.concatenate(parts)
+    i_all = np.arange(n, dtype=np.int64)
+    offsets = i_all * (n - 1) - i_all * (i_all - 1) // 2
+    i = np.searchsorted(offsets, selected, side="right") - 1
+    j = selected - offsets[i] + i + 1
+    return Network(n, np.column_stack([i, j]), directed=False)
+
+
+def _reference_load(fh, directed: bool = False) -> Network:
+    """``load_edge_list`` of an open text handle as first written: every line
+    stripped, split and converted in Python, labels renumbered through a
+    dict. The library's tokenizer path must give the same network, or the
+    same error with the same line number."""
+    raw = []
+    for line_no, line in enumerate(fh, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        fields = text.split()
+        if len(fields) < 2:
+            raise EdgeListError(line_no, "expected at least two columns")
+        try:
+            raw.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise EdgeListError(line_no, f"non-integer node label in {fields[:2]}") from None
+    if not raw:
+        raise EdgeListError(None, "no edges")
+    flat = [label for pair in raw for label in pair]
+    index = {lab: i for i, lab in enumerate(sorted(set(flat)))}
+    n = len(index)
+    pairs = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat)).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    canon = pairs[~loops] if directed else np.sort(pairs[~loops], axis=1)
+    keys = np.unique(canon[:, 0] * n + canon[:, 1])
+    return Network(n, np.column_stack(np.divmod(keys, n)), directed=directed)
+
+
+# labels numpy's tokenizer reads; then labels only Python's int() reads,
+# labels neither reads, a glued "#" and an empty column
+_PLAIN_LABELS = ["0", "1", "2", "3", "-4", "+5", "007", str(-(2**63))]
+_ODD_LABELS = ["1_0", "\u0661", str(2**63), str(2**64 - 1), "1.5", "#x", ""]
+# line ends, some followed by blank lines; a lone "\r" ends a line for
+# numpy's tokenizer but is blank space inside a line for the line parser
+_PLAIN_ENDS = ["\n", "\n", "\r\n", "\n\n", "\n \t\n"]
+
+
+def _edge_list_lines(labels: list[str], ends: list[str]):
+    return st.tuples(
+        st.sampled_from(["", "", " ", "\t", "#", " # "]),  # a "#" lead: a comment line
+        st.lists(st.sampled_from(labels), min_size=2, max_size=4),
+        st.sampled_from([" ", " ", "\t", " \t", "\x0c"]),
+        st.sampled_from(["", "", "", " ", "#x", " # c"]),  # "#x" glues to the last column
+        st.sampled_from(ends),
+    ).map(lambda p: p[0] + p[2].join(p[1]) + "".join(p[3:]))
+
+
+# half the texts keep to what numpy's tokenizer reads, except for glued "#"s,
+# and the rest draw from every label and line end
+_edge_list_texts = st.sampled_from(
+    [
+        (_PLAIN_LABELS, _PLAIN_ENDS),
+        (_PLAIN_LABELS * 4 + _ODD_LABELS, _PLAIN_ENDS + ["\r"]),
+    ]
+).flatmap(lambda pool: st.lists(_edge_list_lines(*pool), max_size=12).map("".join))
+
+
+def _outcome(load):
+    """The loaded network, or the error's type, message and line number."""
+    try:
+        return load()
+    except EdgeListError as exc:
+        return type(exc), str(exc), exc.line_no
+
+
+def _assert_same(got, want) -> None:
+    assert got == want
+    if isinstance(want, Network):
+        assert got._out_ptr.dtype == want._out_ptr.dtype
+        assert got._out_idx.dtype == want._out_idx.dtype
 
 
 @st.composite
@@ -236,6 +341,19 @@ class TestGenerateEr:
         degree = mean_degree * (n - 1)
         assert generate_er(n, degree, seed) == generate_er(n, degree, seed)
 
+    @given(
+        n=st.integers(2, 300),
+        fraction=st.floats(0, 1, allow_nan=False),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(n=2, fraction=5e-324, seed=0)  # the geometric draw overflows
+    @example(n=300, fraction=1.0, seed=0)  # complete graph
+    @example(n=2000, fraction=50 / 1999, seed=1)
+    def test_equals_reference(self, n, fraction, seed):
+        degree = fraction * (n - 1)
+        _assert_same(generate_er(n, degree, seed), _reference_er(n, degree, seed))
+
 
 class TestGenerateBa:
     def test_single_new_node_connects_to_whole_core(self):
@@ -371,6 +489,54 @@ class TestLoadEdgeList:
             with pytest.raises(EdgeListError, match="no edges") as exc_info:
                 load_edge_list(io.StringIO(text))
             assert exc_info.value.line_no is None
+
+    def test_empty_edge_list_leaks_no_warning(self):
+        # numpy's tokenizer warns on text without data; the loader must turn
+        # that into its own error and let no warning reach the caller
+        for text in ("", "# only a comment\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EdgeListError, match="no edges") as exc_info:
+                    load_edge_list(io.StringIO(text))
+            assert exc_info.value.line_no is None
+
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("0 1\n# c\n\n  # c\n1 2 9 x\n-3\t+4\r\n", True),
+            ("0 1 #x\n", True),
+            ("0 1#x\n", False),  # a glued "#" starts a comment for numpy only
+            ("0 1\n2\n", False),
+            (f"{2**63} 1\n", False),
+            ("1_0 1\n", False),
+            ("0 1\r2 3\n", False),
+            ("# only a comment\n", False),
+        ],
+    )
+    def test_line_parser_only_where_numpy_differs(self, text, fast):
+        assert (graph._read_labels(text) is not None) == fast
+
+    @given(text=_edge_list_texts, directed=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    @example(text="0 1#x\n", directed=False)
+    @example(text="0 1\r2 3\n1 2\n", directed=True)
+    @example(text=f"{2**64 - 1} {2**63}\n0 1\n", directed=False)
+    @example(text="\u0661 1 # c\n+5 007\n1_0 3\n", directed=True)
+    @example(text="# only a comment\n\n", directed=False)
+    def test_equals_reference(self, text, directed):
+        """Same network, or same error and line, read from a text handle
+        (which keeps every carriage return) and from a file (universal
+        newlines)."""
+        _assert_same(
+            _outcome(lambda: load_edge_list(io.StringIO(text), directed)),
+            _outcome(lambda: _reference_load(io.StringIO(text), directed)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.txt"
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, "r", encoding="utf-8") as fh:
+                want = _outcome(lambda: _reference_load(fh, directed))
+            _assert_same(_outcome(lambda: load_edge_list(path, directed)), want)
 
     def test_self_loop_only_file_loads(self):
         net = load_edge_list(io.StringIO("5 5\n"))
