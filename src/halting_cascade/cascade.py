@@ -52,13 +52,11 @@ class IHCParams:
 
     ``p_r`` is a scalar shared by every arc; ``p_a`` and ``p_h`` are
     scalars or length-n per-agent sequences.
-    ``max_steps`` defaults to the node count at run time.
     """
 
     p_r: float
     p_a: float | Sequence[float] | np.ndarray
     p_h: float | Sequence[float] | np.ndarray
-    max_steps: int | None = None
 
     def __post_init__(self):
         _check_prob("p_r", self.p_r)
@@ -70,8 +68,6 @@ class IHCParams:
                 arr = np.asarray(value, dtype=float)
                 if not np.all((arr >= 0) & (arr <= 1)):
                     raise ValueError(f"{name} values must lie in [0, 1]")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -136,10 +132,11 @@ def run_cascade(
 ) -> CascadeResult:
     """Run one cascade to termination.
 
-    The run ends when any applicant is hired (success), when no fresh
-    carriers remain, or after ``max_steps`` steps. All agents hired at the
-    final step are recorded as halters; they necessarily share one chain
-    length. ``rng_seed`` is anything ``numpy.random.default_rng`` accepts.
+    The run ends when any applicant is hired (success) or when no fresh
+    carriers remain. Every step but the last recruits at least one passive
+    agent, so a run ends within n steps. All agents hired at the final step
+    are recorded as halters; they necessarily share one chain length.
+    ``rng_seed`` is anything ``numpy.random.default_rng`` accepts.
 
     Each step costs time in the arcs leaving its frontier, not in ``n``:
     passive targets are found by reading their state per arc, recruits are
@@ -156,7 +153,6 @@ def run_cascade(
     per_agent_a = isinstance(p_a, np.ndarray)
     per_agent_h = isinstance(p_h, np.ndarray)
     p_r = params.p_r
-    max_steps = params.max_steps if params.max_steps is not None else n
     rng = np.random.default_rng(rng_seed)
 
     state = np.zeros(n, dtype=np.int8)
@@ -169,8 +165,8 @@ def run_cascade(
     trace = [_counts(state)] if record_trace else None
     steps = 0
 
-    for step in range(1, max_steps + 1):
-        steps = step
+    while True:
+        steps += 1
         dst = network.out_arcs(frontier)
         dst = dst[state[dst] == _PASSIVE]
         state[frontier] = _SPENT
@@ -180,7 +176,7 @@ def run_cascade(
             newly = _sort_unique(dst[rng.random(dst.size) < p_r])
             if newly.size:
                 state[newly] = _FRESH
-                last_recruiting_step = step
+                last_recruiting_step = steps
                 draws = rng.random(newly.size)
                 applies = draws < (p_a[newly] if per_agent_a else p_a)
                 appliers = newly[applies]

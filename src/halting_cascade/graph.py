@@ -129,23 +129,6 @@ class Network:
         kind = "directed" if self.directed else "undirected"
         return f"Network(n={self.n}, edges={self.edge_count}, {kind})"
 
-    # -- serialization -----------------------------------------------------
-
-    def write_edge_list(self, target: str | Path | IO[str]) -> None:
-        """Write one ``u v`` line per edge (canonical arc order)."""
-        if hasattr(target, "write"):
-            self._write_lines(target)  # type: ignore[arg-type]
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                self._write_lines(fh)
-
-    def _write_lines(self, fh: IO[str]) -> None:
-        fh.write(f"# {'directed' if self.directed else 'undirected'} n={self.n}\n")
-        src = np.repeat(np.arange(self.n), np.diff(self._out_ptr))
-        for u, v in zip(src, self._out_idx):
-            if self.directed or u < v:
-                fh.write(f"{u} {v}\n")
-
 
 # -- generators -------------------------------------------------------------
 
@@ -304,13 +287,17 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
     skipped; a ``#`` anywhere else belongs to a column. Columns after the
     second are ignored. Arbitrary integer labels are remapped to 0..n-1 in
     sorted label order. Self-loops and duplicate edges are dropped (counts
-    logged).
+    logged). A file is read as UTF-8 text with universal newlines; a byte
+    that does not decode is an error on its line.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError:
+            raise EdgeListError(_undecodable_line(source), "not UTF-8 text") from None
 
     labels = _read_labels(text)
     if labels is None:
@@ -338,6 +325,19 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
             duplicates,
         )
     return Network(n, np.column_stack(np.divmod(keys, n)), directed=directed)
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """The 1-based line of a file's first byte that is not UTF-8, counting
+    LF, CR LF and a lone CR as line ends, as the text reader does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return None
 
 
 # a "#" straight after a non-blank character: numpy's tokenizer starts a

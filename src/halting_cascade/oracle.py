@@ -128,10 +128,14 @@ def _catalog_cap(population: int, skill_rate: float, mass_threshold: float) -> i
     """Smallest catalog size covering ``mass_threshold`` of the max-count mass.
 
     The skill catalog is as large as the biggest per-agent Poisson count, so
-    its cdf is the Poisson cdf raised to the population size.
+    its cdf is the Poisson cdf raised to the population size. The float cdf
+    can level off just below 1, so the search also ends at the first k past
+    the mode whose pmf rounds to 0, where the cdf can grow no more.
     """
     k = 0
     while poisson_cdf(k, skill_rate) ** population < mass_threshold:
+        if k > skill_rate and poisson_pmf(k, skill_rate) == 0.0:
+            break
         k += 1
     return k
 

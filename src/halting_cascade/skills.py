@@ -8,7 +8,6 @@ required skills the agent holds.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,13 +20,12 @@ class SkillWorld:
     """Agent skills as a read-only ``(n, universe_size)`` boolean matrix.
 
     ``held[i, s]`` is true when agent ``i`` holds skill ``s``; the per-agent
-    sets, the JSON form and equality are views of it.
+    sets and equality are views of it.
     """
 
     universe_size: int
     vacancy: frozenset[int]
     held: np.ndarray
-    skill_rate: float  # Poisson mean of per-agent skill counts
 
     def __post_init__(self):
         held = np.array(self.held, dtype=bool)
@@ -43,14 +41,11 @@ class SkillWorld:
 
     @property
     def agent_skills(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(ids) for ids in self._skill_lists())
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.held)
 
     def coverage(self) -> np.ndarray:
         """How many of the vacancy's required skills each agent holds."""
         return self.held[:, sorted(self.vacancy)].sum(axis=1)
-
-    def _skill_lists(self) -> list[list[int]]:
-        return [np.flatnonzero(row).tolist() for row in self.held]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkillWorld):
@@ -58,33 +53,7 @@ class SkillWorld:
         return (
             self.universe_size == other.universe_size
             and self.vacancy == other.vacancy
-            and self.skill_rate == other.skill_rate
             and bool(np.array_equal(self.held, other.held))
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "universe_size": self.universe_size,
-                "skill_rate": self.skill_rate,
-                "vacancy": sorted(self.vacancy),
-                "agent_skills": self._skill_lists(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SkillWorld":
-        data = json.loads(text)
-        universe = int(data["universe_size"])
-        held = np.zeros((len(data["agent_skills"]), universe), dtype=bool)
-        for row, ids in zip(held, data["agent_skills"]):
-            _check_skill_ids(ids, universe)
-            row[ids] = True
-        return cls(
-            universe_size=universe,
-            vacancy=frozenset(data["vacancy"]),
-            held=held,
-            skill_rate=float(data["skill_rate"]),
         )
 
 
@@ -123,10 +92,10 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
         if vacancy_size
         else frozenset()
     )
-    return SkillWorld(universe, vacancy, held, float(skill_rate))
+    return SkillWorld(universe, vacancy, held)
 
 
-def bind_params(world: SkillWorld, p_r, max_steps: int | None = None) -> IHCParams:
+def bind_params(world: SkillWorld, p_r) -> IHCParams:
     """Cascade parameters with per-agent application and hiring probabilities.
 
     Both come from each agent's coverage of the vacancy: ``p_a`` is the
@@ -137,4 +106,4 @@ def bind_params(world: SkillWorld, p_r, max_steps: int | None = None) -> IHCPara
     coverage = world.coverage()
     p_a = coverage / required if required else np.ones(world.n)
     p_h = (coverage == required).astype(float)
-    return IHCParams(p_r=p_r, p_a=p_a, p_h=p_h, max_steps=max_steps)
+    return IHCParams(p_r=p_r, p_a=p_a, p_h=p_h)

@@ -68,7 +68,6 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
     seed_arr = _reference_seeds(seeds, n)
     p_a = _reference_per_agent(params.p_a, n)
     p_h = _reference_per_agent(params.p_h, n)
-    max_steps = params.max_steps if params.max_steps is not None else n
     rng = np.random.default_rng(rng_seed)
 
     state = np.full(n, AgentState.PASSIVE, dtype=np.int8)
@@ -82,7 +81,7 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
     trace = [_reference_counts(state)] if record_trace else None
     steps = 0
 
-    for step in range(1, max_steps + 1):
+    for step in range(1, n + 1):
         steps = step
         passive_before = state == AgentState.PASSIVE
         dst = network.out_arcs(frontier)
@@ -176,7 +175,6 @@ def _cascade_cases(draw):
         p_r=draw(prob),
         p_a=draw(prob | per_agent),
         p_h=draw(prob | per_agent),
-        max_steps=draw(st.sampled_from([None, 1, 2, 3])),
     )
     seeds = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
@@ -230,17 +228,13 @@ class TestSingleRun:
         assert isolated.chain_length == 1
 
     def test_failed_run_reports_deepest_generation(self):
-        result = run_cascade(_directed_path(4), IHCParams(1.0, 0.0, 1.0), (0,), 9)
-        assert not result.success
-        assert result.chain_length == 4
-        assert result.steps == 4
-
-    def test_max_steps_caps_run(self):
-        params = IHCParams(1.0, 0.0, 1.0, max_steps=3)
-        result = run_cascade(_directed_path(10), params, (0,), 9)
-        assert result.steps == 3
-        assert result.chain_length == 4
-        assert not result.success
+        # the longest run there is: one recruit per step, and the n-th step
+        # finds no passive agent left and ends the run by itself
+        for n in (2, 4, 200):
+            result = run_cascade(_directed_path(n), IHCParams(1.0, 0.0, 1.0), (0,), 9)
+            assert not result.success
+            assert result.chain_length == n
+            assert result.steps == n
 
     def test_trace_off_by_default(self):
         result = run_cascade(_complete(4), IHCParams(0.5, 0.5, 0.5), (0,), 11)
@@ -263,8 +257,6 @@ class TestSingleRun:
             IHCParams(0.5, -0.1, 0.5)
         with pytest.raises(ValueError, match="p_h"):
             IHCParams(0.5, 0.5, [0.5, 2.0])
-        with pytest.raises(ValueError, match="max_steps"):
-            IHCParams(0.5, 0.5, 0.5, max_steps=0)
         with pytest.raises(ValueError, match="length-3"):
             run_cascade(_complete(3), IHCParams(0.5, [0.1, 0.2], 0.5), (0,), 0)
 

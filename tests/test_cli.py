@@ -5,6 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,26 @@ class TestOracleAnalytic:
             assert record["k_max"] >= 0
 
 
+    def test_mass_threshold_one_ends_where_the_cdf_levels_off(self, tmp_path):
+        # poisson_cdf(k, 5.0) stays at 0.9999999999999996 from k = 60 on, so a
+        # threshold of 1.0 is never met; the catalog search has to end anyway
+        cfg = {"skill_rate": 5.0, "mass_threshold": 1.0, "population": 100}
+        path = tmp_path / "oa.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "halting_cascade", "oracle-analytic",
+             "--config", str(path), "--format", "jsonl"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert len(records) == 3
+        assert {record["k_max"] for record in records} == {253}
+
+
 class TestEmpirical:
     @pytest.fixture
     def triangle(self, tmp_path):
@@ -370,6 +394,14 @@ class TestEmpirical:
         code, _, err = _run(capsys, ["empirical", str(path), "--seed", "1"])
         assert code == EXIT_IO
         assert "line 2" in err
+
+    def test_edge_list_not_utf8_exits_io(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        for raw in (b"0 1\n1 \xff2\n", b"0 1\r\n1 \xff2\r\n"):
+            path.write_bytes(raw)
+            code, _, err = _run(capsys, ["empirical", str(path), "--seed", "1"])
+            assert code == EXIT_IO
+            assert "line 2: not UTF-8 text" in err
 
     def test_empty_edge_list_exits_io(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"

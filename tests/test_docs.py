@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import json
 import re
@@ -66,3 +67,19 @@ def test_readme_config_command_runs(capsys, command, path):
     for row in rows:
         assert row["n_runs"] == "2"
         assert 0.0 <= float(row["success_rate"]) <= 1.0
+
+
+def test_payout_split_script_runs(monkeypatch, capsys):
+    path = ROOT / "scripts" / "payout_split.py"
+    assert f"python {path.relative_to(ROOT)}" in README.read_text(encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("payout_split", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "REPS", 5)
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" reps=5")
+    assert lines[1].split() == [
+        "p_r", "hires", "mean_depth", "poster_keeps", "worker_take", "depth_range"
+    ]
+    assert [float(line.split()[0]) for line in lines[2:]] == list(script.P_RECOMMEND)

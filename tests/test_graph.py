@@ -551,6 +551,27 @@ class TestLoadEdgeList:
             load_edge_list(io.StringIO("0 1\n2\n"))
         assert exc_info.value.line_no == 2
 
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # lines end as the text reader ends them: at \n, \r\n or a lone \r
+        path = tmp_path / "bad.edges"
+        cases = [
+            (b"0 1\n1 \xff2\n", 2),
+            (b"0 1\r\n1 2\r\n2 \xff3\r\n", 3),
+            (b"0 1\r1 2\r\xff\n", 3),
+        ]
+        for raw, line_no in cases:
+            path.write_bytes(raw)
+            with pytest.raises(EdgeListError, match="not UTF-8") as exc_info:
+                load_edge_list(path)
+            assert exc_info.value.line_no == line_no
+
+    def test_crlf_and_cr_line_ends_read_as_lf(self, tmp_path):
+        path = tmp_path / "ends.edges"
+        expected = load_edge_list(io.StringIO("# c\n0 1\n1 2\n2 0\n"))
+        for end in (b"\r\n", b"\r"):
+            path.write_bytes(end.join([b"# c", b"0 1", b"1 2", b"2 0", b""]))
+            assert load_edge_list(path) == expected
+
     def test_comments_blanks_and_extra_columns(self):
         text = "# header\n\n0 1 1427840000 0.7\n1 2 1427840001\n"
         net = load_edge_list(io.StringIO(text))
@@ -566,9 +587,9 @@ class TestLoadEdgeList:
                 if directed
                 else generate_er(20, 4, seed=3)
             )
-            buffer = io.StringIO()
-            original.write_edge_list(buffer)
-            reloaded = load_edge_list(io.StringIO(buffer.getvalue()), directed=directed)
+            lines = [f"# {original!r}"]
+            lines += [f"{u} {v}" for u, v in sorted(original.edges()) if directed or u < v]
+            reloaded = load_edge_list(io.StringIO("\n".join(lines) + "\n"), directed=directed)
             assert reloaded == original
 
 
