@@ -38,11 +38,9 @@ from .oracle import (
     OracleSpec,
     TruncationBounds,
     binomial_pmf,
-    hypergeom_pmf,
     oracle_success_probability,
     p_lambda,
     p_success_trial,
-    poisson_cdf,
     poisson_pmf,
     simulate_oracle,
     truncation_bounds,
@@ -79,12 +77,10 @@ __all__ = [
     "generate_ba",
     "generate_er",
     "generate_star",
-    "hypergeom_pmf",
     "load_edge_list",
     "oracle_success_probability",
     "p_lambda",
     "p_success_trial",
-    "poisson_cdf",
     "poisson_pmf",
     "run_batch",
     "run_cascade",

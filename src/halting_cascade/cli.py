@@ -40,6 +40,7 @@ from .oracle import (
     oracle_success_probability,
     p_lambda,
     simulate_oracle,
+    truncated_series,
     truncation_bounds,
 )
 from .skills import bind_params, sample_skill_world
@@ -292,8 +293,7 @@ def _replicate(
     reps: int,
     network: Network | Callable[[np.random.SeedSequence], Network],
     params: Sequence[IHCParams | float],
-    skills: tuple[float, int] | None = None,
-    reach_fraction: float | None = None,
+    skills: tuple[float, int, float] | None = None,
 ) -> Iterator[tuple[Network, int, list[tuple[CascadeResult, CascadeResult | None]]]]:
     """Run the ``reps`` replications of one group of sweep cells, rep-major.
 
@@ -318,9 +318,9 @@ def _replicate(
 
     ``network`` is a fixed ``Network`` or a factory called with the network
     stream. Each ``params[i]`` holds the cascade probabilities; with
-    ``skills`` = (skill_rate, vacancy_size) it is ``p_r`` alone, and the
-    cell binds ``p_a``/``p_h`` from the replication's skill world.
-    ``reach_fraction`` adds the oracle on that same world. Build factories
+    ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
+    alone, the cell binds ``p_a``/``p_h`` from the replication's skill world,
+    and the oracle runs on that same world at that reach. Build factories
     inside the subcommand, so that layer functions such as ``generate_er``
     are looked up by their module-level names at call time (the benchmark's
     tracer patches those names).
@@ -331,21 +331,21 @@ def _replicate(
     does not hand its pages back in between.
     """
     shared = (skills is not None, callable(network), True)  # skill world, network, seed node
-    own = 2 if reach_fraction is not None else 1  # cascade, oracle
+    own = 2 if skills is not None else 1  # cascade, oracle
     for rep in range(reps):
         leader = iter(stream_children([seed, *paths[0], rep], sum(shared)))
         world_ss, net_ss, node_ss = [next(leader) if used else None for used in shared]
         net = network(net_ss) if callable(network) else network
         seed_node = int(np.random.default_rng(node_ss).integers(net.n))
-        world = None if skills is None else sample_skill_world(net.n, *skills, world_ss)
+        world = None if skills is None else sample_skill_world(net.n, *skills[:2], world_ss)
         outcomes = []
         for path, cell_params in zip(paths, params):
             run_ss, *oracle_ss = stream_children([seed, *path, rep], own, sum(shared))
             cascade_params = cell_params if world is None else bind_params(world, cell_params)
             result = run_cascade(net, cascade_params, (seed_node,), run_ss)
             oracle = None
-            if reach_fraction is not None:
-                oracle = simulate_oracle(world, reach_fraction, cell_params, *oracle_ss)
+            if world is not None:
+                oracle = simulate_oracle(world, skills[2], cell_params, *oracle_ss)
             outcomes.append((result, oracle))
         yield net, seed_node, outcomes
 
@@ -470,10 +470,8 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
     for vacancy_idx, vacancy_size in enumerate(cfg["vacancy_sizes"]):
         # cells are numbered in (vacancy, p_r) grid order
         paths = [(vacancy_idx * n_p_r + p_r_idx,) for p_r_idx in range(n_p_r)]
-        skills = (cfg["skill_rate"], vacancy_size)
-        runs = _replicate(
-            cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills, cfg["reach_fraction"]
-        )
+        skills = (cfg["skill_rate"], vacancy_size, cfg["reach_fraction"])
+        runs = _replicate(cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills)
         per_cell = zip(*[outcomes for _, _, outcomes in runs])
         for p_r, cell_runs in zip(cfg["p_r"], per_cell):
             spec = OracleSpec(
@@ -544,7 +542,7 @@ def cmd_oracle_analytic(cfg: dict) -> tuple[list[str], list[dict]]:
                 "l_min": bounds.l_min,
                 "l_max": bounds.l_max,
                 "k_max": bounds.k_max,
-                "success_probability": oracle_success_probability(spec, cfg["mass_threshold"]),
+                "success_probability": truncated_series(spec, p_qualified, bounds),
             }
         )
     return fields, rows
@@ -581,10 +579,8 @@ def cmd_empirical(cfg: dict) -> tuple[list[str], list[dict]]:
         "skill_rate": cfg["skill_rate"],
         "vacancy_size": cfg["vacancy_size"],
     }
-    skills = (cfg["skill_rate"], cfg["vacancy_size"])
-    runs = _replicate(
-        cfg["seed"], [()], cfg["reps"], network, [cfg["p_r"]], skills, cfg["reach_fraction"]
-    )
+    skills = (cfg["skill_rate"], cfg["vacancy_size"], cfg["reach_fraction"])
+    runs = _replicate(cfg["seed"], [()], cfg["reps"], network, [cfg["p_r"]], skills)
     cascade_runs, baseline_runs = zip(*[outcomes[0] for _, _, outcomes in runs])
     rows = [
         {"record": "summary", "system": "ihc", **base, **summarize(cascade_runs).as_dict()},
@@ -644,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, command: str, stochastic: bool) -> None:
+    def add_common(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--config", metavar="PATH", help="JSON file with experiment settings")
         p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
         p.add_argument(
@@ -653,7 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="csv",
             help="output encoding (default: csv)",
         )
-        if stochastic:
+        if "seed" in _SCHEMAS[command]:
             p.add_argument(
                 "--seed",
                 type=int,
@@ -670,25 +666,25 @@ def build_parser() -> argparse.ArgumentParser:
         "heatmap",
         help="success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
     )
-    add_common(p, "heatmap", stochastic=True)
+    add_common(p, "heatmap")
 
     p = sub.add_parser(
         "ba-vs-er",
         help="seed-degree-binned outcomes on BA vs ER topologies",
     )
-    add_common(p, "ba-vs-er", stochastic=True)
+    add_common(p, "ba-vs-er")
 
     p = sub.add_parser(
         "ihc-vs-oracle",
         help="cascade vs direct-posting baseline on shared skill worlds",
     )
-    add_common(p, "ihc-vs-oracle", stochastic=True)
+    add_common(p, "ihc-vs-oracle")
 
     p = sub.add_parser(
         "oracle-analytic",
         help="closed-form baseline success probabilities (no simulation)",
     )
-    add_common(p, "oracle-analytic", stochastic=False)
+    add_common(p, "oracle-analytic")
 
     p = sub.add_parser("empirical", help="both systems on a network loaded from a file")
     p.add_argument("edge_list", nargs="?", help="edge list file, two integer columns per line")
@@ -698,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="treat edges as one-way arcs (default: undirected)",
     )
-    add_common(p, "empirical", stochastic=True)
+    add_common(p, "empirical")
 
     p = sub.add_parser("payout", help="geometric reward split for a successful chain")
     p.add_argument(
@@ -708,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of agents on the successful chain",
     )
     p.add_argument("--budget", help="total reward budget (number or fraction string)")
-    add_common(p, "payout", stochastic=False)
+    add_common(p, "payout")
 
     return parser
 

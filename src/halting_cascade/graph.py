@@ -86,11 +86,6 @@ class Network:
         arcs = len(self._out_idx)
         return arcs if self.directed else arcs // 2
 
-    def edges(self) -> set[tuple[int, int]]:
-        """All ordered arcs; an undirected edge appears in both directions."""
-        src = np.repeat(np.arange(self.n), np.diff(self._out_ptr))
-        return {(int(u), int(v)) for u, v in zip(src, self._out_idx)}
-
     def out_neighbors(self, u: int) -> np.ndarray:
         return self._out_idx[self._out_ptr[u] : self._out_ptr[u + 1]]
 

@@ -77,12 +77,6 @@ def poisson_pmf(k: int, rate: float) -> float:
     return math.exp(k * math.log(rate) - rate - math.lgamma(k + 1))
 
 
-def poisson_cdf(k: int, rate: float) -> float:
-    if k < 0:
-        return 0.0
-    return min(1.0, math.fsum(poisson_pmf(i, rate) for i in range(k + 1)))
-
-
 def binomial_pmf(k: int, n: int, p: float) -> float:
     if n < 0 or not 0 <= p <= 1:
         raise ValueError("need n >= 0 and p in [0, 1]")
@@ -94,17 +88,6 @@ def binomial_pmf(k: int, n: int, p: float) -> float:
         return 1.0 if k == n else 0.0
     return math.exp(
         _log_comb(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-
-
-def hypergeom_pmf(k: int, total: int, tagged: int, draws: int) -> float:
-    """Probability of k tagged items in ``draws`` picks without replacement."""
-    if not 0 <= tagged <= total or not 0 <= draws <= total:
-        raise ValueError("need 0 <= tagged, draws <= total")
-    if k < max(0, draws - (total - tagged)) or k > min(tagged, draws):
-        return 0.0
-    return math.exp(
-        _log_comb(tagged, k) + _log_comb(total - tagged, draws - k) - _log_comb(total, draws)
     )
 
 
@@ -124,20 +107,29 @@ def p_success_trial(reached: int, p_r: float) -> float:
 # -- qualified-agent probability ---------------------------------------------
 
 
-def _catalog_cap(population: int, skill_rate: float, mass_threshold: float) -> int:
-    """Smallest catalog size covering ``mass_threshold`` of the max-count mass.
+def _catalog(
+    population: int, skill_rate: float, mass_threshold: float
+) -> tuple[list[float], list[float]]:
+    """Poisson pmf and catalog-size cdf for sizes 0..cap, built in one pass.
 
     The skill catalog is as large as the biggest per-agent Poisson count, so
-    its cdf is the Poisson cdf raised to the population size. The float cdf
-    can level off just below 1, so the search also ends at the first k past
-    the mode whose pmf rounds to 0, where the cdf can grow no more.
+    its cdf at k is the Poisson cdf at k raised to the population size. The
+    cap is the first k where that cdf reaches ``mass_threshold``. The float
+    cdf can level off just below 1, so the table also ends at the first k
+    past the mode whose pmf rounds to 0, where the cdf can grow no more.
+    ``math.fsum`` is correctly rounded, so each Poisson cdf entry is the one
+    a fresh sum of ``pmf[:k + 1]`` gives.
     """
+    pmf: list[float] = []
+    cdf: list[float] = []
     k = 0
-    while poisson_cdf(k, skill_rate) ** population < mass_threshold:
-        if k > skill_rate and poisson_pmf(k, skill_rate) == 0.0:
-            break
+    while True:
+        pmf.append(poisson_pmf(k, skill_rate))
+        cdf.append(min(1.0, math.fsum(pmf)) ** population)
+        # ``not <`` so that a NaN cdf (from a NaN or infinite rate) ends it too
+        if not cdf[k] < mass_threshold or (k > skill_rate and pmf[k] == 0.0):
+            return pmf, cdf
         k += 1
-    return k
 
 
 def _check_skill_rate(skill_rate: float) -> None:
@@ -169,19 +161,17 @@ def p_lambda(
     if vacancy_size < 0:
         raise ValueError("vacancy_size must be non-negative")
     _check_mass_threshold(mass_threshold)
-    cap = _catalog_cap(population, skill_rate, mass_threshold)
+    pmf, cdf = _catalog(population, skill_rate, mass_threshold)
     total = 0.0
     prev = 0.0
-    for catalog in range(cap + 1):
-        cum = poisson_cdf(catalog, skill_rate) ** population
+    for catalog, cum in enumerate(cdf):
         weight = cum - prev
         prev = cum
         if catalog < vacancy_size or weight <= 0.0:
             continue
         log_denom = _log_comb(catalog, vacancy_size)
         inner = math.fsum(
-            poisson_pmf(k, skill_rate)
-            * math.exp(_log_comb(k, vacancy_size) - log_denom)
+            pmf[k] * math.exp(_log_comb(k, vacancy_size) - log_denom)
             for k in range(vacancy_size, catalog + 1)
         )
         total += weight * inner
@@ -202,20 +192,29 @@ def truncation_bounds(
     sd = math.sqrt(population * p_qualified * (1 - p_qualified))
     l_min = max(0, math.floor(mean - 2.5 * sd))
     l_max = min(population, math.ceil(mean + 2.5 * sd))
-    k_max = _catalog_cap(population, skill_rate, mass_threshold)
+    k_max = len(_catalog(population, skill_rate, mass_threshold)[1]) - 1
     return TruncationBounds(l_min, l_max, k_max, mass_threshold)
 
 
 def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -> float:
-    """Chance the hub's direct posting produces at least one hire.
+    """Chance the hub's direct posting produces at least one hire."""
+    p_q = p_lambda(spec.skill_rate, spec.vacancy_size, spec.population, mass_threshold)
+    bounds = truncation_bounds(spec.population, p_q, spec.skill_rate, mass_threshold)
+    return truncated_series(spec, p_q, bounds)
 
-    The hypergeometric terms are ``hypergeom_pmf``'s log-space expression,
-    evaluated from one table of ``lgamma(i + 1)`` in the same operation order,
-    so every term is bit-identical to the scalar kernels'.
+
+def truncated_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBounds) -> float:
+    """The success series of ``oracle_success_probability`` over its window.
+
+    Sums, for each qualified count in ``bounds.l_min..l_max``, its binomial
+    weight times the chance that some reached qualified agent is
+    recommended. The hypergeometric terms are the log-space expression
+    ``C(q, x) C(n - q, d - x) / C(n, d)``, evaluated from one table of
+    ``lgamma(i + 1)`` in the scalar expression's operation order, so every
+    term is bit-identical to the scalar ``hypergeom_pmf`` that
+    ``tests/test_oracle.py`` keeps as a reference.
     """
     n = spec.population
-    p_q = p_lambda(spec.skill_rate, spec.vacancy_size, n, mass_threshold)
-    bounds = truncation_bounds(n, p_q, spec.skill_rate, mass_threshold)
     draws = round(spec.reach_fraction * n)
     lf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
     trial = [p_success_trial(k, spec.p_r) for k in range(min(draws, bounds.l_max) + 1)]
@@ -223,7 +222,7 @@ def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -
 
     total = 0.0
     for qualified in range(bounds.l_min, bounds.l_max + 1):
-        outer = binomial_pmf(qualified, n, p_q)
+        outer = binomial_pmf(qualified, n, p_qualified)
         if outer == 0.0:
             continue
         lo = max(0, draws - (n - qualified))

@@ -19,8 +19,8 @@ from .cascade import IHCParams
 class SkillWorld:
     """Agent skills as a read-only ``(n, universe_size)`` boolean matrix.
 
-    ``held[i, s]`` is true when agent ``i`` holds skill ``s``; the per-agent
-    sets and equality are views of it.
+    ``held[i, s]`` is true when agent ``i`` holds skill ``s``; coverage and
+    equality are read from it.
     """
 
     universe_size: int
@@ -38,10 +38,6 @@ class SkillWorld:
     @property
     def n(self) -> int:
         return self.held.shape[0]
-
-    @property
-    def agent_skills(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self.held)
 
     def coverage(self) -> np.ndarray:
         """How many of the vacancy's required skills each agent holds."""

@@ -23,13 +23,14 @@ from halting_cascade.oracle import (
     binomial_pmf,
     oracle_success_probability,
     p_lambda,
-    poisson_cdf,
     simulate_oracle,
     truncation_bounds,
 )
 from halting_cascade.skills import bind_params, sample_skill_world
 from test_cascade import ic_reference
 from test_metrics import bin_by_seed_degree
+from test_oracle import poisson_cdf
+from test_skills import agent_skills
 
 
 def _regime_batch(master: int, p_r: float, p_a: float, p_h: float, reps: int = 200):
@@ -112,7 +113,7 @@ def test_04_skill_count_tail_fractions():
     started = time.perf_counter()
     targets = {4: 0.35, 6: 0.08, 8: 0.01}
     world = sample_skill_world(5000, 3.0, 4, seed=4)
-    counts = np.array([len(s) for s in world.agent_skills])
+    counts = np.array([len(s) for s in agent_skills(world)])
     for at_least, target in targets.items():
         analytic = 1.0 - poisson_cdf(at_least - 1, 3.0)
         empirical = float(np.mean(counts >= at_least))
@@ -277,8 +278,12 @@ def test_10_payout_conservation_and_inversion():
 def test_11_seed_connectivity_drives_success_on_hub_networks():
     started = time.perf_counter()
     network = generate_ba(2000, 50, 50, seed=20260815)
-    # p_r * mean degree is about 0.88 here (below both regime boundaries);
-    # at p_r = 0.2 it is about 17.6 and every degree bin hires in every run
+    # with the mean degree 97.55, the diffusion value p_r (1 - p_a) k is
+    # about 0.88 and the halting value p_r p_a p_h k about 0.05, below both of
+    # classify_regime's mean-degree boundaries; with this graph's mean excess
+    # degree <k^2 - k>/<k> = 144.76 the diffusion value is 1.30, above the
+    # spreading boundary. At p_r = 0.2 the mean-degree diffusion value is
+    # about 17.6 and every degree bin hires in every run
     results = run_batch(network, IHCParams(0.01, 0.1, 0.5), 2000, 424242)
     binned = bin_by_seed_degree(results, network)
     xs, ys = [], []

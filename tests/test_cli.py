@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halting_cascade import cli
+from halting_cascade import cli, oracle
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -285,6 +285,29 @@ class TestOracleAnalytic:
             assert record["l_min"] <= record["l_max"]
             assert record["k_max"] >= 0
 
+
+    def test_each_row_computes_its_window_once(self, tmp_path, capsys, monkeypatch):
+        # the row prints p_qualified and the truncation window, then sums the
+        # series over them; nothing recomputes either on the way
+        calls = {"p_lambda": 0, "truncation_bounds": 0}
+        for name in calls:
+            original = getattr(oracle, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(oracle, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        cfg = {"population": 200, "vacancy_sizes": [1, 2], "p_r": [0.3, 1.0]}
+        path = tmp_path / "oa.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, out, _ = _run(
+            capsys, ["oracle-analytic", "--config", str(path), "--format", "jsonl"]
+        )
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 4
+        assert calls == {"p_lambda": 4, "truncation_bounds": 4}
 
     def test_mass_threshold_one_ends_where_the_cdf_levels_off(self, tmp_path):
         # poisson_cdf(k, 5.0) stays at 0.9999999999999996 from k = 60 on, so a

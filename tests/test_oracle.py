@@ -6,22 +6,73 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from halting_cascade.oracle import (
     OracleSpec,
     TruncationBounds,
+    _log_comb,
     binomial_pmf,
-    hypergeom_pmf,
     oracle_success_probability,
     p_lambda,
     p_success_trial,
-    poisson_cdf,
     poisson_pmf,
     simulate_oracle,
     truncation_bounds,
 )
 from halting_cascade.skills import sample_skill_world
+from test_skills import agent_skills
+
+
+def poisson_cdf(k: int, rate: float) -> float:
+    if k < 0:
+        return 0.0
+    return min(1.0, math.fsum(poisson_pmf(i, rate) for i in range(k + 1)))
+
+
+def hypergeom_pmf(k: int, total: int, tagged: int, draws: int) -> float:
+    """Probability of k tagged items in ``draws`` picks without replacement."""
+    if not 0 <= tagged <= total or not 0 <= draws <= total:
+        raise ValueError("need 0 <= tagged, draws <= total")
+    if k < max(0, draws - (total - tagged)) or k > min(tagged, draws):
+        return 0.0
+    return math.exp(
+        _log_comb(tagged, k) + _log_comb(total - tagged, draws - k) - _log_comb(total, draws)
+    )
+
+
+def _per_k_catalog_cap(population: int, skill_rate: float, mass_threshold: float) -> int:
+    """Catalog cap searched one k at a time, the cdf rebuilt from 0 for each."""
+    k = 0
+    while poisson_cdf(k, skill_rate) ** population < mass_threshold:
+        if k > skill_rate and poisson_pmf(k, skill_rate) == 0.0:
+            break
+        k += 1
+    return k
+
+
+def _per_k_p_lambda(
+    skill_rate: float, vacancy_size: int, population: int, mass_threshold: float
+) -> float:
+    """``p_lambda`` with every pmf and cdf value recomputed where it is read."""
+    cap = _per_k_catalog_cap(population, skill_rate, mass_threshold)
+    total = 0.0
+    prev = 0.0
+    for catalog in range(cap + 1):
+        cum = poisson_cdf(catalog, skill_rate) ** population
+        weight = cum - prev
+        prev = cum
+        if catalog < vacancy_size or weight <= 0.0:
+            continue
+        log_denom = _log_comb(catalog, vacancy_size)
+        inner = math.fsum(
+            poisson_pmf(k, skill_rate) * math.exp(_log_comb(k, vacancy_size) - log_denom)
+            for k in range(vacancy_size, catalog + 1)
+        )
+        total += weight * inner
+    return total
 
 
 def _independent_p_qualified(
@@ -162,7 +213,7 @@ class TestQualifiedProbability:
         fractions = []
         for world_ss in base.spawn(n_worlds):
             world = sample_skill_world(n_agents, 3.0, 1, seed=world_ss)
-            qualified = sum(world.vacancy <= s for s in world.agent_skills)
+            qualified = sum(world.vacancy <= s for s in agent_skills(world))
             fractions.append(qualified / n_agents)
         observed = float(np.mean(fractions))
         se = float(np.std(fractions, ddof=1)) / math.sqrt(n_worlds)
@@ -170,6 +221,30 @@ class TestQualifiedProbability:
         assert se > 0
         assert observed - 3 * se < 0.3751 < observed + 3 * se
         assert abs(observed - expected) < 0.01
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        population=st.integers(min_value=1, max_value=5000),
+        skill_rate=st.one_of(
+            st.sampled_from([0.0, 3.0, 7.5]), st.floats(min_value=0.0, max_value=8.0)
+        ),
+        vacancy_size=st.integers(min_value=0, max_value=12),
+        mass_threshold=st.one_of(
+            st.sampled_from([0.5, 0.98, 0.999999, 1.0]),
+            st.floats(min_value=0.01, max_value=1.0),
+        ),
+    )
+    @example(population=100, skill_rate=5.0, vacancy_size=4, mass_threshold=1.0)
+    @example(population=5000, skill_rate=7.5, vacancy_size=6, mass_threshold=1.0)
+    @example(population=3000, skill_rate=0.0, vacancy_size=0, mass_threshold=1.0)
+    @example(population=5000, skill_rate=3.0, vacancy_size=6, mass_threshold=0.98)
+    def test_one_pass_table_equals_per_k_search(
+        self, population, skill_rate, vacancy_size, mass_threshold
+    ):
+        expected = _per_k_p_lambda(skill_rate, vacancy_size, population, mass_threshold)
+        assert p_lambda(skill_rate, vacancy_size, population, mass_threshold) == expected
+        bounds = truncation_bounds(population, expected, skill_rate, mass_threshold)
+        assert bounds.k_max == _per_k_catalog_cap(population, skill_rate, mass_threshold)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,11 @@ from halting_cascade.skills import (
 )
 
 
+def agent_skills(world: SkillWorld) -> tuple[frozenset[int], ...]:
+    """Each agent's skill ids as a set, read off the ``held`` matrix."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in world.held)
+
+
 # scalar references for one agent's skill set; ``bind_params`` must agree
 def hiring_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
     """1.0 when the agent holds every required skill, else 0.0."""
@@ -44,16 +49,16 @@ class TestSampling:
 
     def test_catalog_covers_counts_and_vacancy(self):
         world = sample_skill_world(200, 5.0, 2, seed=0)
-        largest = max(len(s) for s in world.agent_skills)
+        largest = max(len(s) for s in agent_skills(world))
         assert world.universe_size == largest
         assert len(world.vacancy) == 2
-        for skills in (*world.agent_skills, world.vacancy):
+        for skills in (*agent_skills(world), world.vacancy):
             assert all(0 <= skill < world.universe_size for skill in skills)
 
     def test_catalog_floor_is_vacancy_size(self):
         world = sample_skill_world(10, 0.0, 5, seed=0)
         assert world.universe_size == 5
-        assert all(s == frozenset() for s in world.agent_skills)
+        assert all(s == frozenset() for s in agent_skills(world))
         assert world.vacancy == frozenset(range(5))
 
     def test_empty_vacancy(self):
@@ -62,12 +67,12 @@ class TestSampling:
 
     def test_mean_skill_count_matches_rate(self):
         world = sample_skill_world(5000, 3.0, 4, seed=7)
-        mean = sum(len(s) for s in world.agent_skills) / world.n
+        mean = sum(len(s) for s in agent_skills(world)) / world.n
         assert abs(mean - 3.0) < 3 * math.sqrt(3.0 / 5000)
 
     def test_tail_fractions_match_poisson(self):
         world = sample_skill_world(5000, 3.0, 4, seed=21)
-        counts = np.array([len(s) for s in world.agent_skills])
+        counts = np.array([len(s) for s in agent_skills(world)])
         for at_least in (4, 6, 8):
             expected = _poisson_tail(3.0, at_least)
             observed = float(np.mean(counts >= at_least))
@@ -78,12 +83,12 @@ class TestSampling:
         # skill identities and the vacancy are drawn after the counts, so a
         # seed's per-agent counts do not depend on how identities are drawn
         world = sample_skill_world(5000, 3.0, 4, seed=4)
-        counts = [len(s) for s in world.agent_skills]
+        counts = [len(s) for s in agent_skills(world)]
         assert counts == np.random.default_rng(4).poisson(3.0, 5000).tolist()
 
     def test_skill_ids_uniform_over_catalog(self):
         world = sample_skill_world(5000, 3.0, 4, seed=11)
-        held = [skill for skills in world.agent_skills for skill in skills]
+        held = [skill for skills in agent_skills(world) for skill in skills]
         observed = np.bincount(held, minlength=world.universe_size)
         assert stats.chisquare(observed).pvalue > 0.001
 
@@ -136,7 +141,7 @@ class TestBinding:
         p_a = np.asarray(params.p_a)
         p_h = np.asarray(params.p_h)
         assert p_a.shape == p_h.shape == (300,)
-        for i, skills in enumerate(world.agent_skills):
+        for i, skills in enumerate(agent_skills(world)):
             assert p_h[i] == hiring_probability(skills, world.vacancy)
             assert p_a[i] == application_probability(skills, world.vacancy)
         assert np.all(p_a[p_h == 1.0] == 1.0)
@@ -161,7 +166,7 @@ class TestArrayStorage:
         world = SkillWorld(2, frozenset({1}), held)
         held[1, 1] = True
         assert held.flags.writeable
-        assert world.agent_skills == (frozenset({0}), frozenset())
+        assert agent_skills(world) == (frozenset({0}), frozenset())
 
     def test_rejects_matrix_of_wrong_width(self):
         with pytest.raises(ValueError, match="universe_size"):
@@ -174,13 +179,13 @@ class TestArrayStorage:
 
     def test_agent_skills_view_matches_rows(self):
         world = sample_skill_world(200, 4.0, 3, seed=8)
-        assert len(world.agent_skills) == world.n == 200
-        for row, skills in zip(world.held, world.agent_skills):
+        assert len(agent_skills(world)) == world.n == 200
+        for row, skills in zip(world.held, agent_skills(world)):
             assert skills == frozenset(np.flatnonzero(row).tolist())
 
     def test_coverage_counts_required_skills_held(self):
         world = sample_skill_world(200, 4.0, 3, seed=8)
-        expected = [len(skills & world.vacancy) for skills in world.agent_skills]
+        expected = [len(skills & world.vacancy) for skills in agent_skills(world)]
         assert world.coverage().tolist() == expected
 
     def test_rejects_skill_ids_outside_catalog(self):
