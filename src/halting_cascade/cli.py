@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, run_cascade, stream_children
+from .cascade import CascadeResult, IHCParams, replication_states, reseeded, run_cascade
 from .graph import (
     EdgeListError,
     Network,
@@ -291,7 +291,7 @@ def _replicate(
     seed: int,
     paths: Sequence[tuple[int, ...]],
     reps: int,
-    network: Network | Callable[[np.random.SeedSequence], Network],
+    network: Network | Callable[[np.random.Generator], Network],
     params: Sequence[IHCParams | float],
     skills: tuple[float, int, float] | None = None,
 ) -> Iterator[tuple[Network, int, list[tuple[CascadeResult, CascadeResult | None]]]]:
@@ -307,14 +307,21 @@ def _replicate(
     Stream rule: replication ``rep`` of the cell at ``path`` reads the
     children of ``SeedSequence([seed, *path, rep])``, one per stream the
     sweep uses, in the fixed order skill world, network, seed node, cascade,
-    oracle. ``stream_children`` builds them directly, the same children that
-    ``spawn`` gives, without mixing the parent's pool.
-    The shared streams are those of the group's first cell (the leader);
-    every cell reads its own cascade and oracle children. Each stream thus
-    comes from a distinct (key, child index) pair, and the leader's draws
-    are those of a group that holds it alone. Only the children read are
-    built: the leader's shared ones, and each cell's own from the child
-    index after the shared ones.
+    oracle; the oracle's star and cascade read children 0 and 1 of its
+    child. The shared streams are those of the group's first cell (the
+    leader); every cell reads its own cascade and oracle children. Each
+    stream thus comes from a distinct (key, child index) pair, and the
+    leader's draws are those of a group that holds it alone.
+
+    The streams are PCG64 states that the seed tree computes, equal to those
+    ``SeedSequence`` children's by test (the tree follows NEP 19's seeding
+    recipes, so a numpy change would fail that test rather than move
+    outputs), in one pass per spawn-key length over all replications and
+    cells: the leader's shared children and each cell's cascade child, then
+    (with skills) each cell's two oracle grandchildren. Only the streams
+    read are computed. One generator is reseeded for each stream read (the
+    oracle's cascade has a second one), so a generator handed out is valid
+    until the next stream is taken.
 
     ``network`` is a fixed ``Network`` or a factory called with the network
     stream. Each ``params[i]`` holds the cascade probabilities; with
@@ -331,21 +338,45 @@ def _replicate(
     does not hand its pages back in between.
     """
     shared = (skills is not None, callable(network), True)  # skill world, network, seed node
-    own = 2 if skills is not None else 1  # cascade, oracle
-    for rep in range(reps):
-        leader = iter(stream_children([seed, *paths[0], rep], sum(shared)))
-        world_ss, net_ss, node_ss = [next(leader) if used else None for used in shared]
-        net = network(net_ss) if callable(network) else network
-        seed_node = int(np.random.default_rng(node_ss).integers(net.n))
-        world = None if skills is None else sample_skill_world(net.n, *skills[:2], world_ss)
+    lead = sum(shared)
+    streams = replication_states(
+        seed,
+        [paths[0]] * lead + list(paths),
+        [(child,) for child in range(lead)] + [(lead,)] * len(paths),
+        reps,
+    )
+    oracle_streams = itertools.repeat(None)
+    if skills is not None:
+        oracle_keys = [(lead + 1, 0), (lead + 1, 1)]  # the oracle child's star and cascade
+        oracle_streams = replication_states(
+            seed, [path for path in paths for _ in oracle_keys], oracle_keys * len(paths), reps
+        )
+    # reseeded before every read; the oracle's cascade needs a second one
+    rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
+    for states, oracle_states in zip(streams, oracle_streams):
+        cell_states = iter(states)
+        world_state, net_state, node_state = [
+            next(cell_states) if used else None for used in shared
+        ]
+        net = network(reseeded(rng, net_state)) if callable(network) else network
+        seed_node = int(reseeded(rng, node_state).integers(net.n))
+        world = None
+        if skills is not None:
+            world = sample_skill_world(net.n, *skills[:2], reseeded(rng, world_state))
         outcomes = []
-        for path, cell_params in zip(paths, params):
-            run_ss, *oracle_ss = stream_children([seed, *path, rep], own, sum(shared))
+        for cell, (run_state, cell_params) in enumerate(zip(cell_states, params)):
             cascade_params = cell_params if world is None else bind_params(world, cell_params)
-            result = run_cascade(net, cascade_params, (seed_node,), run_ss)
+            result = run_cascade(net, cascade_params, (seed_node,), reseeded(rng, run_state))
             oracle = None
             if world is not None:
-                oracle = simulate_oracle(world, skills[2], cell_params, *oracle_ss)
+                star_state, oracle_run_state = oracle_states[2 * cell : 2 * cell + 2]
+                oracle = simulate_oracle(
+                    world,
+                    skills[2],
+                    cell_params,
+                    reseeded(rng, star_state),
+                    reseeded(oracle_rng, oracle_run_state),
+                )
             outcomes.append((result, oracle))
         yield net, seed_node, outcomes
 

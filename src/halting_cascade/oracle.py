@@ -11,13 +11,15 @@ probability mass.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, run_cascade, stream_children
+from .cascade import CascadeResult, IHCParams, reseeded, run_cascade, seed_tree
 from .graph import generate_star
 from .skills import SkillWorld
 
@@ -203,20 +205,28 @@ def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -
     return truncated_series(spec, p_q, bounds)
 
 
+@functools.lru_cache(maxsize=4)
+def _log_factorials(n: int) -> np.ndarray:
+    """Read-only ``lgamma(i + 1)`` for i = 0..n, built once per population."""
+    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def truncated_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBounds) -> float:
     """The success series of ``oracle_success_probability`` over its window.
 
     Sums, for each qualified count in ``bounds.l_min..l_max``, its binomial
     weight times the chance that some reached qualified agent is
     recommended. The hypergeometric terms are the log-space expression
-    ``C(q, x) C(n - q, d - x) / C(n, d)``, evaluated from one table of
-    ``lgamma(i + 1)`` in the scalar expression's operation order, so every
+    ``C(q, x) C(n - q, d - x) / C(n, d)``, evaluated from the population's
+    table of ``lgamma(i + 1)`` in the scalar expression's operation order, so every
     term is bit-identical to the scalar ``hypergeom_pmf`` that
     ``tests/test_oracle.py`` keeps as a reference.
     """
     n = spec.population
     draws = round(spec.reach_fraction * n)
-    lf = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+    lf = _log_factorials(n)
     trial = [p_success_trial(k, spec.p_r) for k in range(min(draws, bounds.l_max) + 1)]
     log_all_draws = lf[n] - lf[draws] - lf[n - draws]
 
@@ -248,7 +258,8 @@ def simulate_oracle(
     world: SkillWorld,
     reach_fraction: float,
     p_r: float,
-    seed: int | np.random.SeedSequence,
+    seed: int | Sequence[int] | np.random.SeedSequence | np.random.Generator,
+    run_seed: np.random.Generator | None = None,
 ) -> CascadeResult:
     """One stochastic trial of the hub posting, on the same skill world.
 
@@ -256,12 +267,27 @@ def simulate_oracle(
     * (n - 1)) uniformly chosen agents, and the cascade engine runs with
     application probability one and per-agent hiring given by full skill
     coverage. The hub seeds the run and never applies, so its own skills are
-    unused. Successful runs always report chain length 2. The star and the
-    cascade read children 0 and 1 of ``seed``, which is left unchanged, so
-    one seed gives one trial however often it is passed.
+    unused. Successful runs always report chain length 2.
+
+    The star and the cascade read the streams of children 0 and 1 of
+    ``seed``, an int, a sequence of ints or a ``SeedSequence`` of the
+    default pool size: PCG64 states that the seed tree computes, equal to
+    those children's by test (the tree follows NEP 19's seeding recipes, see
+    ``cascade``). ``seed`` is left unchanged, so one seed gives one trial
+    however often it is passed. With ``run_seed``, the star reads ``seed``
+    and the cascade ``run_seed`` as given: the sweeps hand over the two
+    generators of their own tree pass this way, each valid until the next
+    stream is taken.
     """
-    star_ss, run_ss = stream_children(seed, 2)
-    star = generate_star(world.n, reach_fraction, star_ss)
+    if run_seed is None:
+        entropy, key = seed, ()
+        if isinstance(seed, np.random.SeedSequence):
+            if seed.pool_size != 4:
+                raise ValueError("simulate_oracle needs a SeedSequence of pool size 4")
+            entropy, key = seed.entropy, seed.spawn_key
+        children = seed_tree(entropy, [(), ()], [(*key, 0), (*key, 1)])
+        seed, run_seed = (reseeded(np.random.default_rng(0), state) for state in children)
+    star = generate_star(world.n, reach_fraction, seed)
     p_h = (world.coverage() == len(world.vacancy)).astype(float)
     params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
-    return run_cascade(star, params, seeds=(0,), rng_seed=run_ss)
+    return run_cascade(star, params, seeds=(0,), rng_seed=run_seed)

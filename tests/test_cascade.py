@@ -15,9 +15,11 @@ from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
     StateCounts,
+    replication_states,
+    reseeded,
     run_batch,
     run_cascade,
-    stream_children,
+    seed_tree,
 )
 from halting_cascade.graph import Network, generate_ba, generate_er, generate_star
 
@@ -443,25 +445,90 @@ class TestBatch:
         assert digest.hexdigest() == expected
 
 
-class TestStreamChildren:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: 42,
-            lambda: [20260815, 3, 1],
-            lambda: np.random.SeedSequence(7),
-            lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0), pool_size=8),
-        ],
-        ids=["int", "int-list", "seed-sequence", "spawned-seed-sequence"],
+_MASTER_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]), st.integers(0, 2**100 - 1)
+)
+
+
+def _child(entropy, key) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy, spawn_key=key)
+
+
+class TestSeedTree:
+    """The tree's states are those of numpy's ``SeedSequence`` children."""
+
+    @given(
+        seed=_MASTER_SEEDS,
+        path=st.lists(st.integers(0, 2**32 - 1), max_size=4),
+        start=st.integers(0, 2**32 - 3),
+        parent_key=st.lists(st.integers(0, 40), max_size=1),
     )
-    def test_children_equal_a_fresh_spawn(self, make):
-        got = stream_children(make(), 3)
-        parent = make()
-        if not isinstance(parent, np.random.SeedSequence):
-            parent = np.random.SeedSequence(parent)
-        want = parent.spawn(3)
-        for child, reference in zip(got, want, strict=True):
-            assert child.generate_state(4).tolist() == reference.generate_state(4).tolist()
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_draws_equal_seed_sequence_children(self, seed, path, start, parent_key):
+        # child indices from ``start`` on; a one-word parent key gives the
+        # two-word spawn keys of the oracle's grandchildren. From a path of
+        # three on, the run entropy fills the pool and no padding applies.
+        tails = [(*path, rep) for rep in range(2) for _ in range(3)]
+        keys = [(*parent_key, start + j) for _ in range(2) for j in range(3)]
+        rng = np.random.default_rng(0)
+        for tail, key, state in zip(tails, keys, seed_tree(seed, tails, keys), strict=True):
+            child = _child([seed, *tail], key)
+            assert state == np.random.PCG64(child).state
+            assert reseeded(rng, state).random(8).tolist() == (
+                np.random.default_rng(child).random(8).tolist()
+            )
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [42, [20260815, 3, 1], [2**64 + 3, 0], []],
+        ids=["int", "int-list", "wide-int-list", "empty"],
+    )
+    def test_children_equal_a_fresh_spawn(self, entropy):
+        got = seed_tree(entropy, [()] * 5, [(j,) for j in range(5)])
+        want = np.random.SeedSequence(entropy).spawn(5)
+        assert got == [np.random.PCG64(child).state for child in want]
+
+    def test_replication_states_follow_the_row_layout(self):
+        rows, keys = [(4, 1), (4, 1), (0, 2)], [(0, 3), (1, 3), (2, 0)]
+        for rep, states in enumerate(replication_states(2**40 + 9, rows, keys, 3)):
+            for row, key, state in zip(rows, keys, states, strict=True):
+                child = _child([2**40 + 9, *row, rep], key)
+                assert state == np.random.PCG64(child).state
+        assert rep == 2
+
+    def test_a_buffered_half_word_does_not_leak_into_the_next_stream(self):
+        first, second = seed_tree(7, [(0,), (1,)], [(0,), (0,)])
+        rng = reseeded(np.random.default_rng(0), first)
+        rng.integers(5000)  # a 32-bit draw leaves the other half buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        fresh = np.random.default_rng(_child([7, 1], (0,)))
+        assert reseeded(rng, second).bit_generator.state == fresh.bit_generator.state
+        assert rng.integers(5000, size=9).tolist() == fresh.integers(5000, size=9).tolist()
+
+    @pytest.mark.parametrize(
+        "entropy, tails, keys",
+        [
+            (-1, [()], [(0,)]),
+            ([3, -2], [()], [(0,)]),
+            (3, [(2**32,)], [(0,)]),
+            (3, [(0,)], [(-1,)]),
+            (3, [(0,), (1,)], [(0,)]),
+            (3, [(0,), (1, 2)], [(0,), (0,)]),
+        ],
+        ids=["negative", "negative-word", "wide-tail", "negative-key", "row-count", "ragged"],
+    )
+    def test_bad_keys_rejected(self, entropy, tails, keys):
+        with pytest.raises(ValueError):
+            seed_tree(entropy, tails, keys)
+
+    def test_no_rows(self):
+        assert seed_tree(5, [], []) == []
+        assert list(replication_states(5, [()], [(0,)], 0)) == []
+
+
+class TestStreamChildren:
+    """Spawn keys from a later child index on give the children that a fresh
+    ``spawn`` gives from that index on."""
 
     @pytest.mark.parametrize(
         "make",
@@ -469,17 +536,10 @@ class TestStreamChildren:
         ids=["int-list", "spawned-seed-sequence"],
     )
     def test_start_gives_the_later_children_of_a_fresh_spawn(self, make):
-        got = stream_children(make(), 2, start=3)
         parent = make()
         if not isinstance(parent, np.random.SeedSequence):
             parent = np.random.SeedSequence(parent)
+        keys = [(*parent.spawn_key, j) for j in (3, 4)]
+        got = seed_tree(parent.entropy, [()] * 2, keys)
         want = parent.spawn(5)[3:]
-        for child, reference in zip(got, want, strict=True):
-            assert child.generate_state(4).tolist() == reference.generate_state(4).tolist()
-
-    def test_same_parent_object_gives_same_children(self):
-        parent = np.random.SeedSequence(11)
-        first = [c.generate_state(4).tolist() for c in stream_children(parent, 2)]
-        second = [c.generate_state(4).tolist() for c in stream_children(parent, 2)]
-        assert first == second
-        assert parent.n_children_spawned == 0
+        assert got == [np.random.PCG64(child).state for child in want]

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halting_cascade import cli, oracle
+from halting_cascade import cascade, cli, oracle
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -309,6 +310,36 @@ class TestOracleAnalytic:
         assert len(out.splitlines()) == 4
         assert calls == {"p_lambda": 4, "truncation_bounds": 4}
 
+    def test_log_factorial_table_is_built_once_per_population(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every row's series reads lgamma(i + 1), i = 0..population, from one
+        # cached table, so a rerun in the same process builds none of it; the
+        # config is test_analytic_output_pinned's, 12 rows at population 3000
+        config = {"population": 3000, "reach_fraction": 0.4, "skill_rate": 3.0,
+                  "vacancy_sizes": [0, 1, 4, 8], "p_r": [0.0, 0.2, 1.0]}
+        calls = 0
+        lgamma = math.lgamma
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        oracle._log_factorials.cache_clear()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        counts = []
+        for _ in range(2):
+            before = calls
+            code, out, _ = _run(capsys, ["oracle-analytic", "--config", str(path)])
+            assert code == EXIT_OK
+            assert len(out.splitlines()) == 1 + 12
+            counts.append(calls - before)
+        cold, warm = counts
+        assert cold - warm == config["population"] + 1
+
     def test_mass_threshold_one_ends_where_the_cdf_levels_off(self, tmp_path):
         # poisson_cdf(k, 5.0) stays at 0.9999999999999996 from k = 60 on, so a
         # threshold of 1.0 is never met; the catalog search has to end anyway
@@ -464,13 +495,27 @@ def _sweep(tmp_path, capsys, command: str, config: dict | None, seed: int = 5) -
     return _rows(out)
 
 
+def _start(value):
+    """A generator's (state, inc) when it is passed; any other value as it is.
+
+    The sweeps reseed one generator for every stream they read, so only a
+    snapshot taken at call time names the stream a call read.
+    """
+    if isinstance(value, np.random.Generator):
+        state = value.bit_generator.state["state"]
+        return state["state"], state["inc"]
+    return value
+
+
 def _record(monkeypatch, name: str, calls: list) -> None:
-    """Wrap ``cli.<name>`` so that each call appends (args, result) to ``calls``."""
+    """Wrap ``cli.<name>`` so that each call appends (args, result) to
+    ``calls``, with each generator argument snapshot by ``_start``."""
     original = getattr(cli, name)
 
     def wrapper(*args, **kwargs):
+        started = tuple(map(_start, args))
         result = original(*args, **kwargs)
-        calls.append((args, result))
+        calls.append((started, result))
         return result
 
     monkeypatch.setattr(cli, name, wrapper)
@@ -502,10 +547,10 @@ class TestCommonRandomNetworks:
         assert len(built) == groups * reps
         assert len(cascades) == groups * cells * reps
         by_network: dict[int, list] = {id(net): [] for _, net in built}
-        for (network, _, seeds, run_ss), _ in cascades:
-            by_network[id(network)].append((seeds, tuple(run_ss.entropy)))
+        for (network, _, seeds, run_start), _ in cascades:
+            by_network[id(network)].append((seeds, run_start))
         for runs in by_network.values():
-            # one seed node, and one cascade per cell (a cell's key names it)
+            # one seed node, and one cascade per cell (a cell's stream names it)
             assert len({seeds for seeds, _ in runs}) == 1
             assert len({key for _, key in runs}) == len(runs) == cells
 
@@ -526,15 +571,17 @@ class TestCommonRandomNetworks:
         self, tmp_path, capsys, monkeypatch, command, config, groups, cells
     ):
         """Per replication, the leader's shared children (network, seed node)
-        and one cascade child per cell; none of a follower's shared ones."""
+        and one cascade child per cell; none of a follower's shared ones.
+        Counts the rows the seed tree computes."""
         built = []
+        tree = cascade._tree
 
-        class Counting(np.random.SeedSequence):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def counting(assembled):
+            states = tree(assembled)
+            built.extend(states)
+            return states
 
-        monkeypatch.setattr(np.random, "SeedSequence", Counting)
+        monkeypatch.setattr(cascade, "_tree", counting)
         _sweep(tmp_path, capsys, command, config)
         assert len(built) == groups * config["reps"] * (2 + cells)
 
@@ -576,20 +623,29 @@ class TestCommonRandomNetworks:
         ``[seed, 0, 1]`` and ``[seed, 0, 1, 0]`` give equal children; a
         stream rule that keyed shared draws by a shorter path would collide.
         """
-        seeded, cascades = [], []
-        default_rng = np.random.default_rng
+        seeded, handed, cascades = [], [], []
+        default_rng, reseeded = np.random.default_rng, cli.reseeded
 
         def recording(seed=None):
-            if isinstance(seed, np.random.SeedSequence):
-                seeded.append(seed)
+            # the generator is reused, so record the stream it holds now
+            if isinstance(seed, np.random.Generator):
+                seeded.append(_start(seed))
             return default_rng(seed)
 
+        def handing(rng, state):
+            handed.append(_start(reseeded(rng, state)))
+            return rng
+
         monkeypatch.setattr(np.random, "default_rng", recording)
+        monkeypatch.setattr(cli, "reseeded", handing)
         _record(monkeypatch, "run_cascade", cascades)
         _sweep(tmp_path, capsys, command, config)
-        unique = {id(ss): ss for ss in seeded}.values()
-        states = {tuple(ss.generate_state(4)) for ss in unique}
-        assert len(states) == len(unique)
+        unique = set(seeded)
+        assert len(unique) == len(seeded)
+        # every stream read comes from the tree, and the seed-node draws,
+        # which read their generator without default_rng, are distinct too
+        assert unique <= set(handed)
+        assert len(set(handed)) == len(handed)
         # every cascade stream plus at least the seed-node streams were seen
         assert len(unique) > len(cascades) > 0
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from halting_cascade import oracle
 from halting_cascade.oracle import (
     OracleSpec,
     TruncationBounds,
@@ -426,6 +427,54 @@ class TestSimulatedOracle:
         assert simulate_oracle(world, 0.5, 0.3, seed=ss) == simulate_oracle(
             world, 0.5, 0.3, seed=7
         )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: 42,
+            lambda: [20260815, 3, 1],
+            lambda: np.random.SeedSequence(7),
+            lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0)),
+        ],
+        ids=["int", "int-list", "seed-sequence", "spawned-seed-sequence"],
+    )
+    def test_star_and_cascade_read_children_zero_and_one(self, monkeypatch, make):
+        seen = []
+
+        def snapshot(name, rng):
+            state = rng.bit_generator.state
+            seen.append((name, state))
+
+        def star(n, reach, rng, _original=oracle.generate_star):
+            snapshot("star", rng)
+            return _original(n, reach, rng)
+
+        def cascade(*args, rng_seed, _original=oracle.run_cascade, **kwargs):
+            snapshot("cascade", rng_seed)
+            return _original(*args, rng_seed=rng_seed, **kwargs)
+
+        monkeypatch.setattr(oracle, "generate_star", star)
+        monkeypatch.setattr(oracle, "run_cascade", cascade)
+        world = sample_skill_world(60, 3.0, 2, seed=0)
+        simulate_oracle(world, 0.5, 0.5, seed=make())
+        parent = make()
+        if not isinstance(parent, np.random.SeedSequence):
+            parent = np.random.SeedSequence(parent)
+        want = [np.random.PCG64(child).state for child in parent.spawn(2)]
+        assert seen == [("star", want[0]), ("cascade", want[1])]
+
+    def test_seed_sequence_pool_size_must_be_the_default(self):
+        world = sample_skill_world(60, 3.0, 2, seed=0)
+        with pytest.raises(ValueError, match="pool size"):
+            simulate_oracle(world, 0.5, 0.5, seed=np.random.SeedSequence(1, pool_size=8))
+
+    def test_two_generators_are_read_as_given(self):
+        world = sample_skill_world(200, 3.0, 2, seed=0)
+        star_ss, run_ss = np.random.SeedSequence(42).spawn(2)
+        given_rngs = simulate_oracle(
+            world, 0.5, 0.5, np.random.default_rng(star_ss), np.random.default_rng(run_ss)
+        )
+        assert given_rngs == simulate_oracle(world, 0.5, 0.5, seed=42)
 
     def test_same_seed_object_gives_same_trial(self):
         # the seed is read, not spawned from, so passing one SeedSequence
