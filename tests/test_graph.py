@@ -104,6 +104,15 @@ def _reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
     return network, short
 
 
+def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in one state; ``buffered`` leaves a high half-word waiting in both."""
+    twins = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        for rng in twins:
+            rng.integers(0, 10)
+    return twins
+
+
 def _reference_er(n: int, mean_degree: float, seed) -> Network:
     """``generate_er`` as it was before its in-place walk and per-row search:
     the draws and the pair order it fixes, which the library must keep."""
@@ -291,6 +300,19 @@ class TestNetwork:
         with pytest.raises(ValueError, match="duplicate"):
             Network(n, edges[:at] + [repeat] + edges[at:], directed=directed)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [65536, 65537])  # the largest n with 32-bit keys, the next
+    def test_keys_on_either_side_of_32_bits(self, n, directed):
+        last = n - 1
+        edges = [(last, 0), (1, last), (last - 1, last), (2, 3)]
+        net = Network(n, edges, directed=directed)
+        ptr, idx = _reference_csr(n, _reference_arcs(edges, directed))
+        assert net._out_ptr.tolist() == ptr
+        assert net._out_idx.tolist() == idx
+        assert net._out_ptr.dtype == net._out_idx.dtype == np.int64
+        with pytest.raises(ValueError, match="duplicate"):
+            Network(n, edges + [(last - 1, last) if directed else (last, 1)], directed=directed)
+
     def test_out_arcs_gathers_sorted_pairs(self):
         net = Network(4, [(0, 1), (0, 3), (2, 1)], directed=True)
         assert net.out_arcs(np.array([0, 2])).tolist() == [1, 3, 1]
@@ -397,16 +419,30 @@ class TestGenerateBa:
         assert generate_ba(60, 4, 3, seed=9) == generate_ba(60, 4, 3, seed=9)
 
     @settings(max_examples=200, deadline=None)
-    @given(params=_ba_params(), seed=st.integers(0, 2**32 - 1))
-    @example(params=(30, 1, 1), seed=0)  # empty core
-    @example(params=(30, 2, 2), seed=0)  # one-edge core, k = n0
-    @example(params=(60, 20, 20), seed=0)  # short first pools
-    def test_equals_reference(self, params, seed):
-        got = generate_ba(*params, seed)
-        want, _ = _reference_ba(*params, seed)
+    @given(params=_ba_params(), seed=st.integers(0, 2**32 - 1), buffered=st.booleans())
+    @example(params=(30, 1, 1), seed=0, buffered=False)  # empty core
+    @example(params=(2, 1, 1), seed=0, buffered=True)  # no draw: the buffered half stays
+    @example(params=(30, 2, 2), seed=0, buffered=False)  # one-edge core, k = n0
+    @example(params=(60, 20, 20), seed=0, buffered=True)  # short first pools
+    @example(params=(400, 3, 3), seed=0, buffered=False)  # several 64-node chunks
+    @example(params=(300, 12, 12), seed=0, buffered=True)
+    def test_equals_reference(self, params, seed, buffered):
+        """The same graph, and the generator left where ``rng.integers`` leaves it."""
+        ours, theirs = _twins(seed, buffered)
+        got = generate_ba(*params, ours)
+        want, _ = _reference_ba(*params, theirs)
         assert got == want
         assert got._out_ptr.dtype == want._out_ptr.dtype
         assert got._out_idx.dtype == want._out_idx.dtype
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    def test_pcg64dxsm_drawn_alike_and_other_bit_generators_rejected(self):
+        ours, theirs = (np.random.Generator(np.random.PCG64DXSM(4)) for _ in range(2))
+        assert generate_ba(300, 5, 5, ours) == _reference_ba(300, 5, 5, theirs)[0]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        with pytest.raises(ValueError, match="PCG64"):
+            generate_ba(30, 3, 3, np.random.Generator(np.random.MT19937(4)))
 
     @pytest.mark.parametrize(
         "n, n0, k, least", [(60, 20, 20, 1), (2000, 50, 50, 1), (30, 1, 1, 0), (40, 4, 4, 0)]
@@ -428,6 +464,36 @@ class TestGenerateBa:
             assert generate_ba(n, n0, k, seed) == want
             assert short >= least
             assert len(calls) == short + (n0 == 1)
+
+
+class TestHalves:
+    """``graph._Halves.bounded`` against the ``rng.integers`` draws it stands for."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        # about half the halves are rejected at 2**31 + 1 and 3 * 2**30 + 1
+        "size", [1, 2, 3, 200_000, 2**31 + 1, 3 * 2**30 + 1, 2**32]
+    )
+    def test_bounded_equals_integers(self, size, buffered):
+        ours, theirs = _twins(11, buffered)
+        counts = (1, 6000, 3, 104)  # 6000 draws at half rejected cross a block
+        halves = graph._Halves(ours.bit_generator)
+        got = [halves.bounded(size, count).tolist() for count in counts]
+        halves.close()
+        assert got == [theirs.integers(0, size, count).tolist() for count in counts]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("read", [0, 1, 2, 8191, 8192, 8193])
+    def test_close_after_reading_some_halves(self, read, buffered):
+        ours, theirs = _twins(3, buffered)
+        halves = graph._Halves(ours.bit_generator)
+        got = halves.ahead(read).tolist()
+        halves.pos += read
+        halves.close()
+        assert got == theirs.integers(0, 2**32, read, dtype=np.uint64).tolist()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestGenerateStar:
