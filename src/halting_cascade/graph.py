@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import re
 import warnings
 from collections import Counter
@@ -131,12 +132,53 @@ class Network:
 # -- generators -------------------------------------------------------------
 
 
+# numpy's geometric draw inverts an exponential below this p and searches at
+# or above it; the same double as numpy's 0.333333333333333333333333
+_INVERSION_BELOW = 1 / 3
+# the largest double below 2**63: every double up to it converts to int64 exactly
+_JUMP_CEILING = float(2**63 - 1024)
+
+
+def _jumps(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
+    """``rng.geometric(p, size)`` clamped to ``cap``, any jump <= 0 read as ``cap``.
+
+    Below ``_INVERSION_BELOW`` the values come from numpy's own inversion
+    recipe, ``ceil(-E / log1p(-p))`` on a block of standard exponentials E,
+    run as array passes; at or above it from ``rng.geometric`` itself. Values
+    and the generator's position are those of ``rng.geometric`` for every
+    ``cap`` below ``_JUMP_CEILING``; an E of 0 gives a jump of 0, hence ``cap``.
+    """
+    if p < _INVERSION_BELOW:
+        jumps = rng.standard_exponential(size)
+        # a subnormal p overflows the quotient to inf, which the ceiling clamps
+        with np.errstate(over="ignore"):
+            jumps /= -math.log1p(-p)
+        np.ceil(jumps, out=jumps)
+        np.minimum(jumps, _JUMP_CEILING, out=jumps)
+        jumps = jumps.astype(np.int64)
+    else:
+        jumps = rng.geometric(p, size=size)
+    np.minimum(jumps, cap, out=jumps)
+    jumps[jumps <= 0] = cap
+    return jumps
+
+
 def generate_er(n: int, mean_degree: float, seed) -> Network:
     """Erdos-Renyi G(n, p) with p chosen to hit the requested mean degree.
 
     Every unordered pair is an edge independently with p = mean_degree/(n-1).
-    Sampling walks the pair index space with geometric jumps, so the cost is
-    proportional to the number of edges drawn.
+    Sampling walks the pair index space with geometric jumps (Batagelj &
+    Brandes, PRE 71, 036113, 2005), so the cost is proportional to the number
+    of edges drawn.
+
+    The jumps are ``rng.geometric(p)``'s, drawn a block at a time. Below
+    p = 1/3 they are computed by numpy's own inversion recipe,
+    ``ceil(-E / log1p(-p))`` over a block of ``rng.standard_exponential``
+    draws; at or above it ``rng.geometric`` is called itself (see
+    ``_jumps``). So the graphs and the generator's position are coupled to
+    numpy's ``Generator.geometric``, which NEP 19 does not promise to keep;
+    a numpy that changed its algorithm would fail the reference test rather
+    than move graphs silently.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -153,12 +195,10 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
         pos = -1
         while True:
             block = int((total_pairs - pos) * p * 1.1) + 16
-            steps = rng.geometric(p, size=block)
-            # tiny p can overflow the int64 geometric draw; any jump past the
-            # pair range exits the walk regardless of magnitude, so clamping
-            # keeps the distribution exact and the cumsum overflow-free
-            np.minimum(steps, total_pairs + 1, out=steps)
-            steps[steps <= 0] = total_pairs + 1
+            # tiny p can overflow the geometric draw; any jump past the pair
+            # range exits the walk regardless of magnitude, so clamping keeps
+            # the distribution exact and the cumsum overflow-free
+            steps = _jumps(rng, p, block, total_pairs + 1)
             np.cumsum(steps, out=steps)
             steps += pos
             # jumps are positive, so the steps ascend and the walk leaves the
@@ -168,7 +208,7 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
             if cut < len(steps):
                 break
             pos = int(steps[-1])
-        selected = np.concatenate(parts)
+        selected = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # pair index t -> (i, j) with i < j, row-major over the upper triangle;
     # selected ascends, so row i's pairs are one run found by n searches

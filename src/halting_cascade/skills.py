@@ -20,7 +20,7 @@ class SkillWorld:
     """Agent skills as a read-only ``(n, universe_size)`` boolean matrix.
 
     ``held[i, s]`` is true when agent ``i`` holds skill ``s``; coverage and
-    equality are read from it.
+    equality are read from it. Coverage is computed once, on construction.
     """
 
     universe_size: int
@@ -34,14 +34,17 @@ class SkillWorld:
         _check_skill_ids(self.vacancy, self.universe_size)
         held.flags.writeable = False
         object.__setattr__(self, "held", held)
+        coverage = held[:, sorted(self.vacancy)].sum(axis=1)
+        coverage.flags.writeable = False
+        object.__setattr__(self, "_coverage", coverage)
 
     @property
     def n(self) -> int:
         return self.held.shape[0]
 
     def coverage(self) -> np.ndarray:
-        """How many of the vacancy's required skills each agent holds."""
-        return self.held[:, sorted(self.vacancy)].sum(axis=1)
+        """How many of the vacancy's required skills each agent holds (read-only)."""
+        return self._coverage
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SkillWorld):
@@ -70,6 +73,12 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
     Draw order: the n Poisson counts first, then one ``(n, catalog)`` block
     of uniforms whose row-wise argsort gives every agent's permutation, and
     the vacancy (distinct uniform picks) last.
+
+    An agent holds the skills whose uniforms are at most its row's
+    ``count``-th smallest one, the cut (none when its count is 0), read off
+    one row-wise sort. That is the argsort layout unless a row's cut value
+    repeats at the next rank; a world with such a row is laid out by the
+    argsort itself (``_argsort_layout``).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -80,15 +89,41 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
     rng = np.random.default_rng(seed)
     counts = rng.poisson(skill_rate, size=n)
     universe = int(max(counts.max(), vacancy_size))
-    order = np.argsort(rng.random((n, universe)), axis=1)
-    held = np.empty((n, universe), dtype=bool)
-    held[np.arange(n)[:, None], order] = np.arange(universe) < counts[:, None]
+    u = rng.random((n, universe))
+    held = _cut_layout(u, counts)
+    if held is None:
+        held = _argsort_layout(u, counts)
     vacancy = (
         frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
         if vacancy_size
         else frozenset()
     )
     return SkillWorld(universe, vacancy, held)
+
+
+def _cut_layout(u: np.ndarray, counts: np.ndarray) -> np.ndarray | None:
+    """Each row's ``count`` smallest uniforms, or None if a cut value repeats."""
+    n, universe = u.shape
+    if universe == 0:
+        return np.zeros((n, 0), dtype=bool)
+    ranked = np.sort(u, axis=1)
+    rows = np.arange(n)
+    cut = ranked[rows, np.maximum(counts - 1, 0)]
+    above = ranked[rows, np.minimum(counts, universe - 1)]
+    if np.any((cut == above) & (counts > 0) & (counts < universe)):
+        return None
+    # uniforms lie in [0, 1), so a cut of -1 holds nothing
+    cut[counts == 0] = -1.0
+    return u <= cut[:, None]
+
+
+def _argsort_layout(u: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The first ``count`` entries of each row's argsort, as a boolean matrix."""
+    n, universe = u.shape
+    order = np.argsort(u, axis=1)
+    held = np.empty((n, universe), dtype=bool)
+    held[np.arange(n)[:, None], order] = np.arange(universe) < counts[:, None]
+    return held
 
 
 def bind_params(world: SkillWorld, p_r) -> IHCParams:

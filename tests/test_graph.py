@@ -113,6 +113,17 @@ def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generat
     return twins
 
 
+# the largest p that numpy's geometric draw inverts
+_BELOW_THIRD = float(np.nextafter(1 / 3, 0))
+
+
+class _ZeroExponentials(np.random.Generator):
+    """A generator whose standard exponentials are all exactly 0."""
+
+    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
+        return np.zeros(size)
+
+
 def _reference_er(n: int, mean_degree: float, seed) -> Network:
     """``generate_er`` as it was before its in-place walk and per-row search:
     the draws and the pair order it fixes, which the library must keep."""
@@ -378,9 +389,62 @@ class TestGenerateEr:
     @example(n=2, fraction=5e-324, seed=0)  # the geometric draw overflows
     @example(n=300, fraction=1.0, seed=0)  # complete graph
     @example(n=2000, fraction=50 / 1999, seed=1)
+    # n - 1 of 3 and 256 keep p == fraction exactly
+    @example(n=4, fraction=1 / 3, seed=0)  # p == 1/3: numpy's search branch
+    @example(n=257, fraction=_BELOW_THIRD, seed=0)  # the last p numpy inverts
+    @example(n=40, fraction=0.1, seed=244)  # the walk needs a second block
     def test_equals_reference(self, n, fraction, seed):
+        """The same graph, and the generator left where the reference leaves it."""
         degree = fraction * (n - 1)
-        _assert_same(generate_er(n, degree, seed), _reference_er(n, degree, seed))
+        ours, theirs = _twins(seed, buffered=False)
+        _assert_same(generate_er(n, degree, ours), _reference_er(n, degree, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    def test_walk_continues_into_a_second_block(self, monkeypatch):
+        sizes = []
+        jumps = graph._jumps
+
+        def counting(rng, p, size, cap):
+            sizes.append(size)
+            return jumps(rng, p, size, cap)
+
+        monkeypatch.setattr(graph, "_jumps", counting)
+        net = generate_er(40, 0.1 * 39, 244)
+        assert len(sizes) == 2
+        _assert_same(net, _reference_er(40, 0.1 * 39, 244))
+
+    def test_zero_exponential_jumps_leave_the_pair_range(self):
+        # E == 0 gives a jump of ceil(0) == 0, read as one past the last pair
+        rng = _ZeroExponentials(np.random.PCG64(3))
+        assert np.random.default_rng(rng) is rng
+        assert graph._jumps(rng, 0.1, 5, 46).tolist() == [46] * 5
+        assert generate_er(10, 0.9, rng).edge_count == 0
+
+
+class TestJumps:
+    """``graph._jumps`` against ``rng.geometric`` clamped the way the walk clamps."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [5e-324, 1e-300, 1e-6, 20 / 1999, 50 / 1999, 0.2, 0.3, _BELOW_THIRD, 1 / 3, 0.5, 1.0],
+    )
+    @pytest.mark.parametrize("cap", [1, 47, 10**6, 2**62, 2**63 - 1025])
+    def test_equals_clamped_geometric(self, p, cap):
+        ours, theirs = _twins(9, buffered=False)
+        got = graph._jumps(ours, p, 3000, cap)
+        want = np.minimum(theirs.geometric(p, size=3000), cap)
+        want[want <= 0] = cap
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
+
+    def test_subnormal_p_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jumps = graph._jumps(np.random.default_rng(0), 5e-324, 100, 2**62)
+        assert (jumps == 2**62).all()
 
 
 class TestGenerateBa:

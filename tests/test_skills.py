@@ -6,10 +6,11 @@ from collections.abc import Set
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from halting_cascade import skills
 from halting_cascade.skills import (
     SkillWorld,
     bind_params,
@@ -33,6 +34,30 @@ def application_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
     if not vacancy:
         return 1.0
     return len(agent_skills & vacancy) / len(vacancy)
+
+
+def _reference_world(n: int, skill_rate: float, vacancy_size: int, seed) -> SkillWorld:
+    """``sample_skill_world`` as it was before its row-sort cut: the argsort
+    layout and the draws it fixes, which the library must keep."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(skill_rate, size=n)
+    universe = int(max(counts.max(), vacancy_size))
+    order = np.argsort(rng.random((n, universe)), axis=1)
+    held = np.empty((n, universe), dtype=bool)
+    held[np.arange(n)[:, None], order] = np.arange(universe) < counts[:, None]
+    vacancy = (
+        frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
+        if vacancy_size
+        else frozenset()
+    )
+    return SkillWorld(universe, vacancy, held)
+
+
+class _QuarterUniforms(np.random.Generator):
+    """A generator whose uniforms are rounded down to quarters, so they tie."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.floor(super().random(size) * 4) / 4
 
 
 def _poisson_tail(rate: float, at_least: int) -> float:
@@ -99,6 +124,49 @@ class TestSampling:
             sample_skill_world(5, -1.0, 4, seed=0)
         with pytest.raises(ValueError, match="vacancy_size"):
             sample_skill_world(5, 3.0, -1, seed=0)
+
+
+class TestAgainstArgsortLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        skill_rate=st.floats(0, 7.5, allow_nan=False),
+        vacancy_size=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, skill_rate=0.0, vacancy_size=0, seed=0)  # an empty catalog
+    @example(n=5, skill_rate=0.0, vacancy_size=3, seed=0)  # every count is 0
+    @example(n=40, skill_rate=7.5, vacancy_size=2, seed=1)
+    @example(n=2000, skill_rate=3.0, vacancy_size=8, seed=20260815)
+    def test_equals_reference(self, n, skill_rate, vacancy_size, seed):
+        """The same world, and the generator left where the reference leaves it."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_skill_world(n, skill_rate, vacancy_size, ours)
+        want = _reference_world(n, skill_rate, vacancy_size, theirs)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_tied_cut_takes_the_argsort_path(self, monkeypatch):
+        fallbacks = []
+        layout = skills._argsort_layout
+
+        def counting(u, counts):
+            fallbacks.append(u.shape)
+            return layout(u, counts)
+
+        monkeypatch.setattr(skills, "_argsort_layout", counting)
+        for seed in range(5):
+            ours = _QuarterUniforms(np.random.PCG64(seed))
+            theirs = _QuarterUniforms(np.random.PCG64(seed))
+            assert sample_skill_world(300, 3.0, 4, ours) == _reference_world(300, 3.0, 4, theirs)
+        assert len(fallbacks) == 5
+
+    def test_untied_worlds_take_the_cut_path(self, monkeypatch):
+        fallbacks = []
+        monkeypatch.setattr(skills, "_argsort_layout", lambda u, c: fallbacks.append(u.shape))
+        for seed in range(5):
+            sample_skill_world(2000, 3.0, 4, seed)
+        assert fallbacks == []
 
 
 class TestProbabilities:
@@ -187,6 +255,14 @@ class TestArrayStorage:
         world = sample_skill_world(200, 4.0, 3, seed=8)
         expected = [len(skills & world.vacancy) for skills in agent_skills(world)]
         assert world.coverage().tolist() == expected
+
+    def test_coverage_is_a_read_only_column_sum(self):
+        world = sample_skill_world(200, 4.0, 3, seed=8)
+        coverage = world.coverage()
+        assert coverage is world.coverage()
+        assert np.array_equal(coverage, world.held[:, sorted(world.vacancy)].sum(axis=1))
+        with pytest.raises(ValueError):
+            coverage[0] += 1
 
     def test_rejects_skill_ids_outside_catalog(self):
         with pytest.raises(ValueError, match="skill ids"):
