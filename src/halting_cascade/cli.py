@@ -664,9 +664,7 @@ _COMMANDS: dict[str, Callable[[dict], tuple[list[str], list[dict]]]] = {
 # -- entry point ---------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="halting-cascade",
         description="Parameter-sweep experiments for the halting-cascade model.",

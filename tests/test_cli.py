@@ -521,43 +521,6 @@ def _record(monkeypatch, name: str, calls: list) -> None:
     monkeypatch.setattr(cli, name, wrapper)
 
 
-class TestParser:
-    """``main`` builds its parser once per process; parsing leaves no trace in it."""
-
-    def test_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
-    def test_help_equals_a_fresh_parser(self, capsys, command):
-        argv = ["--help"] if command is None else [command, "--help"]
-        with pytest.raises(SystemExit):
-            main(argv)
-        got = capsys.readouterr().out
-        with pytest.raises(SystemExit):
-            cli.build_parser.__wrapped__().parse_args(argv)
-        assert got == capsys.readouterr().out
-        assert got.startswith("usage: halting-cascade")
-
-    def test_no_flag_leaks_between_calls(self, tmp_path, capsys):
-        ivo = tmp_path / "ivo.json"
-        ivo.write_text(json.dumps(_IHC_VS_ORACLE), encoding="utf-8")
-        heatmap = tmp_path / "heatmap.json"
-        heatmap.write_text(json.dumps(_HEATMAP_2X2), encoding="utf-8")
-        calls = [
-            ["ihc-vs-oracle", "--config", str(ivo), "--seed", "8", "--reps", "2"],
-            ["heatmap", "--config", str(heatmap), "--seed", "8", "--format", "jsonl"],
-            ["ihc-vs-oracle", "--config", str(ivo), "--seed", "8"],
-        ]
-        alone = []
-        for argv in calls:
-            cli.build_parser.cache_clear()
-            alone.append(_run(capsys, argv))
-        in_turn = [_run(capsys, argv) for argv in calls]
-        assert in_turn == alone
-        assert {r["n_runs"] for r in _rows(in_turn[0][1])} == {"2"}
-        assert {r["n_runs"] for r in _rows(in_turn[2][1])} == {"3"}
-
-
 class TestCommonRandomNetworks:
     """Cells that differ only in cascade parameters share each replication's draws."""
 
