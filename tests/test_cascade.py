@@ -35,12 +35,13 @@ def _directed_path(n: int) -> Network:
 # -- reference engines --------------------------------------------------------
 #
 # Both follow the randomness contract of ``halting_cascade.cascade`` in the
-# plainest form: O(n) tables per run and per step, hash-based unique and a
-# set difference for the next frontier. ``_reference_cascade`` is the engine
-# as first written; the library's engine must return ``==`` results, trace
-# included. ``ic_reference`` is a plain independent cascade that consumes one
-# placeholder draw per newly activated node, so its reached set equals the
-# engine's with application probability zero under a shared seed.
+# plainest form: O(n) tables per run and per step, arcs gathered one source
+# at a time, hash-based unique and a set difference for the next frontier.
+# ``_reference_cascade`` is the engine as first written; the library's engine
+# must return ``==`` results, trace included. ``ic_reference`` is a plain
+# independent cascade that consumes one placeholder draw per newly activated
+# node, so its reached set equals the engine's with application probability
+# zero under a shared seed.
 
 
 def _reference_seeds(seeds, n: int) -> np.ndarray:
@@ -58,6 +59,12 @@ def _reference_per_agent(value, n: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     assert arr.shape == (n,)
     return arr
+
+
+def _reference_out_arcs(network, frontier) -> np.ndarray:
+    """Arc targets of ``frontier`` one source at a time, apart from ``out_arcs``."""
+    parts = [network.out_neighbors(int(s)) for s in frontier]
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 def _reference_counts(state: np.ndarray) -> StateCounts:
@@ -86,7 +93,7 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
     for step in range(1, n + 1):
         steps = step
         passive_before = state == AgentState.PASSIVE
-        dst = network.out_arcs(frontier)
+        dst = _reference_out_arcs(network, frontier)
         dst = dst[passive_before[dst]]
         state[frontier] = AgentState.SPENT
 
@@ -141,7 +148,7 @@ def ic_reference(network, p_r, seeds, rng_seed) -> int:
     frontier = seed_arr
     for _ in range(n):
         inactive_before = ~active
-        dst = network.out_arcs(frontier)
+        dst = _reference_out_arcs(network, frontier)
         dst = dst[inactive_before[dst]]
         newly = np.empty(0, dtype=np.int64)
         if dst.size:
@@ -334,6 +341,61 @@ class TestReferenceEquivalence:
         got = run_cascade(network, params, seeds, rng_seed, record_trace=True)
         want = _reference_cascade(network, params, seeds, rng_seed, record_trace=True)
         assert got == want
+
+
+def _random_digraph(n: int, out_degree: int, seed: int) -> Network:
+    """``n * out_degree`` distinct arcs drawn uniformly, no self-loops."""
+    rng = np.random.default_rng(seed)
+    keys = rng.choice(n * (n - 1), n * out_degree, replace=False)
+    u, v = np.divmod(keys, n - 1)
+    v += v >= u
+    return Network(n, np.column_stack([u, v]), directed=True)
+
+
+class _ArcCounter:
+    """A network that records how many arcs each ``out_arcs`` call returns."""
+
+    def __init__(self, network: Network):
+        self.network, self.n, self.sizes = network, network.n, []
+
+    def out_arcs(self, sources: np.ndarray) -> np.ndarray:
+        arcs = self.network.out_arcs(sources)
+        self.sizes.append(arcs.size)
+        return arcs
+
+
+class TestLargeFrontierEquivalence:
+    """Steps with more than 10,000 candidate arcs, where the engine's
+    per-arc selection works on arrays far larger than in the hypothesis cases."""
+
+    NETWORKS = {
+        "er": lambda: generate_er(4000, 20.0, seed=5),
+        "ba": lambda: generate_ba(3000, 10, 10, seed=6),
+        "directed": lambda: _random_digraph(3000, 16, seed=7),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NETWORKS))
+    def test_engine_equals_reference(self, kind):
+        network = self.NETWORKS[kind]()
+        p_a = np.random.default_rng(1).random(network.n) * 0.04
+        points = {
+            "saturating": IHCParams(0.5, 0.1, 0.0),
+            "halting": IHCParams(0.5, p_a, 0.02),
+        }
+        halted_late = False
+        for point, params in points.items():
+            for run_seed in range(4):
+                counter = _ArcCounter(network)
+                got = run_cascade(counter, params, (run_seed,), run_seed, record_trace=True)
+                want = _reference_cascade(
+                    network, params, (run_seed,), run_seed, record_trace=True
+                )
+                assert got == want
+                large = max(counter.sizes) > 10_000
+                if point == "saturating":
+                    assert large and not got.success
+                halted_late |= large and got.success
+        assert halted_late
 
 
 class TestIcEquivalence:

@@ -330,6 +330,34 @@ class TestNetwork:
         assert net.out_arcs(np.array([2])).tolist() == [1]
         assert net.out_arcs(np.array([1, 3])).size == 0
 
+    @given(
+        kind=st.sampled_from(["er", "ba", "star"]),
+        n=st.integers(min_value=2, max_value=300),
+        shape=st.floats(min_value=0.0, max_value=1.0),
+        keep=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(kind="er", n=4000, shape=0.005, keep=0.5, seed=1)  # ~40,000 arcs gathered
+    @example(kind="ba", n=3000, shape=1.0, keep=0.5, seed=2)
+    @example(kind="star", n=20000, shape=1.0, keep=0.5, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_out_arcs_equals_concatenated_neighbors(self, kind, n, shape, keep, seed):
+        if kind == "er":
+            net = generate_er(n, shape * (n - 1), seed=seed)
+        elif kind == "ba":
+            n0 = min(n - 1, 12)
+            net = generate_ba(n, n0, max(1, round(shape * n0)), seed=seed)
+        else:
+            net = generate_star(n, shape, seed=seed)
+        chosen = np.flatnonzero(np.random.default_rng(seed).random(n) < keep)
+        zero_degree = np.flatnonzero(net.out_degrees == 0)
+        for sources in (chosen, np.arange(0), np.arange(n), zero_degree):
+            got = net.out_arcs(sources)
+            parts = [net.out_neighbors(int(s)) for s in sources]
+            want = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
     def test_single_source_arcs_are_a_read_only_view(self):
         net = generate_er(40, 6, seed=1)
         for u in range(net.n):
