@@ -307,8 +307,8 @@ def _replicate(
     Stream rule: replication ``rep`` of the cell at ``path`` reads the
     children of ``SeedSequence([seed, *path, rep])``, one per stream the
     sweep uses, in the fixed order skill world, network, seed node, cascade,
-    oracle; the oracle's star and cascade read children 0 and 1 of its
-    child. The shared streams are those of the group's first cell (the
+    oracle; the oracle's reached set and its run read children 0 and 1 of
+    its child. The shared streams are those of the group's first cell (the
     leader); every cell reads its own cascade and oracle children. Each
     stream thus comes from a distinct (key, child index) pair, and the
     leader's draws are those of a group that holds it alone.
@@ -347,7 +347,7 @@ def _replicate(
     )
     oracle_streams = itertools.repeat(None)
     if skills is not None:
-        oracle_keys = [(lead + 1, 0), (lead + 1, 1)]  # the oracle child's star and cascade
+        oracle_keys = [(lead + 1, 0), (lead + 1, 1)]  # the oracle child's reached set and run
         oracle_streams = replication_states(
             seed, [path for path in paths for _ in oracle_keys], oracle_keys * len(paths), reps
         )
@@ -479,10 +479,10 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
     """Cascade vs direct-posting comparison on shared skill worlds.
 
     Each replication draws one skill world and feeds it to both systems:
-    the cascade runs on an ER network, the baseline on its reach star. The
-    ``p_r`` cells of one vacancy size are one group: they share each
-    replication's skill world, network and seed node. The closed-form
-    baseline value rides along as a reference column.
+    the cascade runs on an ER network, the baseline posts straight to its
+    reached agents. The ``p_r`` cells of one vacancy size are one group:
+    they share each replication's skill world, network and seed node. The
+    closed-form baseline value rides along as a reference column.
     """
     fields = [
         "system",

@@ -46,6 +46,8 @@ class Network:
     ):
         if n < 0:
             raise ValueError("node count must be non-negative")
+        if n > 2**32:
+            raise ValueError("node count must be at most 2**32, so that arc keys fit 64 bits")
         self.n = n = int(n)
         self.directed = bool(directed)
 
@@ -58,28 +60,33 @@ class Network:
             if (pairs[:, 0] == pairs[:, 1]).any():
                 raise ValueError("self-loops are not allowed")
 
-        # one key u*n + v per arc: sorted keys list the arcs in (source, target)
-        # order, and a repeated arc (or reversed undirected edge) repeats a key
-        u, v = pairs[:, 0], pairs[:, 1]
+        # one key (u << b) | v per arc, b bits per endpoint: sorted keys list the
+        # arcs in (source, target) order, and a repeated arc (or reversed
+        # undirected edge) repeats a key. Keys below 2**32 are shifted in int64
+        # and stored as uint32, which numpy sorts faster; wider ones are shifted
+        # in uint64 (the endpoints are non-negative, so the view keeps them)
+        b = max(1, (n - 1).bit_length())
+        narrow = 2 * b <= 32
+        ends = pairs if narrow else pairs.view(np.uint64)
+        u, v = ends[:, 0], ends[:, 1]
         m = len(pairs)
-        keys = np.empty(m if directed else 2 * m, dtype=np.int64)
-        np.multiply(u, n, out=keys[:m])
-        keys[:m] += v
+        keys = np.empty(m if directed else 2 * m, dtype=np.uint32 if narrow else np.uint64)
+        # shifted straight into the keys: a temporary array per pass costs page
+        # faults when the allocator trims and regrows its heap between builds
+        np.left_shift(u, b, out=keys[:m], casting="unsafe")
+        np.bitwise_or(keys[:m], v, out=keys[:m], casting="unsafe")
         if not directed:
-            np.multiply(v, n, out=keys[m:])
-            keys[m:] += u
-        if n * n <= 2**32:  # every key fits 32 bits, which numpy sorts faster
-            keys = keys.astype(np.uint32)
+            np.left_shift(v, b, out=keys[m:], casting="unsafe")
+            np.bitwise_or(keys[m:], u, out=keys[m:], casting="unsafe")
         keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edges are not allowed")
-        keys = keys.astype(np.int64, copy=False)
 
-        # row u holds the keys in [u*n, (u+1)*n); subtracting u*n leaves the target
-        rows = np.arange(n + 1, dtype=np.int64) * n
-        self._out_ptr = np.searchsorted(keys, rows)
-        keys -= np.repeat(rows[:-1], np.diff(self._out_ptr))
-        self._out_idx = keys
+        # row u holds the keys from u << b on; the low b bits are the target
+        self._out_ptr = np.empty(n + 1, dtype=np.int64)
+        self._out_ptr[:n] = np.searchsorted(keys, np.arange(n, dtype=keys.dtype) << b)
+        self._out_ptr[n] = len(keys)
+        self._out_idx = np.bitwise_and(keys, 2**b - 1, out=np.empty(len(keys), dtype=np.int64))
         self._out_idx.flags.writeable = False  # out_arcs and out_neighbors hand out views
 
     # -- structure ---------------------------------------------------------

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, reseeded, run_cascade, seed_tree
-from .graph import generate_star
+from .cascade import CascadeResult, reseeded, seed_tree
 from .skills import SkillWorld
 
 
@@ -263,21 +262,30 @@ def simulate_oracle(
 ) -> CascadeResult:
     """One stochastic trial of the hub posting, on the same skill world.
 
-    Agent 0 acts as the hub: a directed star links it to round(reach_fraction
-    * (n - 1)) uniformly chosen agents, and the cascade engine runs with
-    application probability one and per-agent hiring given by full skill
-    coverage. The hub seeds the run and never applies, so its own skills are
-    unused. Successful runs always report chain length 2.
+    Agent 0 acts as the hub and posts straight to d = round(reach_fraction *
+    (n - 1)) distinct agents drawn uniformly from 1..n-1. Each reached agent
+    is recommended with probability ``p_r`` and then always applies, and an
+    applicant is hired when it covers every required skill. The hub never
+    applies, so its own skills are unused. The result reads as a one-step
+    cascade seeded at the hub: successful runs report chain length 2.
 
-    The star and the cascade read the streams of children 0 and 1 of
-    ``seed``, an int, a sequence of ints or a ``SeedSequence`` of the
-    default pool size: PCG64 states that the seed tree computes, equal to
-    those children's by test (the tree follows NEP 19's seeding recipes, see
-    ``cascade``). ``seed`` is left unchanged, so one seed gives one trial
-    however often it is passed. With ``run_seed``, the star reads ``seed``
-    and the cascade ``run_seed`` as given: the sweeps hand over the two
-    generators of their own tree pass this way, each valid until the next
-    stream is taken.
+    Draws: the star stream gives the reached set, ``choice(n - 1, d,
+    replace=False) + 1``, sorted. The run stream gives one uniform per
+    reached agent (recommendation, ``< p_r``), then one per recommended
+    agent (application, always accepted) and one per applicant (hire), each
+    block in ascending id and skipped when empty. This is the draw schedule
+    of ``run_cascade`` on the directed star that ``generate_star`` builds,
+    with ``p_a = 1`` and ``p_h`` the full-coverage indicator; the tests
+    hold that construction as the reference this trial equals.
+
+    The two streams are children 0 and 1 of ``seed``, an int, a sequence of
+    ints or a ``SeedSequence`` of the default pool size: PCG64 states that
+    the seed tree computes, equal to those children's by test (the tree
+    follows NEP 19's seeding recipes, see ``cascade``). ``seed`` is left
+    unchanged, so one seed gives one trial however often it is passed. With
+    ``run_seed``, the star reads ``seed`` and the run ``run_seed`` as
+    given: the sweeps hand over the two generators of their own tree pass
+    this way, each valid until the next stream is taken.
     """
     if run_seed is None:
         entropy, key = seed, ()
@@ -287,7 +295,30 @@ def simulate_oracle(
             entropy, key = seed.entropy, seed.spawn_key
         children = seed_tree(entropy, [(), ()], [(*key, 0), (*key, 1)])
         seed, run_seed = (reseeded(np.random.default_rng(0), state) for state in children)
-    star = generate_star(world.n, reach_fraction, seed)
-    p_h = (world.coverage() == len(world.vacancy)).astype(float)
-    params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
-    return run_cascade(star, params, seeds=(0,), rng_seed=run_seed)
+    n = world.n
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 <= reach_fraction <= 1:
+        raise ValueError("reach fraction must lie in [0, 1]")
+    if not 0 <= p_r <= 1:
+        raise ValueError(f"p_r must lie in [0, 1], got {p_r}")
+    reach = round(reach_fraction * (n - 1))
+    recommended = hired = np.empty(0, dtype=np.int64)
+    if reach:
+        leaves = np.random.default_rng(seed).choice(n - 1, size=reach, replace=False)
+        leaves += 1
+        leaves.sort()
+        rng = np.random.default_rng(run_seed)
+        recommended = leaves[rng.random(reach) < p_r]
+        if recommended.size:
+            rng.random(recommended.size)  # application draws: p_a = 1 accepts every one
+            qualified = world.coverage()[recommended] == len(world.vacancy)
+            hired = recommended[rng.random(recommended.size) < qualified]
+    return CascadeResult(
+        success=bool(hired.size),
+        chain_length=2 if recommended.size else 1,
+        applicants=int(recommended.size),
+        halters=frozenset(hired.tolist()),
+        steps=1,
+        seeds=(0,),
+    )

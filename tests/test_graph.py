@@ -324,6 +324,20 @@ class TestNetwork:
         with pytest.raises(ValueError, match="duplicate"):
             Network(n, edges + [(last - 1, last) if directed else (last, 1)], directed=directed)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_node(self, n, directed):
+        net = Network(n, [], directed=directed)
+        ptr, idx = _reference_csr(n, [])
+        assert net._out_ptr.tolist() == ptr
+        assert net._out_idx.tolist() == idx
+        assert net._out_ptr.dtype == net._out_idx.dtype == np.int64
+
+    def test_node_count_past_64_bit_keys_rejected(self):
+        # 2**32 nodes need 32 bits per endpoint; one more node needs 33
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            Network(2**32 + 1, [])
+
     def test_out_arcs_gathers_sorted_pairs(self):
         net = Network(4, [(0, 1), (0, 3), (2, 1)], directed=True)
         assert net.out_arcs(np.array([0, 2])).tolist() == [1, 3, 1]

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from halting_cascade import oracle
+from halting_cascade.cascade import IHCParams, run_cascade
+from halting_cascade.graph import generate_star
 from halting_cascade.oracle import (
     OracleSpec,
     TruncationBounds,
@@ -392,6 +393,19 @@ class TestSuccessProbability:
             OracleSpec(100, 0.5, 0.2, 3.0, -4)
 
 
+def reference_simulate_oracle(world, reach_fraction, p_r, star_rng, run_rng):
+    """Direct posting as first written: a one-hop cascade on a directed star.
+
+    The hub 0 points at the leaves ``generate_star`` draws from ``star_rng``,
+    and ``run_cascade`` runs from it on ``run_rng`` with application
+    probability one and per-agent hiring at full skill coverage.
+    """
+    star = generate_star(world.n, reach_fraction, star_rng)
+    p_h = (world.coverage() == len(world.vacancy)).astype(float)
+    params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
+    return run_cascade(star, params, seeds=(0,), rng_seed=run_rng)
+
+
 class TestSimulatedOracle:
     def test_zero_reach_always_fails(self):
         world = sample_skill_world(50, 3.0, 4, seed=1)
@@ -438,30 +452,45 @@ class TestSimulatedOracle:
         ],
         ids=["int", "int-list", "seed-sequence", "spawned-seed-sequence"],
     )
-    def test_star_and_cascade_read_children_zero_and_one(self, monkeypatch, make):
-        seen = []
-
-        def snapshot(name, rng):
-            state = rng.bit_generator.state
-            seen.append((name, state))
-
-        def star(n, reach, rng, _original=oracle.generate_star):
-            snapshot("star", rng)
-            return _original(n, reach, rng)
-
-        def cascade(*args, rng_seed, _original=oracle.run_cascade, **kwargs):
-            snapshot("cascade", rng_seed)
-            return _original(*args, rng_seed=rng_seed, **kwargs)
-
-        monkeypatch.setattr(oracle, "generate_star", star)
-        monkeypatch.setattr(oracle, "run_cascade", cascade)
+    def test_star_and_cascade_read_children_zero_and_one(self, make):
         world = sample_skill_world(60, 3.0, 2, seed=0)
-        simulate_oracle(world, 0.5, 0.5, seed=make())
         parent = make()
         if not isinstance(parent, np.random.SeedSequence):
             parent = np.random.SeedSequence(parent)
-        want = [np.random.PCG64(child).state for child in parent.spawn(2)]
-        assert seen == [("star", want[0]), ("cascade", want[1])]
+        star_rng, run_rng = (np.random.default_rng(np.random.PCG64(c)) for c in parent.spawn(2))
+        want = reference_simulate_oracle(world, 0.5, 0.5, star_rng, run_rng)
+        assert want.applicants > 0
+        assert simulate_oracle(world, 0.5, 0.5, seed=make()) == want
+
+    @given(
+        n=st.integers(1, 60),
+        skill_rate=st.floats(0.0, 6.0),
+        vacancy_size=st.integers(0, 3),
+        reach=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        p_r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2000, skill_rate=3.0, vacancy_size=2, reach=0.5, p_r=0.3, seed=1)
+    @example(n=1, skill_rate=3.0, vacancy_size=2, reach=1.0, p_r=1.0, seed=1)
+    @example(n=40, skill_rate=3.0, vacancy_size=0, reach=1.0, p_r=0.5, seed=2)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_star_cascade_reference(self, n, skill_rate, vacancy_size, reach, p_r, seed):
+        world = sample_skill_world(n, skill_rate, vacancy_size, seed=seed)
+        got_rngs, want_rngs = (
+            [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
+            for _ in range(2)
+        )
+        got = simulate_oracle(world, reach, p_r, *got_rngs)
+        assert got == reference_simulate_oracle(world, reach, p_r, *want_rngs)
+        assert [g.bit_generator.state for g in got_rngs] == [
+            w.bit_generator.state for w in want_rngs
+        ]
+
+    @pytest.mark.parametrize("reach, p_r", [(-0.1, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 1.5)])
+    def test_rejects_probabilities_outside_unit_interval(self, reach, p_r):
+        world = sample_skill_world(20, 3.0, 2, seed=0)
+        with pytest.raises(ValueError):
+            simulate_oracle(world, reach, p_r, seed=1)
 
     def test_seed_sequence_pool_size_must_be_the_default(self):
         world = sample_skill_world(60, 3.0, 2, seed=0)
