@@ -17,17 +17,14 @@ results this one must equal, and a plain independent cascade, whose reach
 equals the engine's when the application probability is zero.
 
 Streams: every generator a batch or a sweep reads starts from a PCG64 state
-that the seed tree (``seed_tree``) computes, equal by test to that of the
-``SeedSequence`` child the stream stands for. The tree follows the seeding
-recipes NEP 19 holds stable, so a numpy release that changed them would fail
-that equivalence test rather than move outputs silently. Callers reseed one
-generator for each stream, so a generator handed out is valid until the
-next stream is taken.
+that ``replication_states`` reads off a Philox counter block named by the
+master seed, the cell's path, the stream's child index and the replication.
+Only public numpy calls make them. Callers reseed one generator for each
+stream, so a generator handed out is valid until the next stream is taken.
 """
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -217,183 +214,10 @@ def run_cascade(
     )
 
 
-# -- seed tree ----------------------------------------------------------------
-#
-# Every stream of a sweep is the PCG64 generator that
-# ``PCG64(SeedSequence(entropy, spawn_key=key))`` would give. NEP 19 holds
-# both seeding recipes stable, and each is a short integer program, so the
-# tree runs them over a whole batch of keys at once instead of building the
-# objects: the entropy words are hash-mixed into a pool of four uint32 lanes
-# (``SeedSequence.mix_entropy``), the pool yields four 64-bit words
-# (``generate_state(4, uint64)``), and PCG64's ``srandom`` turns those into
-# its (state, inc) pair. This couples the code to numpy's seeding: a release
-# that changed either recipe would fail the equivalence test in
-# ``tests/test_cascade.py`` rather than move outputs silently.
-
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_POOL = 4  # SeedSequence's default pool size, in uint32 words
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # mix_entropy
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _words(entropy) -> list[int]:
-    """Little-endian uint32 words of a non-negative int or a sequence of
-    them, split as ``SeedSequence`` splits its entropy."""
-    words = []
-    for value in [entropy] if isinstance(entropy, (int, np.integer)) else entropy:
-        value = int(value)
-        if value < 0:
-            raise ValueError("seed entropy must be non-negative")
-        words.append(value & _MASK32)
-        while value := value >> 32:
-            words.append(value & _MASK32)
-    return words
-
-
-def _row_words(rows) -> np.ndarray:
-    """Rows of ints below 2**32 as a lane-major (words, rows) uint32 array."""
-    arr = np.asarray(rows, dtype=np.int64)
-    if arr.shape == (0,):  # no rows at all
-        arr = arr.reshape(0, 0)
-    if arr.ndim != 2:
-        raise ValueError("rows must be equal-length sequences of ints")
-    if (arr >> 32).any():  # a negative int keeps its sign bits
-        raise ValueError("row entries must lie in [0, 2**32)")
-    return arr.T.astype(np.uint32)
-
-
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
-
-
-@functools.lru_cache(maxsize=8)
-def _mix_plan(length: int) -> np.ndarray:
-    """Every constant of one pass over ``length`` entropy words, one row of
-    four lane values each, in the order ``_tree`` reads them.
-
-    Rows: the shift and the two ``mix`` multipliers; then (xor, multiplier)
-    pairs of ``mix_entropy``'s hash calls: the first round (word i into lane
-    i), four cross rounds (lane s into every other lane; lane s's own value
-    is a placeholder) and one round per word past the pool (one word into
-    every lane); then the two passes of ``generate_state`` over the pool.
-    The hash constant advances once per call whatever the data, so one row
-    serves every row of the batch.
-    """
-    mix = _hash_constants(_HASH_INIT_A, _HASH_MULT_A, _POOL * length)
-    state = _hash_constants(_HASH_INIT_B, _HASH_MULT_B, 2 * _POOL)
-    plan = [[16] * _POOL, [_MIX_MULT_L] * _POOL, [_MIX_MULT_R] * _POOL]
-    plan += [mix[:_POOL], mix[1 : _POOL + 1]]
-    call = _POOL
-    for s in range(_POOL):
-        xor, mult = [0] * _POOL, [0] * _POOL
-        for d in range(_POOL):
-            if d != s:
-                xor[d], mult[d] = mix[call], mix[call + 1]
-                call += 1
-        plan += [xor, mult]
-    for call in range(call, _POOL * length, _POOL):
-        plan += [mix[call : call + _POOL], mix[call + 1 : call + _POOL + 1]]
-    plan += [state[:_POOL], state[_POOL:-1], state[1 : _POOL + 1], state[_POOL + 1 :]]
-    plan = np.array(plan, dtype=np.uint32)[:, :, None]
-    plan.flags.writeable = False  # shared by every pass of this length
-    return plan
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray, shift) -> np.ndarray:
-    value = value ^ xor
-    value *= mult
-    value ^= value >> shift
-    return value
-
-
-def _entropy_words(run: int, key: int, rows: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """A zeroed lane-major uint32 array for ``run`` entropy words and ``key``
-    spawn-key words per row, and the index of the first key word.
-
-    ``SeedSequence`` zero-pads the entropy to the pool size only when there
-    is a spawn key; without one, missing lanes hash a 0 all the same, so
-    padding always gives the same mix.
-    """
-    key_start = max(run, _POOL)
-    return np.zeros((key_start + key, *rows), dtype=np.uint32), key_start
-
-
-def _tree(assembled: np.ndarray) -> list[dict]:
-    """PCG64 states of the rows of ``assembled`` (lane-major: one column of
-    entropy words, padding and spawn-key words per row)."""
-    rows = assembled.shape[1]
-    # every constant spelled out over the batch: same-shape operands keep
-    # numpy's per-call cost low when the batch is a handful of rows
-    plan = np.repeat(_mix_plan(len(assembled)), rows, axis=2)
-    shift, mul_l, mul_r = plan[:3]
-    pairs = iter(zip(plan[3:-4:2], plan[4:-4:2]))
-
-    def mix(x, y):
-        out = x * mul_l
-        y *= mul_r
-        out -= y
-        out ^= out >> shift
-        return out
-
-    pool = _hashmix(assembled[:_POOL], *next(pairs), shift)
-    for s in range(_POOL):
-        mixed = mix(pool, _hashmix(pool[s], *next(pairs), shift))
-        mixed[s] = pool[s]
-        pool = mixed
-    for word in assembled[_POOL:]:
-        pool = mix(pool, _hashmix(word, *next(pairs), shift))
-
-    # generate_state(4, uint64): two passes over the pool give eight uint32
-    # words per row, read as four uint64 with the low word first
-    words = plan[-4:-2] ^ pool
-    words *= plan[-2:]
-    words ^= words >> shift
-    seeds = words.reshape(2 * _POOL, rows).T.astype("<u4", order="C").view("<u8").tolist()
-    states = []
-    for s0, s1, s2, s3 in seeds:
-        inc = ((s2 << 65) | (s3 << 1) | 1) & _MASK128  # PCG64 srandom
-        state = ((inc + ((s0 << 64) | s1)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
-
-
-def seed_tree(entropy, tails, keys) -> list[dict]:
-    """PCG64 states of ``SeedSequence([*entropy, *tails[i]], spawn_key=keys[i])``.
-
-    ``entropy`` is a non-negative int, or a sequence of them, shared by every
-    row; ints of 2**32 or more count as several words, as in
-    ``SeedSequence``. ``tails`` and ``keys`` are equal-length sequences of
-    rows of ints below 2**32, each rectangular (rows may be empty). Row i's
-    state is ``==`` ``np.random.PCG64(SeedSequence(...)).state``, ready to
-    assign to a generator's ``bit_generator.state``; no ``SeedSequence`` or
-    ``PCG64`` is built. The hash mix runs over all rows at once.
-    """
-    root, tail_words, key_words = _words(entropy), _row_words(tails), _row_words(keys)
-    if tail_words.shape[1] != key_words.shape[1]:
-        raise ValueError("tails and keys must have the same number of rows")
-    run = len(root) + len(tail_words)
-    assembled, key_start = _entropy_words(run, len(key_words), tail_words.shape[1:])
-    assembled[: len(root)] = np.reshape(root, (-1, 1))
-    assembled[len(root) : run] = tail_words
-    assembled[key_start:] = key_words
-    return _tree(assembled)
-
+# -- streams ------------------------------------------------------------------
 
 def reseeded(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """``rng``, a PCG64 generator, moved to ``state``, one of ``seed_tree``'s.
+    """``rng``, a PCG64 generator, moved to ``state``, one of ``replication_states``'.
 
     The callers keep one generator and reseed it for every stream they read,
     so a generator handed out is valid until the next stream is taken.
@@ -403,30 +227,37 @@ def reseeded(rng: np.random.Generator, state: dict) -> np.random.Generator:
 
 
 def replication_states(
-    seed: int, rows: Sequence[tuple[int, ...]], keys: Sequence[tuple[int, ...]], reps: int
+    seed: int, streams: Sequence[tuple[tuple[int, ...], int]], reps: int
 ) -> Iterator[list[dict]]:
-    """Per replication ``rep``, one state per ``(rows[j], keys[j])`` pair: that of
-    ``SeedSequence([seed, *rows[j], rep], spawn_key=keys[j])``.
+    """Per replication ``rep`` < ``reps``, one PCG64 state per ``(path, child)``
+    of ``streams``, ready to assign to a generator's ``bit_generator.state``.
 
-    One pass of the seed tree computes the states of all replications, as
-    ``seed_tree`` would, from the few distinct rows and keys.
+    Each state is one block of four 64-bit words of Philox4x64-10, a
+    counter-based generator (Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3", SC 2011). The key is ``SeedSequence(seed,
+    spawn_key=path).generate_state(2, uint64)``, and (child, rep) is the block
+    at counter ``[rep + 1, child, 0, 0]``: words ``[4 rep, 4 rep + 4)`` of
+    ``Philox(key=key, counter=[0, child, 0, 0]).random_raw``, since Philox
+    steps the counter before each block. Words ``w0..w3`` give ``state = w0
+    << 64 | w1`` and ``inc = w2 << 64 | w3 | 1``. So a replication's streams
+    depend neither on ``reps`` nor on other paths, and no two (path, child,
+    rep) share a block.
     """
-    if not 0 <= reps <= _MASK32 + 1:
-        raise ValueError("reps must lie in [0, 2**32]")
-    if any(v < 0 or v > _MASK32 for row in (*rows, *keys) for v in row):
-        raise ValueError("row entries must lie in [0, 2**32)")
-    if not rows:
-        return
-    width, root = len(rows), _words(seed)
-    runs = np.array([[*root, *row, 0] for row in rows], dtype=np.uint32).T
-    key_words = np.array(keys, dtype=np.uint32).T
-    assembled, key_start = _entropy_words(len(runs), len(key_words), (reps, width))
-    assembled[: len(runs)] = runs[:, None, :]
-    assembled[len(runs) - 1] = np.arange(reps, dtype=np.uint32)[:, None]  # the rep
-    assembled[key_start:] = key_words[:, None, :]
-    states = _tree(assembled.reshape(len(assembled), -1))
-    for start in range(0, len(states), width):
-        yield states[start : start + width]
+    # a fresh PCG64's state dict, with no half-word buffered; built here, not
+    # at import, since np.random loads lazily and costs start-up time
+    fresh = np.random.PCG64(0).state
+    keys: dict[tuple[int, ...], np.ndarray] = {}
+    columns = []
+    for path, child in streams:
+        if path not in keys:
+            keys[path] = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+        philox = np.random.Philox(key=keys[path], counter=[0, child, 0, 0])
+        columns.append(philox.random_raw(4 * reps).reshape(reps, 4).tolist())
+    for words in zip(*columns):
+        yield [
+            {**fresh, "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1}}
+            for w0, w1, w2, w3 in words
+        ]
 
 
 def run_batch(
@@ -442,23 +273,20 @@ def run_batch(
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
     the given set is reused. Replication i follows the CLI's stream rule
-    for a group of one cell with an empty path: its seed-node and cascade
-    streams are PCG64 states equal by test to those of children 0 and 1 of
-    ``SeedSequence([master_seed, i])``, computed for the whole batch by one
-    pass of the seed tree (the seed-node stream is skipped when ``seeds`` is
-    given). One generator is reseeded for each stream, so a generator handed
-    out is valid until the next stream is taken. Results do not depend on
-    execution order, and any prefix of a longer batch is reproducible on its
-    own.
+    for a group of one cell with an empty path: it reads replication i of
+    children 0 (seed node) and 1 (cascade) of ``replication_states`` with
+    seed ``master_seed`` and path ``()``; the seed-node stream is not
+    computed when ``seeds`` is given. One generator is reseeded for each
+    stream, so a generator handed out is valid until the next stream is
+    taken. Results do not depend on execution order, and any prefix of a
+    longer batch is reproducible on its own.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
     children = (0, 1) if seeds is None else (1,)  # seed node, cascade
-    streams = replication_states(
-        int(master_seed), [()] * len(children), [(child,) for child in children], n_reps
-    )
+    streams = replication_states(int(master_seed), [((), child) for child in children], n_reps)
     rng = np.random.default_rng(0)  # reseeded before every read
     results = []
     for *node_state, run_state in streams:

@@ -1,7 +1,7 @@
 """Experiment driver: parameter sweeps over the cascade model and the baseline.
 
 Every subcommand is a pure function of its configuration: the master seed
-feeds a per-cell, per-replication seed tree, the cells of a group share
+names a stream per cell, child and replication, the cells of a group share
 each replication's network, rows are buffered and written in grid order,
 and a rerun with the same inputs produces byte-identical output.
 Configuration merges built-in defaults, an optional scale preset,
@@ -304,24 +304,17 @@ def _replicate(
     So the cells of a group are dependent, each keeps its marginal
     distribution, and contrasts between them are paired.
 
-    Stream rule: replication ``rep`` of the cell at ``path`` reads the
-    children of ``SeedSequence([seed, *path, rep])``, one per stream the
+    Stream rule: replication ``rep`` of the cell at ``path`` reads streams
+    ``(path, child)`` of ``replication_states``, one child per stream the
     sweep uses, in the fixed order skill world, network, seed node, cascade,
-    oracle; the oracle's reached set and its run read children 0 and 1 of
-    its child. The shared streams are those of the group's first cell (the
-    leader); every cell reads its own cascade and oracle children. Each
-    stream thus comes from a distinct (key, child index) pair, and the
-    leader's draws are those of a group that holds it alone.
-
-    The streams are PCG64 states that the seed tree computes, equal to those
-    ``SeedSequence`` children's by test (the tree follows NEP 19's seeding
-    recipes, so a numpy change would fail that test rather than move
-    outputs), in one pass per spawn-key length over all replications and
-    cells: the leader's shared children and each cell's cascade child, then
-    (with skills) each cell's two oracle grandchildren. Only the streams
-    read are computed. One generator is reseeded for each stream read (the
-    oracle's cascade has a second one), so a generator handed out is valid
-    until the next stream is taken.
+    then the oracle's reached set and its run. The shared streams are those
+    of the group's first cell (the leader); every cell reads its own cascade
+    and oracle children. Each stream thus comes from a distinct (path, child,
+    rep), and the leader's draws are those of a group that holds it alone.
+    One ``replication_states`` call computes every stream read, and only
+    those. One generator is reseeded for each stream read (the oracle's run
+    has a second one), so a generator handed out is valid until the next
+    stream is taken.
 
     ``network`` is a fixed ``Network`` or a factory called with the network
     stream. Each ``params[i]`` holds the cascade probabilities; with
@@ -339,43 +332,34 @@ def _replicate(
     """
     shared = (skills is not None, callable(network), True)  # skill world, network, seed node
     lead = sum(shared)
+    children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
     streams = replication_states(
         seed,
-        [paths[0]] * lead + list(paths),
-        [(child,) for child in range(lead)] + [(lead,)] * len(paths),
+        [(paths[0], child) for child in range(lead)]
+        + [(path, child) for path in paths for child in children],
         reps,
     )
-    oracle_streams = itertools.repeat(None)
-    if skills is not None:
-        oracle_keys = [(lead + 1, 0), (lead + 1, 1)]  # the oracle child's reached set and run
-        oracle_streams = replication_states(
-            seed, [path for path in paths for _ in oracle_keys], oracle_keys * len(paths), reps
-        )
-    # reseeded before every read; the oracle's cascade needs a second one
+    # reseeded before every read; the oracle's run needs a second one
     rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
-    for states, oracle_states in zip(streams, oracle_streams):
-        cell_states = iter(states)
-        world_state, net_state, node_state = [
-            next(cell_states) if used else None for used in shared
-        ]
+    for states in map(iter, streams):
+        world_state, net_state, node_state = [next(states) if used else None for used in shared]
         net = network(reseeded(rng, net_state)) if callable(network) else network
         seed_node = int(reseeded(rng, node_state).integers(net.n))
         world = None
         if skills is not None:
             world = sample_skill_world(net.n, *skills[:2], reseeded(rng, world_state))
         outcomes = []
-        for cell, (run_state, cell_params) in enumerate(zip(cell_states, params)):
+        for cell_params in params:
             cascade_params = cell_params if world is None else bind_params(world, cell_params)
-            result = run_cascade(net, cascade_params, (seed_node,), reseeded(rng, run_state))
+            result = run_cascade(net, cascade_params, (seed_node,), reseeded(rng, next(states)))
             oracle = None
             if world is not None:
-                star_state, oracle_run_state = oracle_states[2 * cell : 2 * cell + 2]
                 oracle = simulate_oracle(
                     world,
                     skills[2],
                     cell_params,
-                    reseeded(rng, star_state),
-                    reseeded(oracle_rng, oracle_run_state),
+                    reseeded(rng, next(states)),
+                    reseeded(oracle_rng, next(states)),
                 )
             outcomes.append((result, oracle))
         yield net, seed_node, outcomes

@@ -139,35 +139,25 @@ class Network:
 # -- generators -------------------------------------------------------------
 
 
-# numpy's geometric draw inverts an exponential below this p and searches at
-# or above it; the same double as numpy's 0.333333333333333333333333
-_INVERSION_BELOW = 1 / 3
 # the largest double below 2**63: every double up to it converts to int64 exactly
 _JUMP_CEILING = float(2**63 - 1024)
 
 
 def _jumps(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
-    """``rng.geometric(p, size)`` clamped to ``cap``, any jump <= 0 read as ``cap``.
+    """``size`` geometric(p) jumps for 0 < p < 1, clipped to ``[1, cap]``.
 
-    Below ``_INVERSION_BELOW`` the values come from numpy's own inversion
-    recipe, ``ceil(-E / log1p(-p))`` on a block of standard exponentials E,
-    run as array passes; at or above it from ``rng.geometric`` itself. Values
-    and the generator's position are those of ``rng.geometric`` for every
-    ``cap`` below ``_JUMP_CEILING``; an E of 0 gives a jump of 0, hence ``cap``.
+    Each jump is ``ceil(-E / log1p(-p))`` for a standard exponential E, which
+    is geometric on 1, 2, ... exactly: P(jump > j) = P(E > -j log1p(-p)) =
+    (1 - p)**j. The exponentials are drawn as one block.
     """
-    if p < _INVERSION_BELOW:
-        jumps = rng.standard_exponential(size)
-        # a subnormal p overflows the quotient to inf, which the ceiling clamps
-        with np.errstate(over="ignore"):
-            jumps /= -math.log1p(-p)
-        np.ceil(jumps, out=jumps)
-        np.minimum(jumps, _JUMP_CEILING, out=jumps)
-        jumps = jumps.astype(np.int64)
-    else:
-        jumps = rng.geometric(p, size=size)
-    np.minimum(jumps, cap, out=jumps)
-    jumps[jumps <= 0] = cap
-    return jumps
+    jumps = rng.standard_exponential(size)
+    # a subnormal p overflows the quotient to inf, which the ceiling clamps
+    with np.errstate(over="ignore"):
+        jumps /= -math.log1p(-p)
+    np.ceil(jumps, out=jumps)
+    np.minimum(jumps, _JUMP_CEILING, out=jumps)
+    jumps = jumps.astype(np.int64)
+    return np.clip(jumps, 1, cap, out=jumps)
 
 
 def generate_er(n: int, mean_degree: float, seed) -> Network:
@@ -178,14 +168,11 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
     Brandes, PRE 71, 036113, 2005), so the cost is proportional to the number
     of edges drawn.
 
-    The jumps are ``rng.geometric(p)``'s, drawn a block at a time. Below
-    p = 1/3 they are computed by numpy's own inversion recipe,
-    ``ceil(-E / log1p(-p))`` over a block of ``rng.standard_exponential``
-    draws; at or above it ``rng.geometric`` is called itself (see
-    ``_jumps``). So the graphs and the generator's position are coupled to
-    numpy's ``Generator.geometric``, which NEP 19 does not promise to keep;
-    a numpy that changed its algorithm would fail the reference test rather
-    than move graphs silently.
+    Draw schedule: pairs are indexed row-major over the upper triangle. The
+    walk starts at pos = -1 and takes ``_jumps`` in blocks of ``int((n(n-1)/2
+    - pos) * p * 1.1) + 16``, each block one ``rng.standard_exponential``
+    call, until a jump leaves the pair range. p = 0 draws nothing and takes
+    no pair; p = 1 draws nothing and takes every pair.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -197,14 +184,16 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
 
     if p == 0:
         selected = np.empty(0, dtype=np.int64)
+    elif p == 1:
+        selected = np.arange(total_pairs, dtype=np.int64)
     else:
         parts = []
         pos = -1
         while True:
             block = int((total_pairs - pos) * p * 1.1) + 16
-            # tiny p can overflow the geometric draw; any jump past the pair
-            # range exits the walk regardless of magnitude, so clamping keeps
-            # the distribution exact and the cumsum overflow-free
+            # tiny p can overflow the jump; any jump past the pair range exits
+            # the walk regardless of magnitude, so clamping keeps the
+            # distribution exact and the cumsum overflow-free
             steps = _jumps(rng, p, block, total_pairs + 1)
             np.cumsum(steps, out=steps)
             steps += pos
@@ -228,6 +217,9 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
     return Network(n, pairs, directed=False)
 
 
+_CHUNK = 256  # added nodes whose first pools generate_ba draws in one call
+
+
 def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     """Preferential-attachment graph grown from a ring of n0 nodes.
 
@@ -236,25 +228,21 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
 
     Draw schedule: the endpoint list holds both endpoints of each edge in
     turn, the core's first, so a uniform index into it picks a node with
-    probability proportional to its degree. Per added node, one pool of
-    ``2*want+4`` indices into the list as it stands, with ``want = k``, is
-    drawn as ``rng.integers`` draws it; the node's targets are the first k
-    distinct candidates in draw order. A node whose pool holds fewer than k
-    distinct candidates keeps them all and draws more pools with ``want`` the
-    number still missing, scanning each in draw order until it has k. Its k
-    targets, sorted, are then appended after the node as k edges (new,
-    target). The first node after a one-node core, whose list is empty, draws
-    its pool uniformly over the existing nodes instead. The tests keep this
-    schedule as a plain list-and-set loop, which must give ``==`` graphs.
-
-    The pools equal ``rng.integers``'s because this function computes numpy's
-    own bounded method (Lemire's, on the 32-bit halves of the bit generator's
-    raw words) for up to ``_CHUNK`` nodes at once, and afterwards leaves
-    ``rng`` where ``rng.integers`` would have. NEP 19 does not promise that
-    numpy keeps this stream across releases; a numpy that changed it would
-    fail the reference test rather than move graphs silently. ``seed`` must
-    give a PCG64 or PCG64DXSM generator, and the endpoint list must stay
-    within 2**32 entries.
+    probability proportional to its degree. Nodes are resolved in order, so
+    the list a node draws from holds every earlier node's edges; its size at
+    a node is known in advance, since every added node adds k edges. For
+    each run of ``_CHUNK`` added nodes, one ``rng.integers(0, sizes[:, None],
+    (rows, 2k+4))`` call draws every node's first pool of ``2k+4`` indices
+    into the list as it stands at that node. A node's targets are the first
+    k distinct candidates of its pool in draw order. A node whose pool holds
+    fewer than k distinct candidates keeps them all and draws more pools
+    from the same ``rng``, one ``rng.integers(0, size, 2*want+4)`` at a time
+    with ``want`` the number still missing, scanning each in draw order
+    until it has k; these come when the scan reaches the node. Its k targets,
+    sorted, are then appended after the node as k edges (new, target). When
+    the core is one node, the first added node attaches to node 0 with no
+    draw, and the chunks start after it. The tests keep this schedule as a
+    plain list-and-set loop, which must give ``==`` graphs.
     """
     if not 1 <= k <= n0 < n:
         raise ValueError("need 1 <= k <= n0 < n")
@@ -267,8 +255,6 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     else:
         ring = np.arange(n0)
         core = np.column_stack([ring, (ring + 1) % n0])
-    if 2 * (len(core) + k * (n - n0 - 1)) > 2**32:
-        raise ValueError("the endpoint list outgrows 32-bit pool draws")
     # every added node adds exactly k edges, so the list's fill level at each
     # node is known and the whole list is allocated up front
     pairs = np.empty((len(core) + k * (n - n0), 2), dtype=np.int64)
@@ -277,34 +263,20 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     endpoints = pairs.reshape(-1)
     targets = pairs[len(core) :].reshape(n - n0, k, 2)[:, :, 1]
 
-    halves = _Halves(rng.bit_generator)
     pool = 2 * k + 4
     draw = np.arange(pool)
     # first[v]: the first draw index of node v in the current pool, ``pool``
     # when absent; np.minimum.at applies every repeated index in turn
     first = np.full(n, pool)
-    row = 0
-    if not len(core):  # the first node after a one-node core: node 0 alone
-        targets[0] = _redraw(halves, endpoints[:0], n0, k, set())
-        row = 1
-    while row < n - n0:
-        # the next chunk's pools, laid out as if no half were rejected: each
-        # half times its row's list size holds the index in its high word, and
-        # a low word below the row's threshold would reject the half
-        chunk = np.arange(row, min(row + _CHUNK, n - n0), dtype=np.uint64)
-        sizes = 2 * (len(core) + k * chunk)
-        m = halves.ahead(len(chunk) * pool).reshape(-1, pool) * sizes[:, None]
-        start = halves.pos
-        thresholds = (2**32 - sizes) % sizes
-        rejected = np.flatnonzero(((m & _LOW) < thresholds[:, None]).any(axis=1))
-        clean = rejected[0] if len(rejected) else len(chunk)  # rows read as laid out
-        picks = (m >> 32).view(np.int64)  # below 2**32: int64 indexes faster
+    start = 0
+    if not len(core):  # one-node core: the first added node can only pick node 0
+        targets[0] = 0
+        start = 1
+    for row in range(start, n - n0, _CHUNK):
+        sizes = 2 * (len(core) + k * np.arange(row, min(row + _CHUNK, n - n0)))
+        picks = rng.integers(0, sizes[:, None], (len(sizes), pool))
         for i, size in enumerate(sizes.tolist()):
-            if i < clean:
-                cands = endpoints[picks[i]]
-                halves.pos = start + (i + 1) * pool
-            else:  # this pool takes more halves than the chunk laid out
-                cands = endpoints[halves.bounded(size, pool)]
+            cands = endpoints[picks[i]]
             np.minimum.at(first, cands, draw)
             distinct = cands[first[cands] == draw]
             first[cands] = pool
@@ -312,102 +284,15 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
                 picked = distinct[:k]
                 picked.sort()
                 targets[row + i] = picked
-                if i < clean:
-                    continue
-            else:
-                chosen = set(distinct.tolist())
-                targets[row + i] = _redraw(halves, endpoints[:size], n0 + row + i, k, chosen)
-            break  # the stream has left the chunk's layout: lay out the next from here
-        row += i + 1
-    halves.close()
+                continue
+            chosen = set(distinct.tolist())
+            while len(chosen) < k:
+                for t in endpoints[rng.integers(0, size, 2 * (k - len(chosen)) + 4)].tolist():
+                    chosen.add(t)
+                    if len(chosen) == k:
+                        break
+            targets[row + i] = sorted(chosen)
     return Network(n, pairs, directed=False)
-
-
-_CHUNK = 64  # added nodes whose pools generate_ba lays out as one array
-_BLOCK = 4096  # raw words _Halves reads from the bit generator at a time
-_LOW = np.uint64(0xFFFFFFFF)
-
-
-class _Halves:
-    """The 32-bit halves a PCG64 generator hands ``rng.integers`` below 2**32.
-
-    numpy splits each raw 64-bit word into its low half, then its high half,
-    and keeps a high half not yet used in the bit generator's ``has_uint32``
-    and ``uinteger``; such a half comes first. Words are read ahead in blocks
-    by ``random_raw``, and ``close`` puts the bit generator where the halves
-    read so far (``pos``) would have left it.
-    """
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self._bitgen = bit_generator
-        self._start = state = bit_generator.state
-        if state["bit_generator"] not in ("PCG64", "PCG64DXSM"):
-            raise ValueError("generate_ba draws from a PCG64 or PCG64DXSM generator")
-        self._lead = state["has_uint32"]  # halves that come from no raw word
-        self._buf = np.array([state["uinteger"]] * self._lead, dtype=np.uint64)
-        self._dropped = 0  # halves read before _buf[0]
-        self.pos = 0  # _buf index of the next half to read
-
-    def ahead(self, count: int) -> np.ndarray:
-        """The next ``count`` halves as uint64, not yet read."""
-        if self.pos + count > len(self._buf):
-            words = self._bitgen.random_raw(max(_BLOCK, count // 2 + 1))
-            fresh = np.empty(2 * len(words), dtype=np.uint64)
-            np.bitwise_and(words, _LOW, out=fresh[0::2])
-            np.right_shift(words, 32, out=fresh[1::2])
-            keep = min(self.pos, 1)  # the last half read, for close
-            self._dropped += self.pos - keep
-            self._buf = np.concatenate([self._buf[self.pos - keep :], fresh])
-            self.pos = keep
-        return self._buf[self.pos : self.pos + count]
-
-    def bounded(self, size: int, count: int) -> np.ndarray:
-        """``rng.integers(0, size, count)`` for 1 <= size <= 2**32, read from here.
-
-        Each value comes from the next half whose low product word is not below
-        the threshold; the halves below it are skipped. One value draws nothing.
-        """
-        if size == 1:
-            return np.zeros(count, dtype=np.int64)
-        threshold = (2**32 - size) % size
-        parts = []
-        while count:  # each half read gives at most one value: none is read past
-            m = self.ahead(count) * size
-            self.pos += count
-            kept = m[(m & _LOW) >= threshold]
-            parts.append(kept >> 32)
-            count -= len(kept)
-        return np.concatenate(parts).view(np.int64)
-
-    def close(self) -> None:
-        """Leave the bit generator's state ``==`` to what ``rng.integers`` leaves."""
-        read = self._dropped + self.pos - self._lead  # halves of raw words read
-        state = self._start
-        if read > 0:
-            self._bitgen.state = state
-            self._bitgen.advance((read + 1) // 2)
-            state = self._bitgen.state
-            # numpy keeps the last word's high half, unread after a low half
-            state["uinteger"] = int(self._buf[self.pos - 1 + read % 2])
-        state["has_uint32"] = read % 2  # -1 % 2: the buffered half is unread
-        self._bitgen.state = state
-
-
-def _redraw(
-    halves: _Halves, endpoints: np.ndarray, new: int, k: int, chosen: set[int]
-) -> list[int]:
-    """Complete a short node's targets, pool by pool, one candidate at a time."""
-    while len(chosen) < k:
-        want = k - len(chosen)
-        if len(endpoints):
-            cands = endpoints[halves.bounded(len(endpoints), 2 * want + 4)]
-        else:  # isolated core: fall back to uniform over existing nodes
-            cands = halves.bounded(new, 2 * want + 4)
-        for t in cands.tolist():
-            chosen.add(t)
-            if len(chosen) == k:
-                break
-    return sorted(chosen)
 
 
 def generate_star(n: int, reach_fraction: float, seed) -> Network:

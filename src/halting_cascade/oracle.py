@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeResult, reseeded, seed_tree
+from .cascade import CascadeResult
 from .skills import SkillWorld
 
 
@@ -279,22 +279,25 @@ def simulate_oracle(
     hold that construction as the reference this trial equals.
 
     The two streams are children 0 and 1 of ``seed``, an int, a sequence of
-    ints or a ``SeedSequence`` of the default pool size: PCG64 states that
-    the seed tree computes, equal to those children's by test (the tree
-    follows NEP 19's seeding recipes, see ``cascade``). ``seed`` is left
-    unchanged, so one seed gives one trial however often it is passed. With
-    ``run_seed``, the star reads ``seed`` and the run ``run_seed`` as
-    given: the sweeps hand over the two generators of their own tree pass
-    this way, each valid until the next stream is taken.
+    ints or a ``SeedSequence``: generators of ``SeedSequence(entropy,
+    spawn_key=(*key, j), pool_size=pool_size)`` for j = 0, 1, with the seed's
+    own entropy, spawn key and pool size, which are the children ``spawn``
+    would give. ``seed`` is left unchanged, so one seed gives one trial
+    however often it is passed. With ``run_seed``, the star reads ``seed``
+    and the run ``run_seed`` as given: the sweeps hand over the two
+    generators of their own streams this way, each valid until the next
+    stream is taken.
     """
     if run_seed is None:
-        entropy, key = seed, ()
-        if isinstance(seed, np.random.SeedSequence):
-            if seed.pool_size != 4:
-                raise ValueError("simulate_oracle needs a SeedSequence of pool size 4")
-            entropy, key = seed.entropy, seed.spawn_key
-        children = seed_tree(entropy, [(), ()], [(*key, 0), (*key, 1)])
-        seed, run_seed = (reseeded(np.random.default_rng(0), state) for state in children)
+        parent = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        seed, run_seed = (
+            np.random.default_rng(
+                np.random.SeedSequence(
+                    parent.entropy, spawn_key=(*parent.spawn_key, j), pool_size=parent.pool_size
+                )
+            )
+            for j in (0, 1)
+        )
     n = world.n
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -19,7 +19,6 @@ from halting_cascade.cascade import (
     reseeded,
     run_batch,
     run_cascade,
-    seed_tree,
 )
 from halting_cascade.graph import Network, generate_ba, generate_er, generate_star
 
@@ -472,19 +471,19 @@ class TestBatch:
             IHCParams(0.3, 0.1, 0.0),
             20,
             (0, 1, 2),
-            "498773659e25aa6cbcda3b602ee09e0e380794c96f35047af89a384e345e3f28",
+            "23989760cb31e59b36b6a299f01109d2187fe66dc1b42e57b74bdc24e0e6552c",
         ),
         "halting": (
             IHCParams(0.5, 1.0, 1.0),
             60,
             None,
-            "ebf6b41502859bc504df3c305f6c232146273ca2b94091f1ed8edf0be4a0c4d5",
+            "7489e5368a9cdfe39d912d932c32d7f4a6aa54ed62d31d2c72934bb38a2e5892",
         ),
         "dying": (
             IHCParams(0.02, 0.1, 0.5),
             60,
             None,
-            "9aa07b7586bc1578b1dd1881000b2a965d5b5dae3fa74531d794f044c5472604",
+            "c61b29261042d9ca9c3669050a57dff8ec46600c3ee260d7617fcb9026db3187",
         ),
     }
 
@@ -507,101 +506,35 @@ class TestBatch:
         assert digest.hexdigest() == expected
 
 
-_MASTER_SEEDS = st.one_of(
-    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]), st.integers(0, 2**100 - 1)
-)
+class TestReplicationStates:
+    """The stream layout that ``cascade``'s module comment states."""
 
-
-def _child(entropy, key) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy, spawn_key=key)
-
-
-class TestSeedTree:
-    """The tree's states are those of numpy's ``SeedSequence`` children."""
-
-    @given(
-        seed=_MASTER_SEEDS,
-        path=st.lists(st.integers(0, 2**32 - 1), max_size=4),
-        start=st.integers(0, 2**32 - 3),
-        parent_key=st.lists(st.integers(0, 40), max_size=1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_states_and_draws_equal_seed_sequence_children(self, seed, path, start, parent_key):
-        # child indices from ``start`` on; a one-word parent key gives the
-        # two-word spawn keys of the oracle's grandchildren. From a path of
-        # three on, the run entropy fills the pool and no padding applies.
-        tails = [(*path, rep) for rep in range(2) for _ in range(3)]
-        keys = [(*parent_key, start + j) for _ in range(2) for j in range(3)]
-        rng = np.random.default_rng(0)
-        for tail, key, state in zip(tails, keys, seed_tree(seed, tails, keys), strict=True):
-            child = _child([seed, *tail], key)
-            assert state == np.random.PCG64(child).state
-            assert reseeded(rng, state).random(8).tolist() == (
-                np.random.default_rng(child).random(8).tolist()
-            )
-
-    @pytest.mark.parametrize(
-        "entropy",
-        [42, [20260815, 3, 1], [2**64 + 3, 0], []],
-        ids=["int", "int-list", "wide-int-list", "empty"],
-    )
-    def test_children_equal_a_fresh_spawn(self, entropy):
-        got = seed_tree(entropy, [()] * 5, [(j,) for j in range(5)])
-        want = np.random.SeedSequence(entropy).spawn(5)
-        assert got == [np.random.PCG64(child).state for child in want]
-
-    def test_replication_states_follow_the_row_layout(self):
-        rows, keys = [(4, 1), (4, 1), (0, 2)], [(0, 3), (1, 3), (2, 0)]
-        for rep, states in enumerate(replication_states(2**40 + 9, rows, keys, 3)):
-            for row, key, state in zip(rows, keys, states, strict=True):
-                child = _child([2**40 + 9, *row, rep], key)
-                assert state == np.random.PCG64(child).state
-        assert rep == 2
+    def test_states_follow_the_philox_layout(self):
+        seed, streams, reps = 2**70 + 9, [((4, 1), 0), ((4, 1), 2), ((), 1)], 3
+        for rep, states in enumerate(replication_states(seed, streams, reps)):
+            for (path, child), state in zip(streams, states, strict=True):
+                key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+                block = np.random.Philox(key=key, counter=[rep, child, 0, 0]).random_raw(4)
+                w0, w1, w2, w3 = block.tolist()
+                want = np.random.PCG64(0).state
+                want["state"] = {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1}
+                assert state == want
+                rng = np.random.default_rng(0)
+                rng.bit_generator.state = want
+                assert reseeded(np.random.default_rng(1), state).random(5).tolist() == (
+                    rng.random(5).tolist()
+                )
+        assert rep == reps - 1
 
     def test_a_buffered_half_word_does_not_leak_into_the_next_stream(self):
-        first, second = seed_tree(7, [(0,), (1,)], [(0,), (0,)])
+        first, second = next(replication_states(7, [((), 0), ((), 1)], 1))
         rng = reseeded(np.random.default_rng(0), first)
         rng.integers(5000)  # a 32-bit draw leaves the other half buffered
         assert rng.bit_generator.state["has_uint32"] == 1
-        fresh = np.random.default_rng(_child([7, 1], (0,)))
+        fresh = reseeded(np.random.default_rng(0), second)
         assert reseeded(rng, second).bit_generator.state == fresh.bit_generator.state
         assert rng.integers(5000, size=9).tolist() == fresh.integers(5000, size=9).tolist()
 
-    @pytest.mark.parametrize(
-        "entropy, tails, keys",
-        [
-            (-1, [()], [(0,)]),
-            ([3, -2], [()], [(0,)]),
-            (3, [(2**32,)], [(0,)]),
-            (3, [(0,)], [(-1,)]),
-            (3, [(0,), (1,)], [(0,)]),
-            (3, [(0,), (1, 2)], [(0,), (0,)]),
-        ],
-        ids=["negative", "negative-word", "wide-tail", "negative-key", "row-count", "ragged"],
-    )
-    def test_bad_keys_rejected(self, entropy, tails, keys):
-        with pytest.raises(ValueError):
-            seed_tree(entropy, tails, keys)
-
-    def test_no_rows(self):
-        assert seed_tree(5, [], []) == []
-        assert list(replication_states(5, [()], [(0,)], 0)) == []
-
-
-class TestStreamChildren:
-    """Spawn keys from a later child index on give the children that a fresh
-    ``spawn`` gives from that index on."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: [20260815, 3, 1], lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0))],
-        ids=["int-list", "spawned-seed-sequence"],
-    )
-    def test_start_gives_the_later_children_of_a_fresh_spawn(self, make):
-        parent = make()
-        if not isinstance(parent, np.random.SeedSequence):
-            parent = np.random.SeedSequence(parent)
-        keys = [(*parent.spawn_key, j) for j in (3, 4)]
-        got = seed_tree(parent.entropy, [()] * 2, keys)
-        want = parent.spawn(5)[3:]
-        assert got == [np.random.PCG64(child).state for child in want]
+    def test_no_streams_or_no_reps(self):
+        assert list(replication_states(5, [], 4)) == []
+        assert list(replication_states(5, [((), 0)], 0)) == []

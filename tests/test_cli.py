@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halting_cascade import cascade, cli, oracle
+from halting_cascade import cli, oracle
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -572,16 +572,16 @@ class TestCommonRandomNetworks:
     ):
         """Per replication, the leader's shared children (network, seed node)
         and one cascade child per cell; none of a follower's shared ones.
-        Counts the rows the seed tree computes."""
+        Counts the states ``replication_states`` yields."""
         built = []
-        tree = cascade._tree
+        states = cli.replication_states
 
-        def counting(assembled):
-            states = tree(assembled)
-            built.extend(states)
-            return states
+        def counting(*args):
+            for rep_states in states(*args):
+                built.extend(rep_states)
+                yield rep_states
 
-        monkeypatch.setattr(cascade, "_tree", counting)
+        monkeypatch.setattr(cli, "replication_states", counting)
         _sweep(tmp_path, capsys, command, config)
         assert len(built) == groups * config["reps"] * (2 + cells)
 
@@ -617,12 +617,7 @@ class TestCommonRandomNetworks:
         ],
     )
     def test_every_stream_is_distinct(self, tmp_path, capsys, monkeypatch, command, config):
-        """No two generators of one sweep start from the same state.
-
-        ``SeedSequence`` zero-pads its entropy to four words, so keys such as
-        ``[seed, 0, 1]`` and ``[seed, 0, 1, 0]`` give equal children; a
-        stream rule that keyed shared draws by a shorter path would collide.
-        """
+        """No two generators of one sweep start from the same state."""
         seeded, handed, cascades = [], [], []
         default_rng, reseeded = np.random.default_rng, cli.reseeded
 
@@ -642,8 +637,8 @@ class TestCommonRandomNetworks:
         _sweep(tmp_path, capsys, command, config)
         unique = set(seeded)
         assert len(unique) == len(seeded)
-        # every stream read comes from the tree, and the seed-node draws,
-        # which read their generator without default_rng, are distinct too
+        # every stream read comes from replication_states, and the seed-node
+        # draws, which read their generator without default_rng, are distinct too
         assert unique <= set(handed)
         assert len(set(handed)) == len(handed)
         # every cascade stream plus at least the seed-node streams were seen
@@ -658,35 +653,37 @@ class TestCommonRandomNetworks:
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11"],
-            "cf605761fd98d928bc90db9d194403783bb9dc42531adbfd6703c5b2b0f3cb04",
+            "014c346a60e8983691a1a8ad176a682888cb8f0bb906b007b8757a9463623988",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4"],
-            "7608c8d8e7d619975a608ab1bcdb4d02742028dc0c4ce60c2b1c98fe78e00ff8",
+            "eb3ff03de10e0dba49eeddc93e8646d142f122eac73f55f4647c1be725ab3bf7",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "e4181cec26d473e0d3922d5c213f136e3d161904ed7b4dd043ac6528e21356aa",
+            "4e959b090dd4e2eca0fc8c28f7fed1abdcf55a932d9da0af85f2f18cb865a942",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9"],
-            "06ecae00d1087a014db120da6c748994eafbecea89918f77a0ec4364825c8cf1",
+            "cb42b3facd3982b74b3846c4ee21e9f1e5b3fecac1fb6055a8bb9a3a2ece364b",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--directed"],
-            "ec8a42f6e4d0671999183e484c6cc4b8795bcaa369efda876c2e82d1844b9cbd",
+            "82d2fdfca2d9ef5c52ffc9346e9c6ec5fc8eec91087048da67cff44775470e4c",
         ),
     ],
+    # named by sweep, not by hash, so that a re-pin keeps every test's id
+    ids=["heatmap", "ba-vs-er", "ihc-vs-oracle", "empirical", "empirical-directed"],
 )
 def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha256):
     """Outputs pinned across versions, not only across reruns of one version.

@@ -1,0 +1,111 @@
+"""Distribution checks of the generators and of the sweeps' streams.
+
+Each test compares draws with a law, not with one stream of numbers, so it
+holds across a change of draw schedule: BA graphs against the list-and-set
+reference in ``test_graph``, ER edge counts against Binomial(C(n, 2), p),
+and sibling streams against independence. The seeds are fixed; a bound that
+fails at its seed is a finding, not a seed to change. Each test prints its
+statistic.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from halting_cascade.cascade import replication_states, reseeded
+from halting_cascade.graph import generate_ba, generate_er
+from test_graph import _reference_ba
+
+ALPHA = 1e-3
+_BA_GRAPHS = 300  # per side
+
+
+@functools.lru_cache(maxsize=None)
+def _ba_features(n: int, n0: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row per graph: degree of core node 0, degree of node n0, max
+    degree; ``generate_ba`` on seeds 0.., the reference on disjoint seeds."""
+
+    def features(network):
+        degrees = network.out_degrees
+        return degrees[0], degrees[n0], degrees.max()
+
+    ours = [features(generate_ba(n, n0, k, seed)) for seed in range(_BA_GRAPHS)]
+    theirs = [
+        features(_reference_ba(n, n0, k, seed))
+        for seed in range(10**6, 10**6 + _BA_GRAPHS)
+    ]
+    return np.array(ours), np.array(theirs)
+
+
+def _two_sample_chi2(a: np.ndarray, b: np.ndarray, bins: int = 8):
+    """Chi-square test of homogeneity on bins cut at the pooled quantiles."""
+    pooled = np.concatenate([a, b])
+    edges = np.unique(np.quantile(pooled, np.linspace(0, 1, bins + 1)[1:-1]))
+    table = np.array(
+        [np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
+         for x in (a, b)]
+    )
+    table = table[:, table.sum(axis=0) > 0]
+    statistic, p_value, dof, _ = stats.chi2_contingency(table)
+    return statistic, p_value, dof
+
+
+# (300, 5, 5): many short first pools; (300, 1, 1): a one-node core. Both
+# grow more than 256 nodes.
+@pytest.mark.parametrize("params", [(300, 5, 5), (300, 1, 1)])
+@pytest.mark.parametrize("feature", ["degree of node 0", "degree of node n0", "max degree"])
+def test_ba_degrees_match_the_reference(params, feature):
+    column = ["degree of node 0", "degree of node n0", "max degree"].index(feature)
+    ours, theirs = _ba_features(*params)
+    statistic, p_value, dof = _two_sample_chi2(ours[:, column], theirs[:, column])
+    print(f"BA{params} {feature}: chi2={statistic:.2f} dof={dof} p={p_value:.3g}")
+    assert p_value > ALPHA
+
+
+# n - 1 = 40 keeps p = mean_degree / (n - 1) a short decimal
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.35, 0.6, 0.9])
+def test_er_edge_counts_are_binomial(p):
+    n, graphs = 41, 400
+    pairs = n * (n - 1) // 2
+    q = p * (n - 1) / (n - 1)  # the p generate_er computes
+    counts = np.array([generate_er(n, p * (n - 1), seed).edge_count for seed in range(graphs)])
+    law = stats.binom(pairs, q)
+    # bins at the law's deciles, so every expected count is about 40
+    inner = np.unique(law.ppf(np.linspace(0, 1, 11)[1:-1]))
+    probs = np.diff(np.concatenate([[0.0], law.cdf(inner), [1.0]]))
+    observed = np.bincount(np.searchsorted(inner, counts, side="left"), minlength=len(probs))
+    statistic, p_value = stats.chisquare(observed, probs * graphs)
+    print(f"ER p={q}: mean edges {counts.mean():.1f} (law {pairs * q:.1f}),"
+          f" chi2={statistic:.2f} dof={len(probs) - 1} p={p_value:.3g}")
+    assert p_value > ALPHA
+
+
+def test_er_at_p_one_takes_every_pair():
+    n = 41
+    counts = {generate_er(n, n - 1, seed).edge_count for seed in range(20)}
+    assert counts == {n * (n - 1) // 2}
+
+
+_UNIFORMS = 10**6
+
+
+def _uniforms(state) -> np.ndarray:
+    return reseeded(np.random.default_rng(0), state).random(_UNIFORMS)
+
+
+@pytest.mark.parametrize("path", [(), (3, 1)])
+def test_sibling_streams_are_uncorrelated(path):
+    """Child 0 against child 1 of one replication, and replication 0 against
+    replication 1 of one child: |Pearson r| below 5e-3, five times the
+    standard error 1e-3 of r between independent streams."""
+    (rep0_child0, rep0_child1), (rep1_child0, _) = replication_states(
+        20260815, [(path, 0), (path, 1)], 2
+    )
+    base = _uniforms(rep0_child0)
+    for name, other in (("child 1", rep0_child1), ("rep 1", rep1_child0)):
+        r = np.corrcoef(base, _uniforms(other))[0, 1]
+        print(f"path {path}: child 0 rep 0 against {name}: r={r:.2e}")
+        assert abs(r) < 5e-3

@@ -3,6 +3,7 @@ import logging
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,25 +68,24 @@ def _in_degrees(net: Network) -> list[int]:
     return np.bincount(net._out_idx, minlength=net.n).tolist()
 
 
-def _reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
-    """``generate_ba`` as first written, on a Python list of endpoints and a
-    set of targets per node, and the number of nodes that drew more than one
-    pool. It draws the schedule stated in ``generate_ba``'s docstring, and
-    the library's array form must give ``==`` networks."""
-    rng = np.random.default_rng(seed)
+def _ring_core(n0: int) -> list[tuple[int, int]]:
     if n0 == 1:
-        core: list[tuple[int, int]] = []
-    elif n0 == 2:
-        core = [(0, 1)]
-    else:
-        core = [(i, (i + 1) % n0) for i in range(n0)]
-    endpoints: list[int] = [v for e in core for v in e]
-    short = 0
+        return []
+    if n0 == 2:
+        return [(0, 1)]
+    return [(i, (i + 1) % n0) for i in range(n0)]
+
+
+def _reference_ba(n: int, n0: int, k: int, seed) -> Network:
+    """Preferential attachment as first written, on a Python list of
+    endpoints and a set of targets per node: each node draws its pools one
+    ``rng.integers`` call at a time. The tests hold it as the law that
+    ``generate_ba``'s graphs must follow (``test_distributions``)."""
+    rng = np.random.default_rng(seed)
+    endpoints: list[int] = [v for e in _ring_core(n0) for v in e]
     for new in range(n0, n):
         targets: set[int] = set()
-        pools = 0
         while len(targets) < k:
-            pools += 1
             want = k - len(targets)
             if endpoints:
                 pool = rng.integers(0, len(endpoints), size=2 * want + 4)
@@ -96,25 +96,44 @@ def _reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
                 targets.add(t)
                 if len(targets) == k:
                     break
-        short += pools > 1
         for t in sorted(targets):
             endpoints.append(new)
             endpoints.append(t)
+    return Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
+
+
+def _chunked_reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
+    """The draw schedule of ``generate_ba``'s docstring on a Python list of
+    endpoints and a set of targets per node, and the number of pools drawn
+    past the first ones; the library's array form must give ``==`` graphs."""
+    rng = np.random.default_rng(seed)
+    endpoints: list[int] = [v for e in _ring_core(n0) for v in e]
+    first = n0
+    if not endpoints:  # one-node core: the first node picks node 0 undrawn
+        endpoints += [n0, 0]
+        first += 1
+    extra = 0
+    for start in range(first, n, graph._CHUNK):
+        stop = min(start + graph._CHUNK, n)
+        sizes = len(endpoints) + 2 * k * np.arange(stop - start)
+        pools = rng.integers(0, sizes[:, None], (stop - start, 2 * k + 4))
+        for new, pool in zip(range(start, stop), pools.tolist()):
+            targets: set[int] = set()
+            size = len(endpoints)
+            while True:
+                for c in pool:
+                    targets.add(endpoints[c])
+                    if len(targets) == k:
+                        break
+                if len(targets) == k:
+                    break
+                extra += 1
+                pool = rng.integers(0, size, 2 * (k - len(targets)) + 4).tolist()
+            for t in sorted(targets):
+                endpoints.append(new)
+                endpoints.append(t)
     network = Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
-    return network, short
-
-
-def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generator]:
-    """Two generators in one state; ``buffered`` leaves a high half-word waiting in both."""
-    twins = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        for rng in twins:
-            rng.integers(0, 10)
-    return twins
-
-
-# the largest p that numpy's geometric draw inverts
-_BELOW_THIRD = float(np.nextafter(1 / 3, 0))
+    return network, extra
 
 
 class _ZeroExponentials(np.random.Generator):
@@ -124,21 +143,35 @@ class _ZeroExponentials(np.random.Generator):
         return np.zeros(size)
 
 
+class _CountingIntegers(np.random.Generator):
+    """A generator that counts its ``integers`` calls with a scalar bound."""
+
+    scalar_calls = 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        self.scalar_calls += np.ndim(high) == 0
+        return super().integers(low, high, size, dtype, endpoint)
+
+
 def _reference_er(n: int, mean_degree: float, seed) -> Network:
-    """``generate_er`` as it was before its in-place walk and per-row search:
-    the draws and the pair order it fixes, which the library must keep."""
+    """``generate_er`` as it was before its in-place walk and per-row search,
+    with each jump ``ceil(-E / log1p(-p))`` clipped to [1, pairs + 1]: the
+    draws and the pair order it fixes, which the library must keep."""
     p = mean_degree / (n - 1)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
     if p == 0:
         selected = np.empty(0, dtype=np.int64)
+    elif p == 1:
+        selected = np.arange(total_pairs)
     else:
         parts = []
         pos = -1
         while True:
             block = int((total_pairs - pos) * p * 1.1) + 16
-            jumps = rng.geometric(p, size=block)
-            jumps = np.where(jumps <= 0, total_pairs + 1, np.minimum(jumps, total_pairs + 1))
+            with np.errstate(over="ignore"):
+                jumps = np.ceil(rng.standard_exponential(block) / -np.log1p(-p))
+            jumps = np.clip(jumps, 1, total_pairs + 1).astype(np.int64)
             steps = pos + np.cumsum(jumps)
             inside = steps[steps < total_pairs]
             parts.append(inside)
@@ -428,17 +461,15 @@ class TestGenerateEr:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    @example(n=2, fraction=5e-324, seed=0)  # the geometric draw overflows
-    @example(n=300, fraction=1.0, seed=0)  # complete graph
+    @example(n=2, fraction=5e-324, seed=0)  # the jump overflows
+    @example(n=300, fraction=1.0, seed=0)  # complete graph, no draw
     @example(n=2000, fraction=50 / 1999, seed=1)
-    # n - 1 of 3 and 256 keep p == fraction exactly
-    @example(n=4, fraction=1 / 3, seed=0)  # p == 1/3: numpy's search branch
-    @example(n=257, fraction=_BELOW_THIRD, seed=0)  # the last p numpy inverts
+    @example(n=4, fraction=2 / 3, seed=0)  # n - 1 of 3 keeps p == fraction exactly
     @example(n=40, fraction=0.1, seed=244)  # the walk needs a second block
     def test_equals_reference(self, n, fraction, seed):
         """The same graph, and the generator left where the reference leaves it."""
         degree = fraction * (n - 1)
-        ours, theirs = _twins(seed, buffered=False)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         _assert_same(generate_er(n, degree, ours), _reference_er(n, degree, theirs))
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.random() == theirs.random()
@@ -456,31 +487,16 @@ class TestGenerateEr:
         assert len(sizes) == 2
         _assert_same(net, _reference_er(40, 0.1 * 39, 244))
 
-    def test_zero_exponential_jumps_leave_the_pair_range(self):
-        # E == 0 gives a jump of ceil(0) == 0, read as one past the last pair
+    def test_zero_exponential_jumps_take_the_next_pair(self):
+        # E == 0 gives ceil(0) == 0, clipped to the smallest jump, 1
         rng = _ZeroExponentials(np.random.PCG64(3))
         assert np.random.default_rng(rng) is rng
-        assert graph._jumps(rng, 0.1, 5, 46).tolist() == [46] * 5
-        assert generate_er(10, 0.9, rng).edge_count == 0
+        assert graph._jumps(rng, 0.1, 5, 46).tolist() == [1] * 5
+        assert generate_er(10, 0.9, rng).edge_count == 45
 
 
 class TestJumps:
-    """``graph._jumps`` against ``rng.geometric`` clamped the way the walk clamps."""
-
-    @pytest.mark.parametrize(
-        "p",
-        [5e-324, 1e-300, 1e-6, 20 / 1999, 50 / 1999, 0.2, 0.3, _BELOW_THIRD, 1 / 3, 0.5, 1.0],
-    )
-    @pytest.mark.parametrize("cap", [1, 47, 10**6, 2**62, 2**63 - 1025])
-    def test_equals_clamped_geometric(self, p, cap):
-        ours, theirs = _twins(9, buffered=False)
-        got = graph._jumps(ours, p, 3000, cap)
-        want = np.minimum(theirs.geometric(p, size=3000), cap)
-        want[want <= 0] = cap
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
+    """``graph._jumps`` at the far end of its range."""
 
     def test_subnormal_p_warns_nothing(self):
         with warnings.catch_warnings():
@@ -525,81 +541,42 @@ class TestGenerateBa:
         assert generate_ba(60, 4, 3, seed=9) == generate_ba(60, 4, 3, seed=9)
 
     @settings(max_examples=200, deadline=None)
-    @given(params=_ba_params(), seed=st.integers(0, 2**32 - 1), buffered=st.booleans())
-    @example(params=(30, 1, 1), seed=0, buffered=False)  # empty core
-    @example(params=(2, 1, 1), seed=0, buffered=True)  # no draw: the buffered half stays
-    @example(params=(30, 2, 2), seed=0, buffered=False)  # one-edge core, k = n0
-    @example(params=(60, 20, 20), seed=0, buffered=True)  # short first pools
-    @example(params=(400, 3, 3), seed=0, buffered=False)  # several 64-node chunks
-    @example(params=(300, 12, 12), seed=0, buffered=True)
-    def test_equals_reference(self, params, seed, buffered):
-        """The same graph, and the generator left where ``rng.integers`` leaves it."""
-        ours, theirs = _twins(seed, buffered)
-        got = generate_ba(*params, ours)
-        want, _ = _reference_ba(*params, theirs)
+    @given(
+        params=_ba_params(),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.sampled_from([1, 2, 7, graph._CHUNK]),
+    )
+    @example(params=(30, 1, 1), seed=0, chunk=graph._CHUNK)  # one-node core
+    @example(params=(2, 1, 1), seed=0, chunk=graph._CHUNK)  # no draw at all
+    @example(params=(30, 2, 2), seed=0, chunk=graph._CHUNK)  # one-edge core, k = n0
+    @example(params=(60, 20, 20), seed=0, chunk=graph._CHUNK)  # short first pools
+    @example(params=(600, 3, 3), seed=0, chunk=graph._CHUNK)  # three chunks
+    @example(params=(300, 12, 12), seed=0, chunk=graph._CHUNK)
+    def test_equals_reference(self, params, seed, chunk):
+        """The same graph, and the generator left where the reference leaves
+        it, at the library's chunk size and at small ones."""
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(graph, "_CHUNK", chunk):
+            got = generate_ba(*params, ours)
+            want, _ = _chunked_reference_ba(*params, theirs)
         assert got == want
         assert got._out_ptr.dtype == want._out_ptr.dtype
         assert got._out_idx.dtype == want._out_idx.dtype
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.random() == theirs.random()
 
-    def test_pcg64dxsm_drawn_alike_and_other_bit_generators_rejected(self):
-        ours, theirs = (np.random.Generator(np.random.PCG64DXSM(4)) for _ in range(2))
-        assert generate_ba(300, 5, 5, ours) == _reference_ba(300, 5, 5, theirs)[0]
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        with pytest.raises(ValueError, match="PCG64"):
-            generate_ba(30, 3, 3, np.random.Generator(np.random.MT19937(4)))
-
     @pytest.mark.parametrize(
         "n, n0, k, least", [(60, 20, 20, 1), (2000, 50, 50, 1), (30, 1, 1, 0), (40, 4, 4, 0)]
     )
-    def test_short_nodes_take_the_redraw_branch(self, monkeypatch, n, n0, k, least):
-        """Every node whose first pool is short, and only those, redraws; the
-        first node after an empty core does too."""
-        calls = []
-        redraw = graph._redraw
-
-        def counting(*args):
-            calls.append(args)
-            return redraw(*args)
-
-        monkeypatch.setattr(graph, "_redraw", counting)
+    def test_short_nodes_take_the_redraw_branch(self, n, n0, k, least):
+        """Every pool past a node's first is one ``rng.integers`` call with a
+        scalar bound, drawn only by a node whose pools so far are short."""
         for seed in range(3):
-            calls.clear()
-            want, short = _reference_ba(n, n0, k, seed)
-            assert generate_ba(n, n0, k, seed) == want
-            assert short >= least
-            assert len(calls) == short + (n0 == 1)
-
-
-class TestHalves:
-    """``graph._Halves.bounded`` against the ``rng.integers`` draws it stands for."""
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize(
-        # about half the halves are rejected at 2**31 + 1 and 3 * 2**30 + 1
-        "size", [1, 2, 3, 200_000, 2**31 + 1, 3 * 2**30 + 1, 2**32]
-    )
-    def test_bounded_equals_integers(self, size, buffered):
-        ours, theirs = _twins(11, buffered)
-        counts = (1, 6000, 3, 104)  # 6000 draws at half rejected cross a block
-        halves = graph._Halves(ours.bit_generator)
-        got = [halves.bounded(size, count).tolist() for count in counts]
-        halves.close()
-        assert got == [theirs.integers(0, size, count).tolist() for count in counts]
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
-
-    @pytest.mark.parametrize("buffered", [False, True])
-    @pytest.mark.parametrize("read", [0, 1, 2, 8191, 8192, 8193])
-    def test_close_after_reading_some_halves(self, read, buffered):
-        ours, theirs = _twins(3, buffered)
-        halves = graph._Halves(ours.bit_generator)
-        got = halves.ahead(read).tolist()
-        halves.pos += read
-        halves.close()
-        assert got == theirs.integers(0, 2**32, read, dtype=np.uint64).tolist()
-        assert ours.bit_generator.state == theirs.bit_generator.state
+            rng = _CountingIntegers(np.random.PCG64(seed))
+            want, extra = _chunked_reference_ba(n, n0, k, seed)
+            assert generate_ba(n, n0, k, rng) == want
+            assert extra >= least
+            assert rng.scalar_calls == extra
 
 
 class TestGenerateStar:

@@ -449,8 +449,9 @@ class TestSimulatedOracle:
             lambda: [20260815, 3, 1],
             lambda: np.random.SeedSequence(7),
             lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0)),
+            lambda: np.random.SeedSequence(7, pool_size=8),
         ],
-        ids=["int", "int-list", "seed-sequence", "spawned-seed-sequence"],
+        ids=["int", "int-list", "seed-sequence", "spawned-seed-sequence", "wide-pool"],
     )
     def test_star_and_cascade_read_children_zero_and_one(self, make):
         world = sample_skill_world(60, 3.0, 2, seed=0)
@@ -491,11 +492,6 @@ class TestSimulatedOracle:
         world = sample_skill_world(20, 3.0, 2, seed=0)
         with pytest.raises(ValueError):
             simulate_oracle(world, reach, p_r, seed=1)
-
-    def test_seed_sequence_pool_size_must_be_the_default(self):
-        world = sample_skill_world(60, 3.0, 2, seed=0)
-        with pytest.raises(ValueError, match="pool size"):
-            simulate_oracle(world, 0.5, 0.5, seed=np.random.SeedSequence(1, pool_size=8))
 
     def test_two_generators_are_read_as_given(self):
         world = sample_skill_world(200, 3.0, 2, seed=0)
