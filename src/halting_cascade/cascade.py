@@ -227,7 +227,7 @@ def reseeded(rng: np.random.Generator, state: dict) -> np.random.Generator:
 
 
 def replication_states(
-    seed: int, streams: Sequence[tuple[tuple[int, ...], int]], reps: int
+    seed: int | Sequence[int], streams: Sequence[tuple[tuple[int, ...], int]], reps: int
 ) -> Iterator[list[dict]]:
     """Per replication ``rep`` < ``reps``, one PCG64 state per ``(path, child)``
     of ``streams``, ready to assign to a generator's ``bit_generator.state``.
@@ -241,17 +241,21 @@ def replication_states(
     steps the counter before each block. Words ``w0..w3`` give ``state = w0
     << 64 | w1`` and ``inc = w2 << 64 | w3 | 1``. So a replication's streams
     depend neither on ``reps`` nor on other paths, and no two (path, child,
-    rep) share a block.
+    rep) share a block: path words lie in [0, 2**32) (``SeedSequence`` splits
+    wider ones, so ``(2**32,)`` would name ``(0, 1)``'s key) and children are
+    not negative. A path's key is that of ``SeedSequence(seed)``'s spawn child.
     """
-    # a fresh PCG64's state dict, with no half-word buffered; built here, not
-    # at import, since np.random loads lazily and costs start-up time
+    # a fresh PCG64's state dict, built per call: np.random loads lazily
     fresh = np.random.PCG64(0).state
     keys: dict[tuple[int, ...], np.ndarray] = {}
     columns = []
     for path, child in streams:
         if path not in keys:
+            if not all(0 <= word < 2**32 for word in path):
+                raise ValueError(f"path {path} has a word outside [0, 2**32)")
             keys[path] = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-        philox = np.random.Philox(key=keys[path], counter=[0, child, 0, 0])
+        # an int counter: numpy reads a list with a word past 2**63 as floats
+        philox = np.random.Philox(key=keys[path], counter=child << 64)
         columns.append(philox.random_raw(4 * reps).reshape(reps, 4).tolist())
     for words in zip(*columns):
         yield [
@@ -293,9 +297,6 @@ def run_batch(
         rep_seeds = seeds
         if seeds is None:
             rep_seeds = (int(reseeded(rng, node_state[0]).integers(network.n)),)
-        results.append(
-            run_cascade(
-                network, params, rep_seeds, reseeded(rng, run_state), record_trace=record_trace
-            )
-        )
+        run_rng = reseeded(rng, run_state)
+        results.append(run_cascade(network, params, rep_seeds, run_rng, record_trace=record_trace))
     return results

@@ -233,16 +233,18 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     a node is known in advance, since every added node adds k edges. For
     each run of ``_CHUNK`` added nodes, one ``rng.integers(0, sizes[:, None],
     (rows, 2k+4))`` call draws every node's first pool of ``2k+4`` indices
-    into the list as it stands at that node. A node's targets are the first
+    into the list as it stands at that node, reading the generator as one
+    scalar-bound call per node in turn would. A node's targets are the first
     k distinct candidates of its pool in draw order. A node whose pool holds
     fewer than k distinct candidates keeps them all and draws more pools
     from the same ``rng``, one ``rng.integers(0, size, 2*want+4)`` at a time
     with ``want`` the number still missing, scanning each in draw order
-    until it has k; these come when the scan reaches the node. Its k targets,
-    sorted, are then appended after the node as k edges (new, target). When
-    the core is one node, the first added node attaches to node 0 with no
-    draw, and the chunks start after it. The tests keep this schedule as a
-    plain list-and-set loop, which must give ``==`` graphs.
+    until it has k; these come when the scan reaches the node, so
+    ``_CHUNK`` only decides where they fall. Its k targets, sorted, are
+    appended after the node as k edges (new, target). When the core is one
+    node, the first added node attaches to node 0 with no draw, and the
+    chunks start after it. The tests keep this schedule as a plain
+    list-and-set loop, which must give ``==`` graphs.
     """
     if not 1 <= k <= n0 < n:
         raise ValueError("need 1 <= k <= n0 < n")

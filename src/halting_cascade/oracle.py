@@ -289,15 +289,9 @@ def simulate_oracle(
     stream is taken.
     """
     if run_seed is None:
-        parent = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        seed, run_seed = (
-            np.random.default_rng(
-                np.random.SeedSequence(
-                    parent.entropy, spawn_key=(*parent.spawn_key, j), pool_size=parent.pool_size
-                )
-            )
-            for j in (0, 1)
-        )
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        fresh = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size)
+        seed, run_seed = (np.random.default_rng(child) for child in fresh.spawn(2))
     n = world.n
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -506,24 +506,64 @@ class TestBatch:
         assert digest.hexdigest() == expected
 
 
-class TestReplicationStates:
-    """The stream layout that ``cascade``'s module comment states."""
+def _philox_state(key: np.random.SeedSequence, child: int, rep: int) -> dict:
+    """The PCG64 state of stream (child, rep) under the Philox key of ``key``,
+    rebuilt by hand from the layout ``replication_states`` states."""
+    # the counter as an int: a list with a word past 2**63 would be read as floats
+    philox = np.random.Philox(key=key.generate_state(2, np.uint64), counter=child << 64 | rep)
+    w0, w1, w2, w3 = philox.random_raw(4).tolist()
+    state = np.random.PCG64(0).state
+    state["state"] = {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1}
+    return state
 
-    def test_states_follow_the_philox_layout(self):
-        seed, streams, reps = 2**70 + 9, [((4, 1), 0), ((4, 1), 2), ((), 1)], 3
+
+class TestSeedTree:
+    """The streams form a tree: the Philox key of a cell path is that of
+    ``SeedSequence(seed)``'s spawn child at the path, and (child, rep) picks a
+    block under that key."""
+
+    @given(
+        seed=st.one_of(
+            st.integers(0, 2**100), st.lists(st.integers(0, 2**64), min_size=1, max_size=3)
+        ),
+        path=st.lists(st.integers(0, 4), max_size=4),
+        child=st.integers(0, 2**64 - 1),
+        rep=st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_states_and_draws_equal_seed_sequence_children(self, seed, path, child, rep):
+        # the spawn child is reached by spawning, one generation per path word
+        node = np.random.SeedSequence(seed)
+        for word in path:
+            node = node.spawn(word + 1)[word]
+        state = list(replication_states(seed, [(tuple(path), child)], rep + 1))[rep][0]
+        want = _philox_state(node, child, rep)
+        assert state == want
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = want
+        assert reseeded(np.random.default_rng(0), state).random(8).tolist() == (
+            rng.random(8).tolist()
+        )
+
+    @pytest.mark.parametrize(
+        "entropy",
+        [42, [20260815, 3, 1], [2**64 + 3, 0], []],
+        ids=["int", "int-list", "wide-int-list", "empty"],
+    )
+    def test_children_equal_a_fresh_spawn(self, entropy):
+        got = next(replication_states(entropy, [((j,), 1) for j in range(5)], 1))
+        want = np.random.SeedSequence(entropy).spawn(5)
+        assert got == [_philox_state(child, 1, 0) for child in want]
+
+    def test_replication_states_follow_the_row_layout(self):
+        # one state per row in row order, a repeated row repeating its state
+        seed, reps = 2**70 + 9, 3
+        streams = [((4, 1), 0), ((4, 1), 2), ((), 1), ((4, 1), 0)]
         for rep, states in enumerate(replication_states(seed, streams, reps)):
             for (path, child), state in zip(streams, states, strict=True):
-                key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
-                block = np.random.Philox(key=key, counter=[rep, child, 0, 0]).random_raw(4)
-                w0, w1, w2, w3 = block.tolist()
-                want = np.random.PCG64(0).state
-                want["state"] = {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1}
-                assert state == want
-                rng = np.random.default_rng(0)
-                rng.bit_generator.state = want
-                assert reseeded(np.random.default_rng(1), state).random(5).tolist() == (
-                    rng.random(5).tolist()
-                )
+                key = np.random.SeedSequence(seed, spawn_key=path)
+                assert state == _philox_state(key, child, rep)
+            assert states[0] == states[3] != states[1]
         assert rep == reps - 1
 
     def test_a_buffered_half_word_does_not_leak_into_the_next_stream(self):
@@ -535,6 +575,40 @@ class TestReplicationStates:
         assert reseeded(rng, second).bit_generator.state == fresh.bit_generator.state
         assert rng.integers(5000, size=9).tolist() == fresh.integers(5000, size=9).tolist()
 
-    def test_no_streams_or_no_reps(self):
+    @pytest.mark.parametrize(
+        "seed, streams",
+        [
+            (-1, [((), 0)]),
+            ([3, -2], [((), 0)]),
+            # SeedSequence would read (2**32,) as the words of (0, 1)
+            (3, [((2**32,), 0)]),
+            (3, [((0,), -1)]),
+        ],
+        ids=["negative", "negative-word", "wide-tail", "negative-key"],
+    )
+    def test_bad_keys_rejected(self, seed, streams):
+        with pytest.raises(ValueError):
+            list(replication_states(seed, streams, 1))
+
+    def test_no_rows(self):
         assert list(replication_states(5, [], 4)) == []
         assert list(replication_states(5, [((), 0)], 0)) == []
+
+
+class TestStreamChildren:
+    """Paths from a later child index on give the streams of the children
+    that a fresh ``spawn`` gives from that index on."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: [20260815, 3, 1], lambda: np.random.SeedSequence([1, 2], spawn_key=(5, 0))],
+        ids=["int-list", "spawned-seed-sequence"],
+    )
+    def test_start_gives_the_later_children_of_a_fresh_spawn(self, make):
+        parent = make()
+        if not isinstance(parent, np.random.SeedSequence):
+            parent = np.random.SeedSequence(parent)
+        paths = [(*parent.spawn_key, j) for j in (3, 4)]
+        got = next(replication_states(parent.entropy, [(path, 0) for path in paths], 1))
+        want = parent.spawn(5)[3:]
+        assert got == [_philox_state(child, 0, 0) for child in want]

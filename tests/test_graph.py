@@ -136,6 +136,19 @@ def _chunked_reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
     return network, extra
 
 
+def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators in one state; ``buffered`` leaves a high half-word waiting in both."""
+    twins = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        for rng in twins:
+            rng.integers(0, 10)
+    return twins
+
+
+# the largest p whose numpy geometric draw is an inversion, as ``_jumps`` is
+_BELOW_THIRD = float(np.nextafter(1 / 3, 0))
+
+
 class _ZeroExponentials(np.random.Generator):
     """A generator whose standard exponentials are all exactly 0."""
 
@@ -487,8 +500,9 @@ class TestGenerateEr:
         assert len(sizes) == 2
         _assert_same(net, _reference_er(40, 0.1 * 39, 244))
 
-    def test_zero_exponential_jumps_take_the_next_pair(self):
-        # E == 0 gives ceil(0) == 0, clipped to the smallest jump, 1
+    def test_zero_exponential_jumps_leave_the_pair_range(self):
+        # E == 0 gives ceil(0) == 0, clipped to the smallest jump, 1: the walk
+        # takes every pair and leaves the pair range after the last
         rng = _ZeroExponentials(np.random.PCG64(3))
         assert np.random.default_rng(rng) is rng
         assert graph._jumps(rng, 0.1, 5, 46).tolist() == [1] * 5
@@ -496,7 +510,21 @@ class TestGenerateEr:
 
 
 class TestJumps:
-    """``graph._jumps`` at the far end of its range."""
+    """``graph._jumps`` below p = 1/3, where numpy's ``rng.geometric`` inverts
+    exponentials the same way, against it clamped the way the walk clamps."""
+
+    @pytest.mark.parametrize(
+        "p", [5e-324, 1e-300, 1e-6, 20 / 1999, 50 / 1999, 0.2, 0.3, _BELOW_THIRD]
+    )
+    @pytest.mark.parametrize("cap", [1, 47, 10**6, 2**62, 2**63 - 1025])
+    def test_equals_clamped_geometric(self, p, cap):
+        ours, theirs = _twins(9, buffered=False)
+        got = graph._jumps(ours, p, 3000, cap)
+        want = np.minimum(theirs.geometric(p, size=3000), cap)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
 
     def test_subnormal_p_warns_nothing(self):
         with warnings.catch_warnings():
@@ -577,6 +605,29 @@ class TestGenerateBa:
             assert generate_ba(n, n0, k, rng) == want
             assert extra >= least
             assert rng.scalar_calls == extra
+
+
+class TestHalves:
+    """``generate_ba``'s chunk call ``rng.integers(0, sizes[:, None], (rows,
+    width))`` reads the generator as one scalar-bound call per row in turn
+    would: 32-bit halves for bounds up to 2**32, a buffered half first, and
+    whole words above."""
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        # about half the halves are rejected at 2**31 + 1 and 3 * 2**30 + 1
+        "size", [1, 2, 3, 200_000, 2**31 + 1, 3 * 2**30 + 1, 2**32]
+    )
+    def test_bounded_equals_integers(self, size, buffered):
+        ours, theirs = _twins(11, buffered)
+        # an odd width leaves a half buffered between rows; size + 1 past
+        # 2**32 switches a row to whole words
+        sizes = np.array([size, size + 1, size, max(size - 1, 1)])
+        got = ours.integers(0, sizes[:, None], (len(sizes), 1501))
+        want = [theirs.integers(0, bound, 1501) for bound in sizes.tolist()]
+        assert got.tolist() == [row.tolist() for row in want]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
 
 
 class TestGenerateStar:
