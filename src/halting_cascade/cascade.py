@@ -16,11 +16,10 @@ references that follow this schedule: the engine as first written, whose
 results this one must equal, and a plain independent cascade, whose reach
 equals the engine's when the application probability is zero.
 
-Streams: every generator a batch or a sweep reads starts from a PCG64 state
-that ``replication_states`` reads off a Philox counter block named by the
-master seed, the cell's path, the stream's child index and the replication.
-Only public numpy calls make them. Callers reseed one generator for each
-stream, so a generator handed out is valid until the next stream is taken.
+Streams: every generator a batch or a sweep reads comes from
+``replication_streams``, which starts it at a PCG64 state read off a Philox
+counter block named by the master seed, the cell's path, the stream's child
+index and the replication. Only public numpy calls make them.
 """
 from __future__ import annotations
 
@@ -216,23 +215,13 @@ def run_cascade(
 
 # -- streams ------------------------------------------------------------------
 
-def reseeded(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """``rng``, a PCG64 generator, moved to ``state``, one of ``replication_states``'.
-
-    The callers keep one generator and reseed it for every stream they read,
-    so a generator handed out is valid until the next stream is taken.
-    """
-    rng.bit_generator.state = state
-    return rng
-
-
-def replication_states(
+def replication_streams(
     seed: int | Sequence[int], streams: Sequence[tuple[tuple[int, ...], int]], reps: int
-) -> Iterator[list[dict]]:
-    """Per replication ``rep`` < ``reps``, one PCG64 state per ``(path, child)``
-    of ``streams``, ready to assign to a generator's ``bit_generator.state``.
+) -> Iterator[list[np.random.Generator]]:
+    """Per replication ``rep`` < ``reps``, one PCG64 generator per ``(path,
+    child)`` of ``streams``, each at the start of its stream.
 
-    Each state is one block of four 64-bit words of Philox4x64-10, a
+    Each stream's state is one block of four 64-bit words of Philox4x64-10, a
     counter-based generator (Salmon et al., "Parallel random numbers: as easy
     as 1, 2, 3", SC 2011). The key is ``SeedSequence(seed,
     spawn_key=path).generate_state(2, uint64)``, and (child, rep) is the block
@@ -244,9 +233,11 @@ def replication_states(
     rep) share a block: path words lie in [0, 2**32) (``SeedSequence`` splits
     wider ones, so ``(2**32,)`` would name ``(0, 1)``'s key) and children are
     not negative. A path's key is that of ``SeedSequence(seed)``'s spawn child.
+
+    A call builds its generators once and sets them to each replication's
+    states in turn, with no half-word buffered, so a replication's
+    generators are valid until the iterator advances.
     """
-    # a fresh PCG64's state dict, built per call: np.random loads lazily
-    fresh = np.random.PCG64(0).state
     keys: dict[tuple[int, ...], np.ndarray] = {}
     columns = []
     for path, child in streams:
@@ -257,11 +248,16 @@ def replication_states(
         # an int counter: numpy reads a list with a word past 2**63 as floats
         philox = np.random.Philox(key=keys[path], counter=child << 64)
         columns.append(philox.random_raw(4 * reps).reshape(reps, 4).tolist())
+    generators = [np.random.default_rng(0) for _ in columns]  # every state is set below
     for words in zip(*columns):
-        yield [
-            {**fresh, "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1}}
-            for w0, w1, w2, w3 in words
-        ]
+        for rng, (w0, w1, w2, w3) in zip(generators, words):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        yield generators
 
 
 def run_batch(
@@ -278,25 +274,19 @@ def run_batch(
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
     the given set is reused. Replication i follows the CLI's stream rule
     for a group of one cell with an empty path: it reads replication i of
-    children 0 (seed node) and 1 (cascade) of ``replication_states`` with
+    children 0 (seed node) and 1 (cascade) of ``replication_streams`` with
     seed ``master_seed`` and path ``()``; the seed-node stream is not
-    computed when ``seeds`` is given. One generator is reseeded for each
-    stream, so a generator handed out is valid until the next stream is
-    taken. Results do not depend on execution order, and any prefix of a
-    longer batch is reproducible on its own.
+    computed when ``seeds`` is given. Results do not depend on execution
+    order, and any prefix of a longer batch is reproducible on its own.
     """
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
     children = (0, 1) if seeds is None else (1,)  # seed node, cascade
-    streams = replication_states(int(master_seed), [((), child) for child in children], n_reps)
-    rng = np.random.default_rng(0)  # reseeded before every read
+    streams = replication_streams(int(master_seed), [((), child) for child in children], n_reps)
     results = []
-    for *node_state, run_state in streams:
-        rep_seeds = seeds
-        if seeds is None:
-            rep_seeds = (int(reseeded(rng, node_state[0]).integers(network.n)),)
-        run_rng = reseeded(rng, run_state)
+    for *node_rng, run_rng in streams:
+        rep_seeds = (int(node_rng[0].integers(network.n)),) if node_rng else seeds
         results.append(run_cascade(network, params, rep_seeds, run_rng, record_trace=record_trace))
     return results

@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .cascade import CascadeResult, IHCParams, replication_states, reseeded, run_cascade
+from .cascade import CascadeResult, IHCParams, replication_streams, run_cascade
 from .graph import (
     EdgeListError,
     Network,
@@ -48,14 +48,6 @@ from .skills import bind_params, sample_skill_world
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_SUMMARY_FIELDS = (
-    "n_runs",
-    "success_rate",
-    "median_chain_length",
-    "mean_chain_depth",
-    "mean_applicants",
-)
 
 
 class ConfigError(Exception):
@@ -87,7 +79,10 @@ def _number(lo: float | None = None, hi: float | None = None, open_lo: bool = Fa
     def check(name: str, value: Any) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name} must be a number, got {value!r}")
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:  # an int past the largest float
+            raise ConfigError(f"{name} must be finite, got {value}") from None
         if not math.isfinite(v):
             raise ConfigError(f"{name} must be finite, got {v}")
         if lo is not None and (v <= lo if open_lo else v < lo):
@@ -129,6 +124,7 @@ def _budget(name: str, value: Any) -> Fraction:
         raise ConfigError(f"{name} must be a number or a fraction string like '5/2'")
     try:
         b = Fraction(value)
+        float(b)  # no amount printed exceeds the budget, so this is the one to check
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError(f"{name} is not a valid amount: {value!r}") from None
     if b <= 0:
@@ -261,13 +257,15 @@ def _clean(value: Any) -> Any:
     return value
 
 
-def _render(fields: Sequence[str], rows: Sequence[dict], fmt: str) -> str:
+def _render(rows: Sequence[dict], fmt: str) -> str:
+    """Rows as CSV or JSON lines; the columns are the rows' keys in first-seen order."""
+    fields = list(dict.fromkeys(key for row in rows for key in row))
     if fmt == "jsonl":
         return "".join(
             json.dumps({key: _clean(row.get(key)) for key in fields}) + "\n" for row in rows
         )
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(fields), lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({key: _clean(row.get(key)) for key in fields})
@@ -305,16 +303,14 @@ def _replicate(
     distribution, and contrasts between them are paired.
 
     Stream rule: replication ``rep`` of the cell at ``path`` reads streams
-    ``(path, child)`` of ``replication_states``, one child per stream the
+    ``(path, child)`` of ``replication_streams``, one child per stream the
     sweep uses, in the fixed order skill world, network, seed node, cascade,
     then the oracle's reached set and its run. The shared streams are those
     of the group's first cell (the leader); every cell reads its own cascade
     and oracle children. Each stream thus comes from a distinct (path, child,
     rep), and the leader's draws are those of a group that holds it alone.
-    One ``replication_states`` call computes every stream read, and only
-    those. One generator is reseeded for each stream read (the oracle's run
-    has a second one), so a generator handed out is valid until the next
-    stream is taken.
+    One ``replication_streams`` call builds a generator for every stream
+    read, and only for those.
 
     ``network`` is a fixed ``Network`` or a factory called with the network
     stream. Each ``params[i]`` holds the cascade probabilities; with
@@ -333,55 +329,36 @@ def _replicate(
     shared = (skills is not None, callable(network), True)  # skill world, network, seed node
     lead = sum(shared)
     children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
-    streams = replication_states(
+    streams = replication_streams(
         seed,
         [(paths[0], child) for child in range(lead)]
         + [(path, child) for path in paths for child in children],
         reps,
     )
-    # reseeded before every read; the oracle's run needs a second one
-    rng, oracle_rng = np.random.default_rng(0), np.random.default_rng(0)
-    for states in map(iter, streams):
-        world_state, net_state, node_state = [next(states) if used else None for used in shared]
-        net = network(reseeded(rng, net_state)) if callable(network) else network
-        seed_node = int(reseeded(rng, node_state).integers(net.n))
+    for rngs in map(iter, streams):
+        world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
+        net = network(net_rng) if callable(network) else network
+        seed_node = int(node_rng.integers(net.n))
         world = None
         if skills is not None:
-            world = sample_skill_world(net.n, *skills[:2], reseeded(rng, world_state))
+            world = sample_skill_world(net.n, *skills[:2], world_rng)
         outcomes = []
         for cell_params in params:
             cascade_params = cell_params if world is None else bind_params(world, cell_params)
-            result = run_cascade(net, cascade_params, (seed_node,), reseeded(rng, next(states)))
+            result = run_cascade(net, cascade_params, (seed_node,), next(rngs))
             oracle = None
             if world is not None:
-                oracle = simulate_oracle(
-                    world,
-                    skills[2],
-                    cell_params,
-                    reseeded(rng, next(states)),
-                    reseeded(oracle_rng, next(states)),
-                )
+                oracle = simulate_oracle(world, skills[2], cell_params, next(rngs), next(rngs))
             outcomes.append((result, oracle))
         yield net, seed_node, outcomes
 
 
-def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_heatmap(cfg: dict) -> list[dict]:
     """Success and chain-length grid over p_r x p_a x p_h on ER draws.
 
     The whole grid is one group: each replication's ER network and seed
     node are shared by every cell.
     """
-    fields = [
-        "p_r",
-        "p_a",
-        "p_h",
-        "n",
-        "mean_degree",
-        "diffusion_value",
-        "halting_value",
-        "regime",
-        *_SUMMARY_FIELDS,
-    ]
     grid = list(itertools.product(cfg["p_r"], cfg["p_a"], cfg["p_h"]))
     er = functools.partial(generate_er, cfg["n"], cfg["mean_degree"])
     params = [IHCParams(p_r=p_r, p_a=p_a, p_h=p_h) for p_r, p_a, p_h in grid]
@@ -404,27 +381,15 @@ def cmd_heatmap(cfg: dict) -> tuple[list[str], list[dict]]:
                 **summarize([result for result, _ in cell_runs]).as_dict(),
             }
         )
-    return fields, rows
+    return rows
 
 
-def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_ba_vs_er(cfg: dict) -> list[dict]:
     """Seed-degree-binned outcomes on preferential-attachment vs ER networks.
 
     The ``p_r`` cells of one topology are one group: they share each
     replication's network and seed node.
     """
-    fields = [
-        "topology",
-        "n",
-        "er_mean_degree",
-        "ba_attachment",
-        "p_r",
-        "p_a",
-        "p_h",
-        "degree_bin_lo",
-        "degree_bin_hi",
-        *_SUMMARY_FIELDS,
-    ]
     ba_core = cfg["ba_core"] if cfg["ba_core"] is not None else cfg["ba_attachment"]
     er = functools.partial(generate_er, cfg["n"], cfg["er_mean_degree"])
     ba = functools.partial(generate_ba, cfg["n"], ba_core, cfg["ba_attachment"])
@@ -456,10 +421,10 @@ def cmd_ba_vs_er(cfg: dict) -> tuple[list[str], list[dict]]:
                         **summarize(cell_bins[(lo, hi)]).as_dict(),
                     }
                 )
-    return fields, rows
+    return rows
 
 
-def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
     """Cascade vs direct-posting comparison on shared skill worlds.
 
     Each replication draws one skill world and feeds it to both systems:
@@ -468,17 +433,6 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
     they share each replication's skill world, network and seed node. The
     closed-form baseline value rides along as a reference column.
     """
-    fields = [
-        "system",
-        "population",
-        "mean_degree",
-        "reach_fraction",
-        "skill_rate",
-        "vacancy_size",
-        "p_r",
-        "analytic_oracle_success",
-        *_SUMMARY_FIELDS,
-    ]
     rows = []
     er = functools.partial(generate_er, cfg["population"], cfg["mean_degree"])
     n_p_r = len(cfg["p_r"])
@@ -512,24 +466,11 @@ def cmd_ihc_vs_oracle(cfg: dict) -> tuple[list[str], list[dict]]:
                         **summarize(results).as_dict(),
                     }
                 )
-    return fields, rows
+    return rows
 
 
-def cmd_oracle_analytic(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_oracle_analytic(cfg: dict) -> list[dict]:
     """Closed-form baseline success probabilities with truncation diagnostics."""
-    fields = [
-        "population",
-        "reach_fraction",
-        "p_r",
-        "skill_rate",
-        "vacancy_size",
-        "mass_threshold",
-        "p_qualified",
-        "l_min",
-        "l_max",
-        "k_max",
-        "success_probability",
-    ]
     rows = []
     for vacancy_size, p_r in itertools.product(cfg["vacancy_sizes"], cfg["p_r"]):
         spec = OracleSpec(
@@ -560,29 +501,15 @@ def cmd_oracle_analytic(cfg: dict) -> tuple[list[str], list[dict]]:
                 "success_probability": truncated_series(spec, p_qualified, bounds),
             }
         )
-    return fields, rows
+    return rows
 
 
-def cmd_empirical(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_empirical(cfg: dict) -> list[dict]:
     """Both systems on one loaded network, plus its degree histogram.
 
     Emits a combined table: ``record=summary`` rows carry per-system batch
     statistics, ``record=degree`` rows the out-degree histogram.
     """
-    fields = [
-        "record",
-        "system",
-        "n",
-        "directed",
-        "mean_out_degree",
-        "p_r",
-        "reach_fraction",
-        "skill_rate",
-        "vacancy_size",
-        *_SUMMARY_FIELDS,
-        "degree",
-        "count",
-    ]
     network = load_edge_list(cfg["edge_list"], directed=cfg["directed"])
     stats = degree_stats(network)
     base = {
@@ -605,12 +532,11 @@ def cmd_empirical(cfg: dict) -> tuple[list[str], list[dict]]:
         rows.append(
             {"record": "degree", **base, "degree": degree, "count": stats.histogram[degree]}
         )
-    return fields, rows
+    return rows
 
 
-def cmd_payout(cfg: dict) -> tuple[list[str], list[dict]]:
+def cmd_payout(cfg: dict) -> list[dict]:
     """Reward split for one successful chain; position 1 is the hired agent."""
-    fields = ["record", "chain_length", "budget", "position", "amount_exact", "amount"]
     schedule = compute_payouts(cfg["chain_length"], cfg["budget"])
     base = {"chain_length": cfg["chain_length"], "budget": str(schedule.budget)}
     rows: list[dict] = [
@@ -632,10 +558,10 @@ def cmd_payout(cfg: dict) -> tuple[list[str], list[dict]]:
             "amount": float(schedule.surplus),
         }
     )
-    return fields, rows
+    return rows
 
 
-_COMMANDS: dict[str, Callable[[dict], tuple[list[str], list[dict]]]] = {
+_COMMANDS: dict[str, Callable[[dict], list[dict]]] = {
     "heatmap": cmd_heatmap,
     "ba-vs-er": cmd_ba_vs_er,
     "ihc-vs-oracle": cmd_ihc_vs_oracle,
@@ -728,18 +654,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        fields, rows = _COMMANDS[args.command](cfg)
-        _write_output(_render(fields, rows, args.format), cfg["out"])
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EdgeListError as exc:
+        rows = _COMMANDS[args.command](cfg)
+        _write_output(_render(rows, args.format), cfg["out"])
+    # EdgeListError is a ValueError, so this arm comes first
+    except (EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +256,8 @@ def simulate_oracle(
     world: SkillWorld,
     reach_fraction: float,
     p_r: float,
-    seed: int | Sequence[int] | np.random.SeedSequence | np.random.Generator,
-    run_seed: np.random.Generator | None = None,
+    star_seed,
+    run_seed,
 ) -> CascadeResult:
     """One stochastic trial of the hub posting, on the same skill world.
 
@@ -269,29 +268,17 @@ def simulate_oracle(
     applies, so its own skills are unused. The result reads as a one-step
     cascade seeded at the hub: successful runs report chain length 2.
 
-    Draws: the star stream gives the reached set, ``choice(n - 1, d,
-    replace=False) + 1``, sorted. The run stream gives one uniform per
-    reached agent (recommendation, ``< p_r``), then one per recommended
-    agent (application, always accepted) and one per applicant (hire), each
-    block in ascending id and skipped when empty. This is the draw schedule
+    Draws: the star stream, ``star_seed``, gives the reached set,
+    ``choice(n - 1, d, replace=False) + 1``, sorted. The run stream,
+    ``run_seed``, gives one uniform per reached agent (recommendation,
+    ``< p_r``), then one per recommended agent (application, always
+    accepted) and one per applicant (hire), each block in ascending id and
+    skipped when empty. This is the draw schedule
     of ``run_cascade`` on the directed star that ``generate_star`` builds,
     with ``p_a = 1`` and ``p_h`` the full-coverage indicator; the tests
-    hold that construction as the reference this trial equals.
-
-    The two streams are children 0 and 1 of ``seed``, an int, a sequence of
-    ints or a ``SeedSequence``: generators of ``SeedSequence(entropy,
-    spawn_key=(*key, j), pool_size=pool_size)`` for j = 0, 1, with the seed's
-    own entropy, spawn key and pool size, which are the children ``spawn``
-    would give. ``seed`` is left unchanged, so one seed gives one trial
-    however often it is passed. With ``run_seed``, the star reads ``seed``
-    and the run ``run_seed`` as given: the sweeps hand over the two
-    generators of their own streams this way, each valid until the next
-    stream is taken.
+    hold that construction as the reference this trial equals. Each seed is
+    anything ``numpy.random.default_rng`` accepts.
     """
-    if run_seed is None:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        fresh = np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key, pool_size=ss.pool_size)
-        seed, run_seed = (np.random.default_rng(child) for child in fresh.spawn(2))
     n = world.n
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -302,7 +289,7 @@ def simulate_oracle(
     reach = round(reach_fraction * (n - 1))
     recommended = hired = np.empty(0, dtype=np.int64)
     if reach:
-        leaves = np.random.default_rng(seed).choice(n - 1, size=reach, replace=False)
+        leaves = np.random.default_rng(star_seed).choice(n - 1, size=reach, replace=False)
         leaves += 1
         leaves.sort()
         rng = np.random.default_rng(run_seed)

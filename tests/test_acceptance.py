@@ -207,7 +207,7 @@ def test_07_baseline_analytic_matches_simulation():
                     [7, vacancy_size, int(p_r * 10), rep]
                 ).spawn(2)
                 world = sample_skill_world(500, 3.0, vacancy_size, seed=world_ss)
-                hits += simulate_oracle(world, 0.5, p_r, seed=run_ss).success
+                hits += simulate_oracle(world, 0.5, p_r, *run_ss.spawn(2)).success
             empirical = hits / 2000
             se = math.sqrt(analytic * (1.0 - analytic) / 2000)
             ok = analytic - 3 * se <= empirical <= analytic + dropped + 3 * se

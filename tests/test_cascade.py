@@ -15,8 +15,7 @@ from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
     StateCounts,
-    replication_states,
-    reseeded,
+    replication_streams,
     run_batch,
     run_cascade,
 )
@@ -506,9 +505,13 @@ class TestBatch:
         assert digest.hexdigest() == expected
 
 
+def _states(rngs) -> list[dict]:
+    return [rng.bit_generator.state for rng in rngs]
+
+
 def _philox_state(key: np.random.SeedSequence, child: int, rep: int) -> dict:
     """The PCG64 state of stream (child, rep) under the Philox key of ``key``,
-    rebuilt by hand from the layout ``replication_states`` states."""
+    rebuilt by hand from the layout ``replication_streams`` states."""
     # the counter as an int: a list with a word past 2**63 would be read as floats
     philox = np.random.Philox(key=key.generate_state(2, np.uint64), counter=child << 64 | rep)
     w0, w1, w2, w3 = philox.random_raw(4).tolist()
@@ -536,14 +539,13 @@ class TestSeedTree:
         node = np.random.SeedSequence(seed)
         for word in path:
             node = node.spawn(word + 1)[word]
-        state = list(replication_states(seed, [(tuple(path), child)], rep + 1))[rep][0]
+        # the generator stays at the last replication's state
+        *_, (got,) = replication_streams(seed, [(tuple(path), child)], rep + 1)
         want = _philox_state(node, child, rep)
-        assert state == want
+        assert got.bit_generator.state == want
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = want
-        assert reseeded(np.random.default_rng(0), state).random(8).tolist() == (
-            rng.random(8).tolist()
-        )
+        assert got.random(8).tolist() == rng.random(8).tolist()
 
     @pytest.mark.parametrize(
         "entropy",
@@ -551,15 +553,16 @@ class TestSeedTree:
         ids=["int", "int-list", "wide-int-list", "empty"],
     )
     def test_children_equal_a_fresh_spawn(self, entropy):
-        got = next(replication_states(entropy, [((j,), 1) for j in range(5)], 1))
+        got = _states(next(replication_streams(entropy, [((j,), 1) for j in range(5)], 1)))
         want = np.random.SeedSequence(entropy).spawn(5)
         assert got == [_philox_state(child, 1, 0) for child in want]
 
     def test_replication_states_follow_the_row_layout(self):
-        # one state per row in row order, a repeated row repeating its state
+        # one generator per row in row order, a repeated row repeating its state
         seed, reps = 2**70 + 9, 3
         streams = [((4, 1), 0), ((4, 1), 2), ((), 1), ((4, 1), 0)]
-        for rep, states in enumerate(replication_states(seed, streams, reps)):
+        for rep, rngs in enumerate(replication_streams(seed, streams, reps)):
+            states = _states(rngs)
             for (path, child), state in zip(streams, states, strict=True):
                 key = np.random.SeedSequence(seed, spawn_key=path)
                 assert state == _philox_state(key, child, rep)
@@ -567,12 +570,16 @@ class TestSeedTree:
         assert rep == reps - 1
 
     def test_a_buffered_half_word_does_not_leak_into_the_next_stream(self):
-        first, second = next(replication_states(7, [((), 0), ((), 1)], 1))
-        rng = reseeded(np.random.default_rng(0), first)
+        streams = replication_streams(7, [((), 0)], 2)
+        (rng,) = next(streams)
         rng.integers(5000)  # a 32-bit draw leaves the other half buffered
         assert rng.bit_generator.state["has_uint32"] == 1
-        fresh = reseeded(np.random.default_rng(0), second)
-        assert reseeded(rng, second).bit_generator.state == fresh.bit_generator.state
+        (advanced,) = next(streams)
+        assert advanced is rng
+        want = _philox_state(np.random.SeedSequence(7), 0, 1)
+        assert rng.bit_generator.state == want
+        fresh = np.random.Generator(np.random.PCG64())
+        fresh.bit_generator.state = want
         assert rng.integers(5000, size=9).tolist() == fresh.integers(5000, size=9).tolist()
 
     @pytest.mark.parametrize(
@@ -588,11 +595,11 @@ class TestSeedTree:
     )
     def test_bad_keys_rejected(self, seed, streams):
         with pytest.raises(ValueError):
-            list(replication_states(seed, streams, 1))
+            list(replication_streams(seed, streams, 1))
 
     def test_no_rows(self):
-        assert list(replication_states(5, [], 4)) == []
-        assert list(replication_states(5, [((), 0)], 0)) == []
+        assert list(replication_streams(5, [], 4)) == []
+        assert list(replication_streams(5, [((), 0)], 0)) == []
 
 
 class TestStreamChildren:
@@ -609,6 +616,7 @@ class TestStreamChildren:
         if not isinstance(parent, np.random.SeedSequence):
             parent = np.random.SeedSequence(parent)
         paths = [(*parent.spawn_key, j) for j in (3, 4)]
-        got = next(replication_states(parent.entropy, [(path, 0) for path in paths], 1))
+        streams = replication_streams(parent.entropy, [(path, 0) for path in paths], 1)
+        got = _states(next(streams))
         want = parent.spawn(5)[3:]
         assert got == [_philox_state(child, 0, 0) for child in want]

@@ -140,7 +140,9 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert _rows(out)[0]["n_runs"] == "2"
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="401-digits")]
+    )
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, literal):
         path = tmp_path / "nonfinite.json"
         path.write_text(f'{{"skill_rate": {literal}}}', encoding="utf-8")
@@ -498,8 +500,8 @@ def _sweep(tmp_path, capsys, command: str, config: dict | None, seed: int = 5) -
 def _start(value):
     """A generator's (state, inc) when it is passed; any other value as it is.
 
-    The sweeps reseed one generator for every stream they read, so only a
-    snapshot taken at call time names the stream a call read.
+    The sweeps' generators move on to the next replication's streams, so
+    only a snapshot taken at call time names the stream a call read.
     """
     if isinstance(value, np.random.Generator):
         state = value.bit_generator.state["state"]
@@ -572,16 +574,16 @@ class TestCommonRandomNetworks:
     ):
         """Per replication, the leader's shared children (network, seed node)
         and one cascade child per cell; none of a follower's shared ones.
-        Counts the states ``replication_states`` yields."""
+        Counts the generators ``replication_streams`` yields, per replication."""
         built = []
-        states = cli.replication_states
+        streams = cli.replication_streams
 
         def counting(*args):
-            for rep_states in states(*args):
-                built.extend(rep_states)
-                yield rep_states
+            for rngs in streams(*args):
+                built.extend(map(_start, rngs))
+                yield rngs
 
-        monkeypatch.setattr(cli, "replication_states", counting)
+        monkeypatch.setattr(cli, "replication_streams", counting)
         _sweep(tmp_path, capsys, command, config)
         assert len(built) == groups * config["reps"] * (2 + cells)
 
@@ -619,25 +621,26 @@ class TestCommonRandomNetworks:
     def test_every_stream_is_distinct(self, tmp_path, capsys, monkeypatch, command, config):
         """No two generators of one sweep start from the same state."""
         seeded, handed, cascades = [], [], []
-        default_rng, reseeded = np.random.default_rng, cli.reseeded
+        default_rng, streams = np.random.default_rng, cli.replication_streams
 
         def recording(seed=None):
-            # the generator is reused, so record the stream it holds now
+            # record the stream it holds now: it moves on with the iterator
             if isinstance(seed, np.random.Generator):
                 seeded.append(_start(seed))
             return default_rng(seed)
 
-        def handing(rng, state):
-            handed.append(_start(reseeded(rng, state)))
-            return rng
+        def handing(*args):
+            for rngs in streams(*args):
+                handed.extend(map(_start, rngs))
+                yield rngs
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        monkeypatch.setattr(cli, "reseeded", handing)
+        monkeypatch.setattr(cli, "replication_streams", handing)
         _record(monkeypatch, "run_cascade", cascades)
         _sweep(tmp_path, capsys, command, config)
         unique = set(seeded)
         assert len(unique) == len(seeded)
-        # every stream read comes from replication_states, and the seed-node
+        # every stream read comes from replication_streams, and the seed-node
         # draws, which read their generator without default_rng, are distinct too
         assert unique <= set(handed)
         assert len(set(handed)) == len(handed)

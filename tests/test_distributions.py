@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from halting_cascade.cascade import replication_states, reseeded
+from halting_cascade.cascade import replication_streams
 from halting_cascade.graph import generate_ba, generate_er
 from test_graph import _reference_ba
 
@@ -92,20 +92,17 @@ def test_er_at_p_one_takes_every_pair():
 _UNIFORMS = 10**6
 
 
-def _uniforms(state) -> np.ndarray:
-    return reseeded(np.random.default_rng(0), state).random(_UNIFORMS)
-
-
 @pytest.mark.parametrize("path", [(), (3, 1)])
 def test_sibling_streams_are_uncorrelated(path):
     """Child 0 against child 1 of one replication, and replication 0 against
     replication 1 of one child: |Pearson r| below 5e-3, five times the
     standard error 1e-3 of r between independent streams."""
-    (rep0_child0, rep0_child1), (rep1_child0, _) = replication_states(
-        20260815, [(path, 0), (path, 1)], 2
+    # draws are taken per replication: the generators move on with the iterator
+    (rep0_child0, rep0_child1), (rep1_child0, _) = (
+        [rng.random(_UNIFORMS) for rng in rngs]
+        for rngs in replication_streams(20260815, [(path, 0), (path, 1)], 2)
     )
-    base = _uniforms(rep0_child0)
     for name, other in (("child 1", rep0_child1), ("rep 1", rep1_child0)):
-        r = np.corrcoef(base, _uniforms(other))[0, 1]
+        r = np.corrcoef(rep0_child0, other)[0, 1]
         print(f"path {path}: child 0 rep 0 against {name}: r={r:.2e}")
         assert abs(r) < 5e-3
