@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halting_cascade import cli
 from halting_cascade.cascade import (
     AgentState,
     CascadeResult,
@@ -454,6 +455,24 @@ class TestBatch:
             generate_er(20, 4, seed=8), IHCParams(0.3, 0.2, 0.9), 25, 1, seeds=(4, 7)
         )
         assert all(r.seeds == (4, 7) for r in results)
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 2**40])
+    def test_batch_follows_the_sweeps_stream_rule(self, master_seed):
+        """A batch is the sweeps' group of one cell at the empty path."""
+        network = generate_er(60, 5, seed=1)
+        params = IHCParams(0.4, 0.3, 0.6)
+        sweep = cli._replicate(master_seed, [()], 30, network, [params])
+        assert run_batch(network, params, 30, master_seed) == [
+            result for _, _, ((result, _),) in sweep
+        ]
+
+    def test_fixed_seed_agents_read_only_the_cascade_child(self):
+        network = generate_er(60, 5, seed=1)
+        params = IHCParams(0.4, 0.3, 0.6)
+        streams = replication_streams(9, [((), 1)], 30)
+        assert run_batch(network, params, 30, 9, seeds=(3, 8)) == [
+            run_cascade(network, params, (3, 8), run_rng) for (run_rng,) in streams
+        ]
 
     def test_batch_rejects_bad_arguments(self):
         network = generate_er(10, 3, seed=0)

@@ -684,9 +684,46 @@ class TestCommonRandomNetworks:
             ["--seed", "3", "--reps", "9", "--directed"],
             "82d2fdfca2d9ef5c52ffc9346e9c6ec5fc8eec91087048da67cff44775470e4c",
         ),
+        (
+            "heatmap",
+            {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
+             "p_h": [0.5], "reps": 5},
+            ["--seed", "11", "--format", "jsonl"],
+            "747c73458563374a99c1a2f9b9e6a0aaa26bbb43702f33687220b864c8abb1f3",
+        ),
+        (
+            "ba-vs-er",
+            {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
+             "reps": 6},
+            ["--seed", "4", "--format", "jsonl"],
+            "081cf3d3ed4232a42e697404994cede6e3d38fb8ce0e3df8219dbbba9b43a0c1",
+        ),
+        (
+            "ihc-vs-oracle",
+            {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
+             "p_r": [0.3, 1.0], "reps": 5},
+            ["--seed", "8", "--format", "jsonl"],
+            "147230b3f81b44759ba4c41c2aeb2796c400e53d3ef4a91b73d3ad5acdb04184",
+        ),
+        (
+            "empirical",
+            None,
+            ["--seed", "3", "--reps", "9", "--format", "jsonl"],
+            "f83c113c3d9bb465fcabf1c5e0138dac62be59e98005a48cb51edcd9e5d12b1b",
+        ),
+        (
+            "empirical",
+            None,
+            ["--seed", "3", "--reps", "9", "--directed", "--format", "jsonl"],
+            "c79929c2dd3a181e772c1e7beac870395af5fc80d90a12f2808ca1feaa6f3bdc",
+        ),
     ],
     # named by sweep, not by hash, so that a re-pin keeps every test's id
-    ids=["heatmap", "ba-vs-er", "ihc-vs-oracle", "empirical", "empirical-directed"],
+    ids=[
+        "heatmap", "ba-vs-er", "ihc-vs-oracle", "empirical", "empirical-directed",
+        "heatmap-jsonl", "ba-vs-er-jsonl", "ihc-vs-oracle-jsonl", "empirical-jsonl",
+        "empirical-directed-jsonl",
+    ],
 )
 def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha256):
     """Outputs pinned across versions, not only across reruns of one version.
@@ -709,17 +746,28 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-def test_analytic_output_pinned(tmp_path, capsys):
-    """The closed-form table has no draws, so any change to its bytes is a
-    change of arithmetic, not of the draw schedule."""
+def _analytic_digest(tmp_path, capsys, flags: list[str]) -> str:
     path = tmp_path / "config.json"
     config = {"population": 3000, "reach_fraction": 0.4, "skill_rate": 3.0,
               "vacancy_sizes": [0, 1, 4, 8], "p_r": [0.0, 0.2, 1.0]}
     path.write_text(json.dumps(config), encoding="utf-8")
-    out = tmp_path / "out.csv"
-    code, _, _ = _run(capsys, ["oracle-analytic", "--config", str(path), "--out", str(out)])
+    out = tmp_path / "out"
+    code, _, _ = _run(capsys, ["oracle-analytic", "--config", str(path), "--out", str(out)] + flags)
     assert code == EXIT_OK
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_analytic_output_pinned(tmp_path, capsys):
+    """The closed-form table has no draws, so any change to its bytes is a
+    change of arithmetic, not of the draw schedule."""
     assert (
-        hashlib.sha256(out.read_bytes()).hexdigest()
+        _analytic_digest(tmp_path, capsys, [])
         == "9bccb8b5da2cfcc294e2af72059836399dac3d84127e5c8577c282124dd893bf"
+    )
+
+
+def test_analytic_output_pinned_jsonl(tmp_path, capsys):
+    assert (
+        _analytic_digest(tmp_path, capsys, ["--format", "jsonl"])
+        == "ade4af59de8c149b420696a7d4176f504c38a9a4c9926a0c054be9d3e18ff1fe"
     )

@@ -379,6 +379,23 @@ class TestSuccessProbability:
             tight = oracle_success_probability(spec, mass_threshold=0.9999)
             assert abs(loose - tight) < 1e-2
 
+    def test_within_dropped_mass_of_the_untruncated_closed_form(self):
+        """Reaching d agents without replacement out of a Binomial(n, p_q)
+        qualified count leaves Binomial(d, p_q) qualified among them, so the
+        untruncated series is ``1 - (1 - p_r p_q)^d``. The window drops only
+        non-negative terms, each at most its binomial weight."""
+        for n, rate, vacancy, p_r, reach in itertools.product(
+            (100, 2000, 5000), (0.5, 3.0, 7.5), (0, 1, 4, 8), (0.0, 0.2, 1.0), (0.0, 0.5, 1.0)
+        ):
+            p_q = p_lambda(rate, vacancy, n)
+            bounds = truncation_bounds(n, p_q, rate)
+            untruncated = 1 - (1 - p_r * p_q) ** round(reach * n)
+            dropped = stats.binom.cdf(bounds.l_min - 1, n, p_q) + stats.binom.sf(
+                bounds.l_max, n, p_q
+            )
+            gap = untruncated - oracle_success_probability(OracleSpec(n, reach, p_r, rate, vacancy))
+            assert 0 <= gap <= dropped + 1e-9, (n, rate, vacancy, p_r, reach)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             OracleSpec(0, 0.5, 0.2, 3.0, 4)
