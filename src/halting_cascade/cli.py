@@ -250,10 +250,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
 def _clean(value: Any) -> Any:
     if isinstance(value, float) and math.isnan(value):
         return None
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     return value
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -47,13 +47,7 @@ class BatchSummary:
     mean_applicants: float
 
     def as_dict(self) -> dict[str, object]:
-        return {
-            "n_runs": self.n_runs,
-            "success_rate": self.success_rate,
-            "median_chain_length": self.median_chain_length,
-            "mean_chain_depth": self.mean_chain_depth,
-            "mean_applicants": self.mean_applicants,
-        }
+        return asdict(self)
 
 
 def classify_regime(mean_degree: float, p_r: float, p_a: float, p_h: float) -> RegimeReport:

@@ -270,14 +270,10 @@ def simulate_oracle(
 
     Draws: the star stream, ``star_seed``, gives the reached set,
     ``choice(n - 1, d, replace=False) + 1``, sorted. The run stream,
-    ``run_seed``, gives one uniform per reached agent (recommendation,
-    ``< p_r``), then one per recommended agent (application, always
-    accepted) and one per applicant (hire), each block in ascending id and
-    skipped when empty. This is the draw schedule
-    of ``run_cascade`` on the directed star that ``generate_star`` builds,
-    with ``p_a = 1`` and ``p_h`` the full-coverage indicator; the tests
-    hold that construction as the reference this trial equals. Each seed is
-    anything ``numpy.random.default_rng`` accepts.
+    ``run_seed``, gives one uniform per reached agent in ascending id, and
+    an agent is recommended when its uniform is below ``p_r``. Neither
+    stream is read when d is 0. Each seed is anything
+    ``numpy.random.default_rng`` accepts.
     """
     n = world.n
     if n < 1:
@@ -292,12 +288,8 @@ def simulate_oracle(
         leaves = np.random.default_rng(star_seed).choice(n - 1, size=reach, replace=False)
         leaves += 1
         leaves.sort()
-        rng = np.random.default_rng(run_seed)
-        recommended = leaves[rng.random(reach) < p_r]
-        if recommended.size:
-            rng.random(recommended.size)  # application draws: p_a = 1 accepts every one
-            qualified = world.coverage()[recommended] == len(world.vacancy)
-            hired = recommended[rng.random(recommended.size) < qualified]
+        recommended = leaves[np.random.default_rng(run_seed).random(reach) < p_r]
+        hired = recommended[world.coverage()[recommended] == len(world.vacancy)]
     return CascadeResult(
         success=bool(hired.size),
         chain_length=2 if recommended.size else 1,

@@ -93,11 +93,7 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
     held = _cut_layout(u, counts)
     if held is None:
         held = _argsort_layout(u, counts)
-    vacancy = (
-        frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
-        if vacancy_size
-        else frozenset()
-    )
+    vacancy = frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
     return SkillWorld(universe, vacancy, held)
 
 

@@ -466,15 +466,16 @@ class TestSimulatedOracle:
     @settings(max_examples=300, deadline=None)
     def test_equals_star_cascade_reference(self, n, skill_rate, vacancy_size, reach, p_r, seed):
         world = sample_skill_world(n, skill_rate, vacancy_size, seed=seed)
-        got_rngs, want_rngs = (
+        (star, run), want_rngs, (_, run_start) = (
             [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-            for _ in range(2)
+            for _ in range(3)
         )
-        got = simulate_oracle(world, reach, p_r, *got_rngs)
+        got = simulate_oracle(world, reach, p_r, star, run)
         assert got == reference_simulate_oracle(world, reach, p_r, *want_rngs)
-        assert [g.bit_generator.state for g in got_rngs] == [
-            w.bit_generator.state for w in want_rngs
-        ]
+        assert star.bit_generator.state == want_rngs[0].bit_generator.state
+        # the run stream gives one uniform per reached agent, none when none is
+        run_start.random(round(reach * (n - 1)))
+        assert run.bit_generator.state == run_start.bit_generator.state
 
     @pytest.mark.parametrize("reach, p_r", [(-0.1, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 1.5)])
     def test_rejects_probabilities_outside_unit_interval(self, reach, p_r):
