@@ -8,7 +8,6 @@ baseline, and batch statistics, plus a sweep-oriented CLI.
 """
 
 from .cascade import (
-    AgentState,
     CascadeResult,
     IHCParams,
     StateCounts,
@@ -54,7 +53,6 @@ from .skills import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "BatchSummary",
     "CascadeResult",
     "DegreeSummary",

@@ -1,12 +1,14 @@
 """Discrete-time engine for halting recommendation cascades.
 
-Agents move through five states. Passive agents may receive a job
-recommendation and become fresh carriers; at the following step a carrier
-passes the recommendation to its passive out-neighbors and retires. At the
-step an agent is recommended it may instead apply for the job, and each new
-applicant may be hired, which halts the whole cascade. Initial seeds act
-purely as spreaders and never apply. Applicants that are not hired stay
-applicants forever; they neither spread nor retry.
+Agents move through five states, the fields of ``StateCounts``. Passive
+agents may receive a job recommendation and become fresh carriers; at the
+following step a carrier passes the recommendation to its passive
+out-neighbors and retires as spent. At the step an agent is recommended it
+may instead apply for the job, and each new applicant may be hired, which
+halts the whole cascade. Initial seeds act purely as spreaders and never
+apply. Applicants that are not hired stay applicants forever; they neither
+spread nor retry. The engine itself keeps only whether each agent is still
+passive, and counts the other states.
 
 Randomness contract: each step consumes uniform draws in three blocks --
 recommendation draws over candidate arcs in ascending (source, target)
@@ -23,7 +25,6 @@ index and the replication. Only public numpy calls make them.
 """
 from __future__ import annotations
 
-import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,16 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import _sort_unique
-
-
-class AgentState(enum.IntEnum):
-    """Cascade states; values only ever increase for a given agent."""
-
-    PASSIVE = 0
-    FRESH = 1  # recommended this step, will spread next step unless it applies
-    SPENT = 2  # already passed the recommendation on
-    APPLIED = 3
-    HALTED = 4
 
 
 class StateCounts(NamedTuple):
@@ -118,12 +109,6 @@ def _per_agent(value, n: int, name: str) -> float | np.ndarray:
     return arr
 
 
-def _counts(state: np.ndarray) -> StateCounts:
-    binned = np.bincount(state, minlength=5)
-    return StateCounts(*(int(c) for c in binned[:5]))
-
-
-_PASSIVE, _FRESH, _SPENT, _APPLIED, _HALTED = (int(s) for s in AgentState)
 _NONE = np.empty(0, dtype=np.int64)
 
 
@@ -144,12 +129,14 @@ def run_cascade(
     ``rng_seed`` is anything ``numpy.random.default_rng`` accepts.
 
     Each step costs time in the arcs leaving its frontier, not in ``n``:
-    passive targets are found by reading their state per arc, recruits are
-    deduplicated by sorting them, and the next frontier is the recruits
+    passive targets are found by reading one passive bit per arc, recruits
+    are deduplicated by sorting them, and the next frontier is the recruits
     that did not apply. Scalar ``p_a``/``p_h`` are compared to the draws
     directly. Every agent recruited at step s belongs to generation s + 1,
     so the deepest generation is one more than the last step that recruited
     anyone, and halters, all recruited at the final step, sit at that depth.
+    The trace tallies the other four states: the frontier is the fresh
+    agents, and the unhired applicants are all applicants but the halters.
     """
     n = network.n
     seed_arr = _normalize_seeds(seeds, n)
@@ -160,45 +147,47 @@ def run_cascade(
     p_r = params.p_r
     rng = np.random.default_rng(rng_seed)
 
-    state = np.zeros(n, dtype=np.int8)
-    state[seed_arr] = _FRESH
+    passive = np.ones(n, dtype=bool)
+    passive[seed_arr] = False
 
     frontier = seed_arr
+    unreached = n - seed_arr.size
+    spent = 0
     applicants_total = 0
     last_recruiting_step = 0
     halters = _NONE
-    trace = [_counts(state)] if record_trace else None
+    trace = [StateCounts(unreached, frontier.size, 0, 0, 0)] if record_trace else None
     steps = 0
 
     while True:
         steps += 1
         dst = network.out_arcs(frontier)
         # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
-        dst = dst.compress(state.take(dst) == _PASSIVE)
-        state[frontier] = _SPENT
+        dst = dst.compress(passive.take(dst))
+        spent += frontier.size
 
         frontier = _NONE
         if dst.size:
             # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
             newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
             if newly.size:
-                state[newly] = _FRESH
+                passive[newly] = False
+                unreached -= newly.size
                 last_recruiting_step = steps
                 draws = rng.random(newly.size)
                 applies = draws < (p_a[newly] if per_agent_a else p_a)
                 appliers = newly[applies]
                 if appliers.size:
-                    state[appliers] = _APPLIED
                     applicants_total += int(appliers.size)
                     draws = rng.random(appliers.size)
                     halters = appliers[draws < (p_h[appliers] if per_agent_h else p_h)]
-                    state[halters] = _HALTED
                     frontier = newly[~applies]
                 else:
                     frontier = newly
 
         if trace is not None:
-            trace.append(_counts(state))
+            unhired = applicants_total - halters.size
+            trace.append(StateCounts(unreached, frontier.size, spent, unhired, halters.size))
         if halters.size or frontier.size == 0:
             break
 

@@ -394,8 +394,10 @@ def _read_labels(text: str) -> np.ndarray | None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
+            # the lines a StringIO would yield, cut in one str.split pass
+            # rather than one readline per line
             return np.loadtxt(
-                io.StringIO(text), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
+                text.split("\n"), dtype=np.int64, comments="#", usecols=(0, 1), ndmin=2
             )
         except (ValueError, Warning):
             return None

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from halting_cascade import cli
 from halting_cascade.cascade import (
-    AgentState,
     CascadeResult,
     IHCParams,
     StateCounts,
@@ -66,6 +65,11 @@ def _reference_out_arcs(network, frontier) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
+# the reference's agent states, in the order of ``StateCounts``' fields;
+# an agent's state only ever increases
+PASSIVE, FRESH, SPENT, APPLIED, HALTED = range(5)
+
+
 def _reference_counts(state: np.ndarray) -> StateCounts:
     binned = np.bincount(state, minlength=5)
     return StateCounts(*(int(c) for c in binned[:5]))
@@ -78,8 +82,8 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
     p_h = _reference_per_agent(params.p_h, n)
     rng = np.random.default_rng(rng_seed)
 
-    state = np.full(n, AgentState.PASSIVE, dtype=np.int8)
-    state[seed_arr] = AgentState.FRESH
+    state = np.full(n, PASSIVE, dtype=np.int8)
+    state[seed_arr] = FRESH
     generation = np.zeros(n, dtype=np.int64)
     generation[seed_arr] = 1
 
@@ -91,10 +95,10 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
 
     for step in range(1, n + 1):
         steps = step
-        passive_before = state == AgentState.PASSIVE
+        passive_before = state == PASSIVE
         dst = _reference_out_arcs(network, frontier)
         dst = dst[passive_before[dst]]
-        state[frontier] = AgentState.SPENT
+        state[frontier] = SPENT
 
         newly = np.empty(0, dtype=np.int64)
         if dst.size:
@@ -103,15 +107,15 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
 
         appliers = np.empty(0, dtype=np.int64)
         if newly.size:
-            state[newly] = AgentState.FRESH
+            state[newly] = FRESH
             generation[newly] = step + 1
             appliers = newly[rng.random(newly.size) < p_a[newly]]
 
         if appliers.size:
-            state[appliers] = AgentState.APPLIED
+            state[appliers] = APPLIED
             applicants_total += int(appliers.size)
             halters = appliers[rng.random(appliers.size) < p_h[appliers]]
-            state[halters] = AgentState.HALTED
+            state[halters] = HALTED
 
         if trace is not None:
             trace.append(_reference_counts(state))
@@ -222,6 +226,21 @@ class TestSingleRun:
             StateCounts(passive=2, fresh=1, spent=0, applied=0, halted=0),
             StateCounts(passive=1, fresh=1, spent=1, applied=0, halted=0),
             StateCounts(passive=0, fresh=0, spent=2, applied=0, halted=1),
+        )
+
+    def test_last_step_splits_applicants_into_applied_and_halted(self):
+        # both leaves of the seed are recruited and apply at step 1; only
+        # agent 1 can be hired, so agent 2 stays an unhired applicant
+        network = Network(3, [(0, 1), (0, 2)], directed=True)
+        params = IHCParams(p_r=1.0, p_a=1.0, p_h=[0.0, 1.0, 0.0])
+        result = run_cascade(network, params, (0,), 5, record_trace=True)
+        assert result.success
+        assert result.steps == 1
+        assert result.applicants == 2
+        assert result.halters == frozenset({1})
+        assert result.trace == (
+            StateCounts(passive=2, fresh=1, spent=0, applied=0, halted=0),
+            StateCounts(passive=0, fresh=0, spent=1, applied=1, halted=1),
         )
 
     def test_seeds_never_apply(self):
