@@ -18,20 +18,21 @@ references that follow this schedule: the engine as first written, whose
 results this one must equal, and a plain independent cascade, whose reach
 equals the engine's when the application probability is zero.
 
-Streams: every generator a batch or a sweep reads comes from
-``replication_streams``, which starts it at a PCG64 state read off a Philox
-counter block named by the master seed, the cell's path, the stream's child
-index and the replication. Only public numpy calls make them.
+Streams: ``replicate`` runs every batch and sweep, and every generator it
+reads comes from ``replication_streams``, which starts it at a PCG64 state
+read off a Philox counter block named by the master seed, the cell's path,
+the stream's child index and the replication. Only public numpy calls make
+them.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph import _sort_unique
+from .graph import Network, _sort_unique
 
 
 class StateCounts(NamedTuple):
@@ -204,6 +205,9 @@ def run_cascade(
 
 # -- streams ------------------------------------------------------------------
 
+_BLOCK = 1024  # replications whose stream words one Philox read returns
+
+
 def replication_streams(
     seed: int | Sequence[int], streams: Sequence[tuple[tuple[int, ...], int]], reps: int
 ) -> Iterator[list[np.random.Generator]]:
@@ -225,28 +229,110 @@ def replication_streams(
 
     A call builds its generators once and sets them to each replication's
     states in turn, with no half-word buffered, so a replication's
-    generators are valid until the iterator advances.
+    generators are valid until the iterator advances. It reads each
+    stream's words ``_BLOCK`` replications at a time, so its memory does
+    not grow with ``reps``.
     """
     keys: dict[tuple[int, ...], np.ndarray] = {}
-    columns = []
+    philoxes = []
     for path, child in streams:
         if path not in keys:
             if not all(0 <= word < 2**32 for word in path):
                 raise ValueError(f"path {path} has a word outside [0, 2**32)")
             keys[path] = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
         # an int counter: numpy reads a list with a word past 2**63 as floats
-        philox = np.random.Philox(key=keys[path], counter=child << 64)
-        columns.append(philox.random_raw(4 * reps).reshape(reps, 4).tolist())
-    generators = [np.random.default_rng(0) for _ in columns]  # every state is set below
-    for words in zip(*columns):
-        for rng, (w0, w1, w2, w3) in zip(generators, words):
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        yield generators
+        philoxes.append(np.random.Philox(key=keys[path], counter=child << 64))
+    blank = np.random.SeedSequence(0)  # every state is set below
+    generators = [np.random.Generator(np.random.PCG64(blank)) for _ in philoxes]
+    for start in range(0, reps, _BLOCK):
+        size = min(_BLOCK, reps - start)
+        columns = [philox.random_raw(4 * size).reshape(size, 4).tolist() for philox in philoxes]
+        for words in zip(*columns):
+            for rng, (w0, w1, w2, w3) in zip(generators, words):
+                rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            yield generators
+
+
+def replicate(
+    seed: int,
+    paths: Sequence[tuple[int, ...]],
+    reps: int,
+    network: Network | Callable[[np.random.Generator], Network],
+    params: Sequence[IHCParams | float],
+    skills: tuple[float, int, float] | None = None,
+    seeds: Sequence[int] | None = None,
+    record_trace: bool = False,
+) -> Iterator[tuple[Network, Sequence[int], list[tuple[CascadeResult, CascadeResult | None]]]]:
+    """Run the ``reps`` replications of one group of sweep cells, rep-major.
+
+    A group is a list of cells that differ only in cascade parameters: cell
+    ``i`` sits at grid position ``paths[i]`` and runs with ``params[i]``.
+    Each replication builds the group's shared draws once (skill world,
+    network, seed node) and runs every cell's cascade, and oracle, on them.
+    So the cells of a group are dependent, each keeps its marginal
+    distribution, and contrasts between them are paired.
+
+    Stream rule: replication ``rep`` of the cell at ``path`` reads streams
+    ``(path, child)`` of ``replication_streams``, one child per stream the
+    sweep uses, in the fixed order skill world, network, seed node, cascade,
+    then the oracle's reached set and its run. The shared streams are those
+    of the group's first cell (the leader); every cell reads its own cascade
+    and oracle children. Each stream thus comes from a distinct (path, child,
+    rep), and the leader's draws are those of a group that holds it alone.
+    One ``replication_streams`` call builds a generator for every stream
+    read, and only for those: fixed ``seeds`` replace the seed-node draw,
+    whose child keeps its number but is not built.
+
+    ``network`` is a fixed ``Network`` or a factory called with the network
+    stream. Each ``params[i]`` holds the cascade probabilities; with
+    ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
+    alone, the cell binds ``p_a``/``p_h`` from the replication's skill world,
+    and the oracle runs on that same world at that reach. Build factories
+    inside the caller, so that layer functions such as ``generate_er`` are
+    looked up by their module-level names at call time (the benchmark's
+    tracer patches those names).
+
+    Yields, per replication, (network, seed agents, one (cascade result,
+    oracle result or None) per cell). Only one network is alive at a time:
+    the last one stays referenced until the next is built, so the allocator
+    does not hand its pages back in between.
+    """
+    # skills and oracle import this module, so their names are looked up here
+    from .oracle import simulate_oracle
+    from .skills import bind_params, sample_skill_world
+
+    shared = (skills is not None, callable(network), seeds is None)  # world, network, seed node
+    lead = sum(shared[:2]) + 1  # the seed-node child keeps its number when not built
+    children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
+    streams = replication_streams(
+        seed,
+        [(paths[0], child) for child in range(sum(shared))]
+        + [(path, child) for path in paths for child in children],
+        reps,
+    )
+    for rngs in map(iter, streams):
+        world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
+        net = network(net_rng) if callable(network) else network
+        rep_seeds = seeds if node_rng is None else (int(node_rng.integers(net.n)),)
+        world = None
+        if skills is not None:
+            world = sample_skill_world(net.n, *skills[:2], world_rng)
+        outcomes = []
+        for cell_params in params:
+            cascade_params = cell_params if world is None else bind_params(world, cell_params)
+            result = run_cascade(
+                net, cascade_params, rep_seeds, next(rngs), record_trace=record_trace
+            )
+            oracle = None
+            if world is not None:
+                oracle = simulate_oracle(world, skills[2], cell_params, next(rngs), next(rngs))
+            outcomes.append((result, oracle))
+        yield net, rep_seeds, outcomes
 
 
 def run_batch(
@@ -261,21 +347,17 @@ def run_batch(
     """Run ``n_reps`` cascades on a fixed network.
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
-    the given set is reused. Replication i follows the CLI's stream rule
-    for a group of one cell with an empty path: it reads replication i of
-    children 0 (seed node) and 1 (cascade) of ``replication_streams`` with
-    seed ``master_seed`` and path ``()``; the seed-node stream is not
-    computed when ``seeds`` is given. Results do not depend on execution
-    order, and any prefix of a longer batch is reproducible on its own.
+    the given set is reused. The batch is ``replicate``'s group of one cell
+    at path ``()`` under ``master_seed``, so results do not depend on
+    execution order, and any prefix of a longer batch is reproducible on
+    its own.
     """
+    for name, value in (("n_reps", n_reps), ("master_seed", master_seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_reps < 1:
         raise ValueError("n_reps must be at least 1")
     if master_seed < 0:
         raise ValueError("master_seed must be non-negative")
-    children = (0, 1) if seeds is None else (1,)  # seed node, cascade
-    streams = replication_streams(int(master_seed), [((), child) for child in children], n_reps)
-    results = []
-    for *node_rng, run_rng in streams:
-        rep_seeds = (int(node_rng[0].integers(network.n)),) if node_rng else seeds
-        results.append(run_cascade(network, params, rep_seeds, run_rng, record_trace=record_trace))
-    return results
+    runs = replicate(master_seed, [()], n_reps, network, [params], None, seeds, record_trace)
+    return [result for _, _, ((result, _),) in runs]

@@ -20,14 +20,11 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from .cascade import CascadeResult, IHCParams, replication_streams, run_cascade
+from .cascade import IHCParams, replicate
 from .graph import (
     EdgeListError,
-    Network,
     degree_stats,
     generate_ba,
     generate_er,
@@ -39,11 +36,9 @@ from .oracle import (
     OracleSpec,
     oracle_success_probability,
     p_lambda,
-    simulate_oracle,
     truncated_series,
     truncation_bounds,
 )
-from .skills import bind_params, sample_skill_world
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,74 +276,6 @@ def _write_output(text: str, out: str | None) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _replicate(
-    seed: int,
-    paths: Sequence[tuple[int, ...]],
-    reps: int,
-    network: Network | Callable[[np.random.Generator], Network],
-    params: Sequence[IHCParams | float],
-    skills: tuple[float, int, float] | None = None,
-) -> Iterator[tuple[Network, int, list[tuple[CascadeResult, CascadeResult | None]]]]:
-    """Run the ``reps`` replications of one group of sweep cells, rep-major.
-
-    A group is a list of cells that differ only in cascade parameters: cell
-    ``i`` sits at grid position ``paths[i]`` and runs with ``params[i]``.
-    Each replication builds the group's shared draws once (skill world,
-    network, seed node) and runs every cell's cascade, and oracle, on them.
-    So the cells of a group are dependent, each keeps its marginal
-    distribution, and contrasts between them are paired.
-
-    Stream rule: replication ``rep`` of the cell at ``path`` reads streams
-    ``(path, child)`` of ``replication_streams``, one child per stream the
-    sweep uses, in the fixed order skill world, network, seed node, cascade,
-    then the oracle's reached set and its run. The shared streams are those
-    of the group's first cell (the leader); every cell reads its own cascade
-    and oracle children. Each stream thus comes from a distinct (path, child,
-    rep), and the leader's draws are those of a group that holds it alone.
-    One ``replication_streams`` call builds a generator for every stream
-    read, and only for those.
-
-    ``network`` is a fixed ``Network`` or a factory called with the network
-    stream. Each ``params[i]`` holds the cascade probabilities; with
-    ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
-    alone, the cell binds ``p_a``/``p_h`` from the replication's skill world,
-    and the oracle runs on that same world at that reach. Build factories
-    inside the subcommand, so that layer functions such as ``generate_er``
-    are looked up by their module-level names at call time (the benchmark's
-    tracer patches those names).
-
-    Yields, per replication, (network, seed node, one (cascade result,
-    oracle result or None) per cell). Only one network is alive at a time:
-    the last one stays referenced until the next is built, so the allocator
-    does not hand its pages back in between.
-    """
-    shared = (skills is not None, callable(network), True)  # skill world, network, seed node
-    lead = sum(shared)
-    children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
-    streams = replication_streams(
-        seed,
-        [(paths[0], child) for child in range(lead)]
-        + [(path, child) for path in paths for child in children],
-        reps,
-    )
-    for rngs in map(iter, streams):
-        world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
-        net = network(net_rng) if callable(network) else network
-        seed_node = int(node_rng.integers(net.n))
-        world = None
-        if skills is not None:
-            world = sample_skill_world(net.n, *skills[:2], world_rng)
-        outcomes = []
-        for cell_params in params:
-            cascade_params = cell_params if world is None else bind_params(world, cell_params)
-            result = run_cascade(net, cascade_params, (seed_node,), next(rngs))
-            oracle = None
-            if world is not None:
-                oracle = simulate_oracle(world, skills[2], cell_params, next(rngs), next(rngs))
-            outcomes.append((result, oracle))
-        yield net, seed_node, outcomes
-
-
 def cmd_heatmap(cfg: dict) -> list[dict]:
     """Success and chain-length grid over p_r x p_a x p_h on ER draws.
 
@@ -359,7 +286,7 @@ def cmd_heatmap(cfg: dict) -> list[dict]:
     er = functools.partial(generate_er, cfg["n"], cfg["mean_degree"])
     params = [IHCParams(p_r=p_r, p_a=p_a, p_h=p_h) for p_r, p_a, p_h in grid]
     paths = [(cell,) for cell in range(len(grid))]
-    runs = _replicate(cfg["seed"], paths, cfg["reps"], er, params)
+    runs = replicate(cfg["seed"], paths, cfg["reps"], er, params)
     per_cell = zip(*[outcomes for _, _, outcomes in runs])
     rows = []
     for (p_r, p_a, p_h), cell_runs in zip(grid, per_cell):
@@ -393,11 +320,9 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
     rows = []
     for topo_idx, (topology, build) in enumerate((("er", er), ("ba", ba))):
         paths = [(topo_idx, p_r_idx) for p_r_idx in range(len(params))]
-        runs = _replicate(cfg["seed"], paths, cfg["reps"], build, params)
+        runs = replicate(cfg["seed"], paths, cfg["reps"], build, params)
         bins: list[dict[tuple[int, int], list]] = [{} for _ in params]
-        # ``network`` stays referenced until the next topology has built its
-        # first one, so the allocator does not hand its pages back in between
-        for network, seed_node, outcomes in runs:
+        for network, (seed_node,), outcomes in runs:
             key = degree_bin(int(network.out_degrees[seed_node]))
             for cell_bins, (result, _) in zip(bins, outcomes):
                 cell_bins.setdefault(key, []).append(result)
@@ -436,7 +361,7 @@ def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
         # cells are numbered in (vacancy, p_r) grid order
         paths = [(vacancy_idx * n_p_r + p_r_idx,) for p_r_idx in range(n_p_r)]
         skills = (cfg["skill_rate"], vacancy_size, cfg["reach_fraction"])
-        runs = _replicate(cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills)
+        runs = replicate(cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills)
         per_cell = zip(*[outcomes for _, _, outcomes in runs])
         for p_r, cell_runs in zip(cfg["p_r"], per_cell):
             spec = OracleSpec(
@@ -518,7 +443,7 @@ def cmd_empirical(cfg: dict) -> list[dict]:
         "vacancy_size": cfg["vacancy_size"],
     }
     skills = (cfg["skill_rate"], cfg["vacancy_size"], cfg["reach_fraction"])
-    runs = _replicate(cfg["seed"], [()], cfg["reps"], network, [cfg["p_r"]], skills)
+    runs = replicate(cfg["seed"], [()], cfg["reps"], network, [cfg["p_r"]], skills)
     cascade_runs, baseline_runs = zip(*[outcomes[0] for _, _, outcomes in runs])
     rows = [
         {"record": "summary", "system": "ihc", **base, **summarize(cascade_runs).as_dict()},

@@ -4,13 +4,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halting_cascade import cli
+from halting_cascade import cascade
 from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
@@ -480,7 +481,7 @@ class TestBatch:
         """A batch is the sweeps' group of one cell at the empty path."""
         network = generate_er(60, 5, seed=1)
         params = IHCParams(0.4, 0.3, 0.6)
-        sweep = cli._replicate(master_seed, [()], 30, network, [params])
+        sweep = cascade.replicate(master_seed, [()], 30, network, [params])
         assert run_batch(network, params, 30, master_seed) == [
             result for _, _, ((result, _),) in sweep
         ]
@@ -500,6 +501,18 @@ class TestBatch:
             run_batch(network, params, 0, 1)
         with pytest.raises(ValueError, match="master_seed"):
             run_batch(network, params, 5, -1)
+        # a float or a bool is not read as the integer it rounds to
+        for n_reps, master_seed, name in [
+            (5, 1.5, "master_seed"),
+            (5, True, "master_seed"),
+            (2.5, 1, "n_reps"),
+            (True, 1, "n_reps"),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                run_batch(network, params, n_reps, master_seed)
+        assert run_batch(network, params, np.int64(3), np.uint32(1)) == run_batch(
+            network, params, 3, 1
+        )
 
     # sha256 over every result's fields, trace included, computed on the
     # engine as first written; any change to a draw or a result moves it
@@ -638,6 +651,30 @@ class TestSeedTree:
     def test_no_rows(self):
         assert list(replication_streams(5, [], 4)) == []
         assert list(replication_streams(5, [((), 0)], 0)) == []
+
+    def test_states_across_block_edges_follow_the_layout(self):
+        # words are read a block of replications at a time; the next block
+        # goes on from the same Philox counter
+        seed, reps = 31, 2 * cascade._BLOCK + 1
+        streams = [((2,), 0), ((), 3)]
+        checked = {cascade._BLOCK - 1, cascade._BLOCK, cascade._BLOCK + 1, 2 * cascade._BLOCK}
+        for rep, rngs in enumerate(replication_streams(seed, streams, reps)):
+            if rep in checked:
+                want = [
+                    _philox_state(np.random.SeedSequence(seed, spawn_key=path), child, rep)
+                    for path, child in streams
+                ]
+                assert _states(rngs) == want
+        assert rep == reps - 1
+
+    def test_memory_does_not_grow_with_reps(self):
+        tracemalloc.start()
+        try:
+            next(replication_streams(5, [((), 0)], 50_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestStreamChildren:

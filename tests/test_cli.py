@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halting_cascade import cli, oracle
+from halting_cascade import cascade, cli, oracle, skills
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -509,10 +509,11 @@ def _start(value):
     return value
 
 
-def _record(monkeypatch, name: str, calls: list) -> None:
-    """Wrap ``cli.<name>`` so that each call appends (args, result) to
-    ``calls``, with each generator argument snapshot by ``_start``."""
-    original = getattr(cli, name)
+def _record(monkeypatch, module, name: str, calls: list) -> None:
+    """Wrap ``module.<name>``, where the driver looks it up, so that each call
+    appends (args, result) to ``calls``, with each generator argument
+    snapshot by ``_start``."""
+    original = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         started = tuple(map(_start, args))
@@ -520,7 +521,7 @@ def _record(monkeypatch, name: str, calls: list) -> None:
         calls.append((started, result))
         return result
 
-    monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
 
 
 class TestCommonRandomNetworks:
@@ -538,11 +539,11 @@ class TestCommonRandomNetworks:
         self, tmp_path, capsys, monkeypatch, command, config, groups, cells
     ):
         built, cascades, worlds, bound = [], [], [], []
-        _record(monkeypatch, "generate_er", built)
-        _record(monkeypatch, "generate_ba", built)
-        _record(monkeypatch, "run_cascade", cascades)
-        _record(monkeypatch, "sample_skill_world", worlds)
-        _record(monkeypatch, "bind_params", bound)
+        _record(monkeypatch, cli, "generate_er", built)
+        _record(monkeypatch, cli, "generate_ba", built)
+        _record(monkeypatch, cascade, "run_cascade", cascades)
+        _record(monkeypatch, skills, "sample_skill_world", worlds)
+        _record(monkeypatch, skills, "bind_params", bound)
         _sweep(tmp_path, capsys, command, config)
 
         reps = config["reps"]
@@ -576,14 +577,14 @@ class TestCommonRandomNetworks:
         and one cascade child per cell; none of a follower's shared ones.
         Counts the generators ``replication_streams`` yields, per replication."""
         built = []
-        streams = cli.replication_streams
+        streams = cascade.replication_streams
 
         def counting(*args):
             for rngs in streams(*args):
                 built.extend(map(_start, rngs))
                 yield rngs
 
-        monkeypatch.setattr(cli, "replication_streams", counting)
+        monkeypatch.setattr(cascade, "replication_streams", counting)
         _sweep(tmp_path, capsys, command, config)
         assert len(built) == groups * config["reps"] * (2 + cells)
 
@@ -621,7 +622,7 @@ class TestCommonRandomNetworks:
     def test_every_stream_is_distinct(self, tmp_path, capsys, monkeypatch, command, config):
         """No two generators of one sweep start from the same state."""
         seeded, handed, cascades = [], [], []
-        default_rng, streams = np.random.default_rng, cli.replication_streams
+        default_rng, streams = np.random.default_rng, cascade.replication_streams
 
         def recording(seed=None):
             # record the stream it holds now: it moves on with the iterator
@@ -635,8 +636,8 @@ class TestCommonRandomNetworks:
                 yield rngs
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        monkeypatch.setattr(cli, "replication_streams", handing)
-        _record(monkeypatch, "run_cascade", cascades)
+        monkeypatch.setattr(cascade, "replication_streams", handing)
+        _record(monkeypatch, cascade, "run_cascade", cascades)
         _sweep(tmp_path, capsys, command, config)
         unique = set(seeded)
         assert len(unique) == len(seeded)
