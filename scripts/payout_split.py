@@ -5,20 +5,16 @@ The hired applicant always takes half the budget; every hop the chain grows
 halves each earlier referrer's cut and the poster's leftover alike. Sweeping
 the recommendation probability in a slow-spread regime shows the poster's
 expected retained fraction falling geometrically with depth, and checks the
-ledger round trip: the surplus alone pins down how long the chain was.
+ledger round trip: the surplus alone pins down how long the chain was. The
+``p_r`` cells are one group of ``replicate``: they share each replication's
+network and seed agent, so the contrasts between them are paired.
 """
+import functools
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
-from halting_cascade import (
-    IHCParams,
-    compute_payouts,
-    generate_er,
-    run_cascade,
-    surplus_to_length,
-)
+from halting_cascade import IHCParams, compute_payouts, generate_er, surplus_to_length
+from halting_cascade.cascade import replicate
 
 N_AGENTS = 1000
 MEAN_DEGREE = 20.0
@@ -30,17 +26,16 @@ REPS = 400
 MASTER_SEED = 20260815
 
 
-def depth_distribution(p_r: float, cell: int) -> Counter[int]:
-    depths: Counter[int] = Counter()
-    for rep in range(REPS):
-        net_ss, node_ss, run_ss = np.random.SeedSequence(
-            [MASTER_SEED, cell, rep]
-        ).spawn(3)
-        network = generate_er(N_AGENTS, MEAN_DEGREE, net_ss)
-        seed_node = int(np.random.default_rng(node_ss).integers(network.n))
-        result = run_cascade(network, IHCParams(p_r, P_APPLY, P_HIRE), (seed_node,), run_ss)
-        if result.success:
-            depths[result.chain_length] += 1
+def depth_distributions() -> list[Counter[int]]:
+    """Per ``p_r`` cell, how many runs hired at each chain depth."""
+    er = functools.partial(generate_er, N_AGENTS, MEAN_DEGREE)
+    params = [IHCParams(p_r, P_APPLY, P_HIRE) for p_r in P_RECOMMEND]
+    paths = [(cell,) for cell in range(len(params))]
+    depths: list[Counter[int]] = [Counter() for _ in params]
+    for _, _, outcomes in replicate(MASTER_SEED, paths, REPS, er, params):
+        for cell_depths, (result, _) in zip(depths, outcomes):
+            if result.success:
+                cell_depths[result.chain_length] += 1
     return depths
 
 
@@ -53,8 +48,7 @@ def main() -> None:
         f"{'p_r':>6} {'hires':>6} {'mean_depth':>10} {'poster_keeps':>12} "
         f"{'worker_take':>11} {'depth_range':>11}"
     )
-    for cell, p_r in enumerate(P_RECOMMEND):
-        depths = depth_distribution(p_r, cell)
+    for p_r, depths in zip(P_RECOMMEND, depth_distributions()):
         hires = sum(depths.values())
         if hires == 0:
             print(f"{p_r:>6.2f} {0:>6}")

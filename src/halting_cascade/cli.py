@@ -127,76 +127,6 @@ def _budget(name: str, value: Any) -> Fraction:
     return b
 
 
-_SCHEMAS: dict[str, dict[str, _Field]] = {
-    "heatmap": {
-        "n": _Field(1000, _int_at_least(2)),
-        "mean_degree": _Field(50.0, _number(lo=0.0, open_lo=True)),
-        "p_r": _Field([0.02, 0.05, 0.1, 0.2, 0.5, 1.0], _list_of(_prob)),
-        "p_a": _Field([0.1, 0.3, 0.5, 0.7, 0.9], _list_of(_prob)),
-        "p_h": _Field([0.1, 0.5, 1.0], _list_of(_prob)),
-        "reps": _Field(100, _int_at_least(1)),
-        "seed": _Field(None, _int_at_least(0), required=True),
-        "out": _Field(None, _text),
-    },
-    "ba-vs-er": {
-        "n": _Field(1000, _int_at_least(2)),
-        "er_mean_degree": _Field(50.0, _number(lo=0.0, open_lo=True)),
-        "ba_attachment": _Field(50, _int_at_least(1)),
-        "ba_core": _Field(None, _int_at_least(1)),
-        "p_r": _Field([0.05, 0.1, 0.2, 0.5, 1.0], _list_of(_prob)),
-        "p_a": _Field(0.1, _prob),
-        "p_h": _Field(0.5, _prob),
-        "reps": _Field(200, _int_at_least(1)),
-        "seed": _Field(None, _int_at_least(0), required=True),
-        "out": _Field(None, _text),
-    },
-    "ihc-vs-oracle": {
-        "population": _Field(2000, _int_at_least(2)),
-        "mean_degree": _Field(20.0, _number(lo=0.0, open_lo=True)),
-        "reach_fraction": _Field(0.5, _prob),
-        "skill_rate": _Field(3.0, _number(lo=0.0)),
-        "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
-        "p_r": _Field([0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0], _list_of(_prob)),
-        "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
-        "reps": _Field(200, _int_at_least(1)),
-        "seed": _Field(None, _int_at_least(0), required=True),
-        "out": _Field(None, _text),
-    },
-    "oracle-analytic": {
-        "population": _Field(5000, _int_at_least(1)),
-        "reach_fraction": _Field(0.5, _prob),
-        "skill_rate": _Field(3.0, _number(lo=0.0)),
-        "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
-        "p_r": _Field([1.0], _list_of(_prob)),
-        "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
-        "out": _Field(None, _text),
-    },
-    "empirical": {
-        "edge_list": _Field(None, _text, required=True),
-        "directed": _Field(False, _boolean),
-        "p_r": _Field(0.25, _prob),
-        "reach_fraction": _Field(0.5, _prob),
-        "skill_rate": _Field(3.0, _number(lo=0.0)),
-        "vacancy_size": _Field(4, _int_at_least(0)),
-        "reps": _Field(100, _int_at_least(1)),
-        "seed": _Field(None, _int_at_least(0), required=True),
-        "out": _Field(None, _text),
-    },
-    "payout": {
-        "chain_length": _Field(None, _int_at_least(1), required=True),
-        "budget": _Field(1, _budget),
-        "out": _Field(None, _text),
-    },
-}
-
-_PRESETS: dict[str, dict[str, dict[str, Any]]] = {
-    "heatmap": {"desk": {}, "paper": {"n": 5000}},
-    "ba-vs-er": {"desk": {}, "paper": {"n": 5000, "reps": 10_000}},
-    "ihc-vs-oracle": {"desk": {}, "paper": {"population": 5000}},
-    "empirical": {"desk": {}, "paper": {"reps": 200}},
-}
-
-
 def _read_config_file(path: str, schema: dict[str, _Field], command: str) -> dict[str, Any]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -215,11 +145,10 @@ def _read_config_file(path: str, schema: dict[str, _Field], command: str) -> dic
 
 
 def _merge_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command].schema
     cfg = {key: field.default for key, field in schema.items()}
-    preset = getattr(args, "preset", None)
-    if preset:
-        cfg.update(_PRESETS[command][preset])
+    if getattr(args, "preset", None) == "paper":  # desk is the defaults
+        cfg.update(_COMMANDS[command].paper)
     if getattr(args, "config", None):
         cfg.update(_read_config_file(args.config, schema, command))
     for key in schema:
@@ -345,6 +274,13 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
     return rows
 
 
+def _oracle_spec(cfg: dict, vacancy_size: int, p_r: float) -> OracleSpec:
+    """The direct-posting baseline of one (vacancy size, p_r) cell of ``cfg``."""
+    return OracleSpec(
+        cfg["population"], cfg["reach_fraction"], p_r, cfg["skill_rate"], vacancy_size
+    )
+
+
 def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
     """Cascade vs direct-posting comparison on shared skill worlds.
 
@@ -364,13 +300,7 @@ def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
         runs = replicate(cfg["seed"], paths, cfg["reps"], er, cfg["p_r"], skills)
         per_cell = zip(*[outcomes for _, _, outcomes in runs])
         for p_r, cell_runs in zip(cfg["p_r"], per_cell):
-            spec = OracleSpec(
-                population=cfg["population"],
-                reach_fraction=cfg["reach_fraction"],
-                p_r=p_r,
-                skill_rate=cfg["skill_rate"],
-                vacancy_size=vacancy_size,
-            )
+            spec = _oracle_spec(cfg, vacancy_size, p_r)
             analytic = oracle_success_probability(spec, cfg["mass_threshold"])
             cascade_runs, baseline_runs = zip(*cell_runs)
             for system, results in (("ihc", cascade_runs), ("oracle", baseline_runs)):
@@ -394,13 +324,7 @@ def cmd_oracle_analytic(cfg: dict) -> list[dict]:
     """Closed-form baseline success probabilities with truncation diagnostics."""
     rows = []
     for vacancy_size, p_r in itertools.product(cfg["vacancy_sizes"], cfg["p_r"]):
-        spec = OracleSpec(
-            population=cfg["population"],
-            reach_fraction=cfg["reach_fraction"],
-            p_r=p_r,
-            skill_rate=cfg["skill_rate"],
-            vacancy_size=vacancy_size,
-        )
+        spec = _oracle_spec(cfg, vacancy_size, p_r)
         p_qualified = p_lambda(
             cfg["skill_rate"], vacancy_size, cfg["population"], cfg["mass_threshold"]
         )
@@ -482,17 +406,135 @@ def cmd_payout(cfg: dict) -> list[dict]:
     return rows
 
 
-_COMMANDS: dict[str, Callable[[dict], list[dict]]] = {
-    "heatmap": cmd_heatmap,
-    "ba-vs-er": cmd_ba_vs_er,
-    "ihc-vs-oracle": cmd_ihc_vs_oracle,
-    "oracle-analytic": cmd_oracle_analytic,
-    "empirical": cmd_empirical,
-    "payout": cmd_payout,
+def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, options
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler, help line and config schema, the arguments
+    only it takes, and, for a simulation, its paper preset. Having a paper
+    preset is what gives a subcommand ``--seed``, ``--reps`` and ``--preset``."""
+
+    run: Callable[[dict], list[dict]]
+    help: str
+    schema: dict[str, _Field]
+    paper: dict[str, Any] | None = None
+    arguments: tuple[tuple[tuple[str, ...], dict[str, Any]], ...] = ()
+
+
+_COMMANDS: dict[str, _Command] = {
+    "heatmap": _Command(
+        cmd_heatmap,
+        "success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
+        {
+            "n": _Field(1000, _int_at_least(2)),
+            "mean_degree": _Field(50.0, _number(lo=0.0, open_lo=True)),
+            "p_r": _Field([0.02, 0.05, 0.1, 0.2, 0.5, 1.0], _list_of(_prob)),
+            "p_a": _Field([0.1, 0.3, 0.5, 0.7, 0.9], _list_of(_prob)),
+            "p_h": _Field([0.1, 0.5, 1.0], _list_of(_prob)),
+            "reps": _Field(100, _int_at_least(1)),
+            "seed": _Field(None, _int_at_least(0), required=True),
+            "out": _Field(None, _text),
+        },
+        paper={"n": 5000},
+    ),
+    "ba-vs-er": _Command(
+        cmd_ba_vs_er,
+        "seed-degree-binned outcomes on BA vs ER topologies",
+        {
+            "n": _Field(1000, _int_at_least(2)),
+            "er_mean_degree": _Field(50.0, _number(lo=0.0, open_lo=True)),
+            "ba_attachment": _Field(50, _int_at_least(1)),
+            "ba_core": _Field(None, _int_at_least(1)),
+            "p_r": _Field([0.05, 0.1, 0.2, 0.5, 1.0], _list_of(_prob)),
+            "p_a": _Field(0.1, _prob),
+            "p_h": _Field(0.5, _prob),
+            "reps": _Field(200, _int_at_least(1)),
+            "seed": _Field(None, _int_at_least(0), required=True),
+            "out": _Field(None, _text),
+        },
+        paper={"n": 5000, "reps": 10_000},
+    ),
+    "ihc-vs-oracle": _Command(
+        cmd_ihc_vs_oracle,
+        "cascade vs direct-posting baseline on shared skill worlds",
+        {
+            "population": _Field(2000, _int_at_least(2)),
+            "mean_degree": _Field(20.0, _number(lo=0.0, open_lo=True)),
+            "reach_fraction": _Field(0.5, _prob),
+            "skill_rate": _Field(3.0, _number(lo=0.0)),
+            "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
+            "p_r": _Field([0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0], _list_of(_prob)),
+            "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
+            "reps": _Field(200, _int_at_least(1)),
+            "seed": _Field(None, _int_at_least(0), required=True),
+            "out": _Field(None, _text),
+        },
+        paper={"population": 5000},
+    ),
+    "oracle-analytic": _Command(
+        cmd_oracle_analytic,
+        "closed-form baseline success probabilities (no simulation)",
+        {
+            "population": _Field(5000, _int_at_least(1)),
+            "reach_fraction": _Field(0.5, _prob),
+            "skill_rate": _Field(3.0, _number(lo=0.0)),
+            "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
+            "p_r": _Field([1.0], _list_of(_prob)),
+            "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
+            "out": _Field(None, _text),
+        },
+    ),
+    "empirical": _Command(
+        cmd_empirical,
+        "both systems on a network loaded from a file",
+        {
+            "edge_list": _Field(None, _text, required=True),
+            "directed": _Field(False, _boolean),
+            "p_r": _Field(0.25, _prob),
+            "reach_fraction": _Field(0.5, _prob),
+            "skill_rate": _Field(3.0, _number(lo=0.0)),
+            "vacancy_size": _Field(4, _int_at_least(0)),
+            "reps": _Field(100, _int_at_least(1)),
+            "seed": _Field(None, _int_at_least(0), required=True),
+            "out": _Field(None, _text),
+        },
+        paper={"reps": 200},
+        arguments=(
+            _arg("edge_list", nargs="?", help="edge list file, two integer columns per line"),
+            _arg(
+                "--directed",
+                action="store_true",
+                default=None,
+                help="treat edges as one-way arcs (default: undirected)",
+            ),
+        ),
+    ),
+    "payout": _Command(
+        cmd_payout,
+        "geometric reward split for a successful chain",
+        {
+            "chain_length": _Field(None, _int_at_least(1), required=True),
+            "budget": _Field(1, _budget),
+            "out": _Field(None, _text),
+        },
+        arguments=(
+            _arg("--chain-length", type=int, help="number of agents on the successful chain"),
+            _arg("--budget", help="total reward budget (number or fraction string)"),
+        ),
+    ),
 }
 
 
 # -- entry point ---------------------------------------------------------------
+
+
+def _parent(*arguments: tuple[tuple[str, ...], dict[str, Any]]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -501,73 +543,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parameter-sweep experiments for the halting-cascade model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, command: str) -> None:
-        p.add_argument("--config", metavar="PATH", help="JSON file with experiment settings")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument(
+    common = _parent(
+        _arg("--config", metavar="PATH", help="JSON file with experiment settings"),
+        _arg("--out", metavar="PATH", help="output file (default: stdout)"),
+        _arg(
             "--format",
             choices=("csv", "jsonl"),
             default="csv",
             help="output encoding (default: csv)",
-        )
-        if "seed" in _SCHEMAS[command]:
-            p.add_argument(
-                "--seed",
-                type=int,
-                help="master seed; required here or in the config file",
-            )
-            p.add_argument("--reps", type=int, help="replications per parameter cell")
-            p.add_argument(
-                "--preset",
-                choices=("desk", "paper"),
-                help="scale preset: desk (default sizes) or paper (full-size runs)",
-            )
-
-    p = sub.add_parser(
-        "heatmap",
-        help="success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
+        ),
     )
-    add_common(p, "heatmap")
-
-    p = sub.add_parser(
-        "ba-vs-er",
-        help="seed-degree-binned outcomes on BA vs ER topologies",
+    simulation = _parent(
+        _arg("--seed", type=int, help="master seed; required here or in the config file"),
+        _arg("--reps", type=int, help="replications per parameter cell"),
+        _arg(
+            "--preset",
+            choices=("desk", "paper"),
+            help="scale preset: desk (default sizes) or paper (full-size runs)",
+        ),
     )
-    add_common(p, "ba-vs-er")
-
-    p = sub.add_parser(
-        "ihc-vs-oracle",
-        help="cascade vs direct-posting baseline on shared skill worlds",
-    )
-    add_common(p, "ihc-vs-oracle")
-
-    p = sub.add_parser(
-        "oracle-analytic",
-        help="closed-form baseline success probabilities (no simulation)",
-    )
-    add_common(p, "oracle-analytic")
-
-    p = sub.add_parser("empirical", help="both systems on a network loaded from a file")
-    p.add_argument("edge_list", nargs="?", help="edge list file, two integer columns per line")
-    p.add_argument(
-        "--directed",
-        action="store_true",
-        default=None,
-        help="treat edges as one-way arcs (default: undirected)",
-    )
-    add_common(p, "empirical")
-
-    p = sub.add_parser("payout", help="geometric reward split for a successful chain")
-    p.add_argument(
-        "--chain-length",
-        dest="chain_length",
-        type=int,
-        help="number of agents on the successful chain",
-    )
-    p.add_argument("--budget", help="total reward budget (number or fraction string)")
-    add_common(p, "payout")
-
+    for name, command in _COMMANDS.items():
+        parents = [common] if command.paper is None else [common, simulation]
+        if command.arguments:  # a parent of their own keeps them first, as in --help
+            parents.insert(0, _parent(*command.arguments))
+        sub.add_parser(name, help=command.help, parents=parents)
     return parser
 
 
@@ -575,7 +574,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args.command, args)
-        rows = _COMMANDS[args.command](cfg)
+        rows = _COMMANDS[args.command].run(cfg)
         _write_output(_render(rows, args.format), cfg["out"])
     # EdgeListError is a ValueError, so this arm comes first
     except (EdgeListError, OSError) as exc:

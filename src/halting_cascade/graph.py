@@ -11,7 +11,6 @@ import logging
 import math
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
@@ -440,4 +439,5 @@ def degree_stats(network: Network) -> DegreeSummary:
     """Mean out-degree and out-degree histogram (counts sum to n)."""
     degrees = network.out_degrees
     mean = float(degrees.sum() / network.n) if network.n else 0.0
-    return DegreeSummary(mean, dict(Counter(int(d) for d in degrees)))
+    values, counts = np.unique(degrees, return_counts=True)
+    return DegreeSummary(mean, dict(zip(values.tolist(), counts.tolist())))

@@ -1,6 +1,7 @@
 """End-to-end tests for the experiment command-line driver."""
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -772,3 +773,67 @@ def test_analytic_output_pinned_jsonl(tmp_path, capsys):
         _analytic_digest(tmp_path, capsys, ["--format", "jsonl"])
         == "ade4af59de8c149b420696a7d4176f504c38a9a4c9926a0c054be9d3e18ff1fe"
     )
+
+
+_COMMON_ARGS = [
+    (["--config"], "config", None, None, None, None, "JSON file with experiment settings"),
+    (["--out"], "out", None, None, None, None, "output file (default: stdout)"),
+    (["--format"], "format", "csv", ("csv", "jsonl"), None, None,
+     "output encoding (default: csv)"),
+]
+_SIMULATION_ARGS = [
+    (["--seed"], "seed", None, None, int, None,
+     "master seed; required here or in the config file"),
+    (["--reps"], "reps", None, None, int, None, "replications per parameter cell"),
+    (["--preset"], "preset", None, ("desk", "paper"), None, None,
+     "scale preset: desk (default sizes) or paper (full-size runs)"),
+]
+_HELP_ARG = (["-h", "--help"], "help", "==SUPPRESS==", None, None, 0,
+             "show this help message and exit")
+_SUBCOMMAND_TABLE = [
+    ("heatmap",
+     "success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
+     _COMMON_ARGS + _SIMULATION_ARGS),
+    ("ba-vs-er", "seed-degree-binned outcomes on BA vs ER topologies",
+     _COMMON_ARGS + _SIMULATION_ARGS),
+    ("ihc-vs-oracle", "cascade vs direct-posting baseline on shared skill worlds",
+     _COMMON_ARGS + _SIMULATION_ARGS),
+    ("oracle-analytic", "closed-form baseline success probabilities (no simulation)",
+     _COMMON_ARGS),
+    ("empirical", "both systems on a network loaded from a file",
+     [([], "edge_list", None, None, None, "?", "edge list file, two integer columns per line"),
+      (["--directed"], "directed", None, None, None, 0,
+       "treat edges as one-way arcs (default: undirected)")]
+     + _COMMON_ARGS + _SIMULATION_ARGS),
+    ("payout", "geometric reward split for a successful chain",
+     [(["--chain-length"], "chain_length", None, None, int, None,
+       "number of agents on the successful chain"),
+      (["--budget"], "budget", None, None, None, None,
+       "total reward budget (number or fraction string)")]
+     + _COMMON_ARGS),
+]
+
+
+def _argument_table(parser) -> list[tuple]:
+    return [
+        (action.option_strings, action.dest, action.default, action.choices,
+         action.type, action.nargs, action.help)
+        for action in parser._actions
+        if not isinstance(action, argparse._SubParsersAction)
+    ]
+
+
+def test_parser_argument_table_is_pinned():
+    """Every flag of every subcommand, in order, with what argparse reads
+    from it: a check of the parser's contents that holds across Python
+    versions, unlike a check of its help layout."""
+    parser = cli.build_parser()
+    assert _argument_table(parser) == [_HELP_ARG]
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert (sub.dest, sub.required) == ("command", True)
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, help_line) for name, help_line, _ in _SUBCOMMAND_TABLE
+    ]
+    assert list(sub.choices) == [name for name, _, _ in _SUBCOMMAND_TABLE]
+    for name, _, arguments in _SUBCOMMAND_TABLE:
+        assert _argument_table(sub.choices[name]) == [_HELP_ARG] + arguments, name
