@@ -26,6 +26,7 @@ them.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,7 +93,13 @@ class CascadeResult:
 
 
 def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
-    arr = _sort_unique(np.fromiter((int(s) for s in seeds), dtype=np.int64))
+    ids = []
+    for s in seeds:
+        try:
+            ids.append(operator.index(s))
+        except TypeError:
+            raise ValueError(f"seed agent id must be an integer, got {s!r}") from None
+    arr = _sort_unique(np.array(ids, dtype=np.int64))
     if arr.size == 0:
         raise ValueError("at least one seed agent is required")
     if arr[0] < 0 or arr[-1] >= n:

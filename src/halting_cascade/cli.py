@@ -33,6 +33,7 @@ from .graph import (
 from .incentives import compute_payouts
 from .metrics import classify_regime, degree_bin, summarize
 from .oracle import (
+    MASS_THRESHOLD,
     OracleSpec,
     oracle_success_probability,
     p_lambda,
@@ -412,15 +413,21 @@ def _arg(*flags: str, **options: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its handler, help line and config schema, the arguments
+    """A subcommand: its handler, help line, the config keys and arguments
     only it takes, and, for a simulation, its paper preset. Having a paper
-    preset is what gives a subcommand ``--seed``, ``--reps`` and ``--preset``."""
+    preset is what gives a subcommand ``--seed``, ``--reps`` and ``--preset``
+    and a required ``seed`` key, which ``schema`` puts before ``out``."""
 
     run: Callable[[dict], list[dict]]
     help: str
-    schema: dict[str, _Field]
+    keys: dict[str, _Field]
     paper: dict[str, Any] | None = None
     arguments: tuple[tuple[tuple[str, ...], dict[str, Any]], ...] = ()
+
+    @property
+    def schema(self) -> dict[str, _Field]:
+        seed = {} if self.paper is None else {"seed": _Field(None, _int_at_least(0), required=True)}
+        return {**self.keys, **seed, "out": _Field(None, _text)}
 
 
 _COMMANDS: dict[str, _Command] = {
@@ -434,8 +441,6 @@ _COMMANDS: dict[str, _Command] = {
             "p_a": _Field([0.1, 0.3, 0.5, 0.7, 0.9], _list_of(_prob)),
             "p_h": _Field([0.1, 0.5, 1.0], _list_of(_prob)),
             "reps": _Field(100, _int_at_least(1)),
-            "seed": _Field(None, _int_at_least(0), required=True),
-            "out": _Field(None, _text),
         },
         paper={"n": 5000},
     ),
@@ -451,8 +456,6 @@ _COMMANDS: dict[str, _Command] = {
             "p_a": _Field(0.1, _prob),
             "p_h": _Field(0.5, _prob),
             "reps": _Field(200, _int_at_least(1)),
-            "seed": _Field(None, _int_at_least(0), required=True),
-            "out": _Field(None, _text),
         },
         paper={"n": 5000, "reps": 10_000},
     ),
@@ -466,10 +469,8 @@ _COMMANDS: dict[str, _Command] = {
             "skill_rate": _Field(3.0, _number(lo=0.0)),
             "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
             "p_r": _Field([0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0], _list_of(_prob)),
-            "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
+            "mass_threshold": _Field(MASS_THRESHOLD, _number(lo=0.0, hi=1.0, open_lo=True)),
             "reps": _Field(200, _int_at_least(1)),
-            "seed": _Field(None, _int_at_least(0), required=True),
-            "out": _Field(None, _text),
         },
         paper={"population": 5000},
     ),
@@ -482,8 +483,7 @@ _COMMANDS: dict[str, _Command] = {
             "skill_rate": _Field(3.0, _number(lo=0.0)),
             "vacancy_sizes": _Field([4, 6, 8], _list_of(_int_at_least(0))),
             "p_r": _Field([1.0], _list_of(_prob)),
-            "mass_threshold": _Field(0.98, _number(lo=0.0, hi=1.0, open_lo=True)),
-            "out": _Field(None, _text),
+            "mass_threshold": _Field(MASS_THRESHOLD, _number(lo=0.0, hi=1.0, open_lo=True)),
         },
     ),
     "empirical": _Command(
@@ -497,8 +497,6 @@ _COMMANDS: dict[str, _Command] = {
             "skill_rate": _Field(3.0, _number(lo=0.0)),
             "vacancy_size": _Field(4, _int_at_least(0)),
             "reps": _Field(100, _int_at_least(1)),
-            "seed": _Field(None, _int_at_least(0), required=True),
-            "out": _Field(None, _text),
         },
         paper={"reps": 200},
         arguments=(
@@ -517,7 +515,6 @@ _COMMANDS: dict[str, _Command] = {
         {
             "chain_length": _Field(None, _int_at_least(1), required=True),
             "budget": _Field(1, _budget),
-            "out": _Field(None, _text),
         },
         arguments=(
             _arg("--chain-length", type=int, help="number of agents on the successful chain"),

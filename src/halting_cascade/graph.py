@@ -50,9 +50,10 @@ class Network:
         self.n = n = int(n)
         self.directed = bool(directed)
 
-        pairs = np.asarray(
-            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
-        ).reshape(-1, 2)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         if pairs.size:
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -234,12 +235,12 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     (rows, 2k+4))`` call draws every node's first pool of ``2k+4`` indices
     into the list as it stands at that node, reading the generator as one
     scalar-bound call per node in turn would. A node's targets are the first
-    k distinct candidates of its pool in draw order. A node whose pool holds
-    fewer than k distinct candidates keeps them all and draws more pools
-    from the same ``rng``, one ``rng.integers(0, size, 2*want+4)`` at a time
-    with ``want`` the number still missing, scanning each in draw order
-    until it has k; these come when the scan reaches the node, so
-    ``_CHUNK`` only decides where they fall. Its k targets, sorted, are
+    k distinct candidates of its pool in draw order, found by one scan. A
+    node whose pool holds fewer than k distinct candidates puts them ahead
+    of a further pool from the same ``rng``, ``rng.integers(0, size,
+    2*want+4)`` with ``want`` the number still missing, and scans that
+    again, until it has k; these draws come when the scan reaches the node,
+    so ``_CHUNK`` only decides where they fall. Its k targets, sorted, are
     appended after the node as k edges (new, target). When the core is one
     node, the first added node attaches to node 0 with no draw, and the
     chunks start after it. The tests keep this schedule as a plain
@@ -266,7 +267,7 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
 
     pool = 2 * k + 4
     draw = np.arange(pool)
-    # first[v]: the first draw index of node v in the current pool, ``pool``
+    # first[v]: the first draw index of node v in the current scan, ``pool``
     # when absent; np.minimum.at applies every repeated index in turn
     first = np.full(n, pool)
     start = 0
@@ -277,22 +278,21 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
         sizes = 2 * (len(core) + k * np.arange(row, min(row + _CHUNK, n - n0)))
         picks = rng.integers(0, sizes[:, None], (len(sizes), pool))
         for i, size in enumerate(sizes.tolist()):
-            cands = endpoints[picks[i]]
-            np.minimum.at(first, cands, draw)
-            distinct = cands[first[cands] == draw]
-            first[cands] = pool
-            if len(distinct) >= k:
-                picked = distinct[:k]
-                picked.sort()
-                targets[row + i] = picked
-                continue
-            chosen = set(distinct.tolist())
-            while len(chosen) < k:
-                for t in endpoints[rng.integers(0, size, 2 * (k - len(chosen)) + 4)].tolist():
-                    chosen.add(t)
-                    if len(chosen) == k:
-                        break
-            targets[row + i] = sorted(chosen)
+            cands, order = endpoints[picks[i]], draw
+            while True:
+                np.minimum.at(first, cands, order)
+                distinct = cands[first[cands] == order]
+                first[cands] = pool
+                if len(distinct) >= k:
+                    break
+                # the distinct ones lead the next scan, so they all stay; it
+                # holds 2k+4 - len(distinct) candidates, at most ``pool``
+                more = endpoints[rng.integers(0, size, 2 * (k - len(distinct)) + 4)]
+                cands = np.concatenate((distinct, more))
+                order = draw[: len(cands)]
+            picked = distinct[:k]
+            picked.sort()
+            targets[row + i] = picked
     return Network(n, pairs, directed=False)
 
 
@@ -322,17 +322,23 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
     skipped; a ``#`` anywhere else belongs to a column. Columns after the
     second are ignored. Arbitrary integer labels are remapped to 0..n-1 in
     sorted label order. Self-loops and duplicate edges are dropped (counts
-    logged). A file is read as UTF-8 text with universal newlines; a byte
-    that does not decode is an error on its line.
+    logged). A file is read once, as bytes, and decoded as UTF-8 text with
+    universal newlines; a byte that does not decode is an error on its line.
     """
     if hasattr(source, "read"):
         text = source.read()  # type: ignore[union-attr]
     else:
+        with open(source, "rb") as fh:
+            data = fh.read()
         try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError:
-            raise EdgeListError(_undecodable_line(source), "not UTF-8 text") from None
+            text, decoded = data.decode("utf-8"), True
+        except UnicodeDecodeError as exc:
+            # the text before the bad byte: its line ends number the bad line
+            text, decoded = data[: exc.start].decode("utf-8"), False
+        if "\r" in text:  # universal newlines: \r\n and a lone \r end a line
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        if not decoded:
+            raise EdgeListError(text.count("\n") + 1, "not UTF-8 text")
 
     labels = _read_labels(text)
     if labels is None:
@@ -360,19 +366,6 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
             duplicates,
         )
     return Network(n, np.column_stack(np.divmod(keys, n)), directed=directed)
-
-
-def _undecodable_line(path: str | Path) -> int | None:
-    """The 1-based line of a file's first byte that is not UTF-8, counting
-    LF, CR LF and a lone CR as line ends, as the text reader does."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return None
 
 
 # a "#" straight after a non-blank character: numpy's tokenizer starts a

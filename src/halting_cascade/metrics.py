@@ -55,8 +55,8 @@ def classify_regime(mean_degree: float, p_r: float, p_a: float, p_h: float) -> R
     for name, value in (("p_r", p_r), ("p_a", p_a), ("p_h", p_h)):
         if not 0 <= value <= 1:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    if mean_degree < 0:
-        raise ValueError(f"mean_degree must be non-negative, got {mean_degree}")
+    if not 0 <= mean_degree < math.inf:
+        raise ValueError(f"mean_degree must be finite and non-negative, got {mean_degree}")
     diffusion = mean_degree * p_r * (1 - p_a)
     halting = mean_degree * p_r * p_a * p_h
     if diffusion >= 1 and halting >= 1:

@@ -21,6 +21,8 @@ import numpy as np
 from .cascade import CascadeResult
 from .skills import SkillWorld
 
+MASS_THRESHOLD = 0.98  # the paper's share of the catalog size's mass below its cap
+
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -146,7 +148,7 @@ def p_lambda(
     skill_rate: float,
     vacancy_size: int,
     population: int,
-    mass_threshold: float = 0.98,
+    mass_threshold: float = MASS_THRESHOLD,
 ) -> float:
     """Probability that one agent holds every skill of a random vacancy.
 
@@ -182,7 +184,7 @@ def truncation_bounds(
     population: int,
     p_qualified: float,
     skill_rate: float,
-    mass_threshold: float = 0.98,
+    mass_threshold: float = MASS_THRESHOLD,
 ) -> TruncationBounds:
     """Truncation window used by ``oracle_success_probability``."""
     if not 0 <= p_qualified <= 1:
@@ -196,7 +198,7 @@ def truncation_bounds(
     return TruncationBounds(l_min, l_max, k_max, mass_threshold)
 
 
-def oracle_success_probability(spec: OracleSpec, mass_threshold: float = 0.98) -> float:
+def oracle_success_probability(spec: OracleSpec, mass_threshold: float = MASS_THRESHOLD) -> float:
     """Chance the hub's direct posting produces at least one hire."""
     p_q = p_lambda(spec.skill_rate, spec.vacancy_size, spec.population, mass_threshold)
     bounds = truncation_bounds(spec.population, p_q, spec.skill_rate, mass_threshold)

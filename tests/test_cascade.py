@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,13 @@ class TestSingleRun:
             run_cascade(network, params, (3,), 0)
         with pytest.raises(ValueError, match="out of range"):
             run_cascade(network, params, (-1,), 0)
+        # a non-integer id is named, not truncated to agent 1
+        for seed in (1.7, np.float64(1.0), "1"):
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {seed!r}")):
+                run_cascade(network, params, (seed,), 0)
+        assert run_cascade(network, params, (np.int64(1), 1), 0) == run_cascade(
+            network, params, (1,), 0
+        )
 
     def test_invalid_params(self):
         with pytest.raises(ValueError, match="p_r"):

@@ -837,3 +837,78 @@ def test_parser_argument_table_is_pinned():
     assert list(sub.choices) == [name for name, _, _ in _SUBCOMMAND_TABLE]
     for name, _, arguments in _SUBCOMMAND_TABLE:
         assert _argument_table(sub.choices[name]) == [_HELP_ARG] + arguments, name
+
+
+_SEED_KEY = ("seed", None, True)
+_OUT_KEY = ("out", None, False)
+_CONFIG_KEYS = {
+    "heatmap": [
+        ("n", 1000, False),
+        ("mean_degree", 50.0, False),
+        ("p_r", [0.02, 0.05, 0.1, 0.2, 0.5, 1.0], False),
+        ("p_a", [0.1, 0.3, 0.5, 0.7, 0.9], False),
+        ("p_h", [0.1, 0.5, 1.0], False),
+        ("reps", 100, False),
+        _SEED_KEY,
+        _OUT_KEY,
+    ],
+    "ba-vs-er": [
+        ("n", 1000, False),
+        ("er_mean_degree", 50.0, False),
+        ("ba_attachment", 50, False),
+        ("ba_core", None, False),
+        ("p_r", [0.05, 0.1, 0.2, 0.5, 1.0], False),
+        ("p_a", 0.1, False),
+        ("p_h", 0.5, False),
+        ("reps", 200, False),
+        _SEED_KEY,
+        _OUT_KEY,
+    ],
+    "ihc-vs-oracle": [
+        ("population", 2000, False),
+        ("mean_degree", 20.0, False),
+        ("reach_fraction", 0.5, False),
+        ("skill_rate", 3.0, False),
+        ("vacancy_sizes", [4, 6, 8], False),
+        ("p_r", [0.05, 0.1, 0.15, 0.2, 0.25, 0.5, 1.0], False),
+        ("mass_threshold", 0.98, False),
+        ("reps", 200, False),
+        _SEED_KEY,
+        _OUT_KEY,
+    ],
+    "oracle-analytic": [
+        ("population", 5000, False),
+        ("reach_fraction", 0.5, False),
+        ("skill_rate", 3.0, False),
+        ("vacancy_sizes", [4, 6, 8], False),
+        ("p_r", [1.0], False),
+        ("mass_threshold", 0.98, False),
+        _OUT_KEY,
+    ],
+    "empirical": [
+        ("edge_list", None, True),
+        ("directed", False, False),
+        ("p_r", 0.25, False),
+        ("reach_fraction", 0.5, False),
+        ("skill_rate", 3.0, False),
+        ("vacancy_size", 4, False),
+        ("reps", 100, False),
+        _SEED_KEY,
+        _OUT_KEY,
+    ],
+    "payout": [
+        ("chain_length", None, True),
+        ("budget", 1, False),
+        _OUT_KEY,
+    ],
+}
+
+
+def test_config_keys_are_pinned():
+    """Every key a config file may set, per subcommand, in the order the
+    merge validates them, which decides the error reported first, with its
+    default and whether it is required."""
+    assert list(cli._COMMANDS) == list(_CONFIG_KEYS)
+    for name, keys in _CONFIG_KEYS.items():
+        schema = cli._COMMANDS[name].schema
+        assert [(key, f.default, f.required) for key, f in schema.items()] == keys, name

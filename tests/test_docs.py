@@ -83,3 +83,46 @@ def test_payout_split_script_runs(monkeypatch, capsys):
         "p_r", "hires", "mean_depth", "poster_keeps", "worker_take", "depth_range"
     ]
     assert [float(line.split()[0]) for line in lines[2:]] == list(script.P_RECOMMEND)
+
+
+def _readme_prose() -> str:
+    return " ".join(README.read_text(encoding="utf-8").split())
+
+
+def _study_rows(capsys, command: str, script: str) -> list[dict]:
+    """The rows a README study config prints at its own reps."""
+    code = main([command, "--config", str(ROOT / "scripts" / script)])
+    assert code == EXIT_OK
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+def _assert_quoted(quote: str, row: dict) -> None:
+    """``row``'s success rate printed at the quote's decimal places is the quote."""
+    places = len(quote.partition(".")[2])
+    assert f"{float(row['success_rate']):.{places}f}" == quote
+
+
+def test_readme_heatmap_rates_are_printed(capsys):
+    (p_r_rise, rise_lo, rise_hi, p_a_lo, p_a_hi, p_r_fall, fall_lo, fall_hi) = re.search(
+        r"at `p_r = ([\d.]+)` it rises from ([\d.]+) to ([\d.]+) as `p_a` goes "
+        r"from ([\d.]+) to ([\d.]+), and at `p_r = ([\d.]+)` it falls from ([\d.]+) to ([\d.]+)\.",
+        _readme_prose(),
+    ).groups()
+    cells = {(row["p_r"], row["p_a"]): row
+             for row in _study_rows(capsys, "heatmap", "regime_heatmap.json")}
+    for p_r, lo, hi in ((p_r_rise, rise_lo, rise_hi), (p_r_fall, fall_lo, fall_hi)):
+        _assert_quoted(lo, cells[(p_r, p_a_lo)])
+        _assert_quoted(hi, cells[(p_r, p_a_hi)])
+
+
+def test_readme_ihc_vs_oracle_rates_are_printed(capsys):
+    (v_lo, v_hi, ihc_lo, ihc_hi, oracle_lo, oracle_hi) = re.search(
+        r"from vacancy size (\d+) to (\d+) the cascade hires in ([\d.]+) to ([\d.]+) of runs "
+        r"and direct posting in ([\d.]+) to ([\d.]+)\.",
+        _readme_prose(),
+    ).groups()
+    cells = {(row["system"], row["vacancy_size"]): row
+             for row in _study_rows(capsys, "ihc-vs-oracle", "ihc_vs_oracle.json")}
+    for system, lo, hi in (("ihc", ihc_lo, ihc_hi), ("oracle", oracle_lo, oracle_hi)):
+        _assert_quoted(lo, cells[(system, v_lo)])
+        _assert_quoted(hi, cells[(system, v_hi)])

@@ -326,6 +326,18 @@ class TestNetwork:
         with pytest.raises(ValueError):
             Network(3, [(-1, 0)], directed=True)
 
+    def test_rejects_non_integer_endpoints(self):
+        # checked before the int64 cast, which would truncate 1.7 to 1 and
+        # warn on NaN; an empty edge list of any dtype is still no edges
+        for edges in ([(0, 1.7)], np.array([[0, np.nan]]), np.array([[0, 1]], dtype=object)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be integers"):
+                    Network(3, edges)
+        for edges in ([], np.empty((0, 2)), np.empty(0, dtype=object)):
+            assert Network(3, edges) == Network(3, np.empty((0, 2), dtype=np.int64))
+        assert Network(3, np.array([[0, 1]], dtype=np.uint8)) == Network(3, [(0, 1)])
+
     def test_neighbor_queries(self):
         net = Network(4, [(0, 1), (0, 2), (3, 0)], directed=True)
         assert net.out_neighbors(0).tolist() == [1, 2]

@@ -95,6 +95,10 @@ class TestClassifyRegime:
             classify_regime(10, 1.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="mean_degree"):
             classify_regime(-1, 0.5, 0.5, 0.5)
+        # NaN fails every comparison, and inf times p_r = 0 is NaN
+        for mean_degree, p_r in ((math.nan, 0.5), (math.inf, 0.0), (math.inf, 0.5)):
+            with pytest.raises(ValueError, match="mean_degree must be finite"):
+                classify_regime(mean_degree, p_r, 0.5, 0.5)
 
 
 class TestSummarize:
