@@ -6,14 +6,14 @@ halves each earlier referrer's cut and the poster's leftover alike. Sweeping
 the recommendation probability in a slow-spread regime shows the poster's
 expected retained fraction falling geometrically with depth, and checks the
 ledger round trip: the surplus alone pins down how long the chain was. The
-``p_r`` cells are one group of ``replicate``: they share each replication's
-network and seed agent, so the contrasts between them are paired.
+``p_r`` cells are one group of ``replicate`` on G(n, p): they share each
+replication's seed agent and its neighbours, so the contrasts between them
+are paired, and each cascade samples the rest of the graph as it goes.
 """
-import functools
 from collections import Counter
 from fractions import Fraction
 
-from halting_cascade import IHCParams, compute_payouts, generate_er, surplus_to_length
+from halting_cascade import ErdosRenyi, IHCParams, compute_payouts, surplus_to_length
 from halting_cascade.cascade import replicate
 
 N_AGENTS = 1000
@@ -28,7 +28,7 @@ MASTER_SEED = 20260815
 
 def depth_distributions() -> list[Counter[int]]:
     """Per ``p_r`` cell, how many runs hired at each chain depth."""
-    er = functools.partial(generate_er, N_AGENTS, MEAN_DEGREE)
+    er = ErdosRenyi(N_AGENTS, MEAN_DEGREE)
     params = [IHCParams(p_r, P_APPLY, P_HIRE) for p_r in P_RECOMMEND]
     paths = [(cell,) for cell in range(len(params))]
     depths: list[Counter[int]] = [Counter() for _ in params]

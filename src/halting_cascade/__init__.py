@@ -17,6 +17,7 @@ from .cascade import (
 from .graph import (
     DegreeSummary,
     EdgeListError,
+    ErdosRenyi,
     Network,
     degree_stats,
     generate_ba,
@@ -57,6 +58,7 @@ __all__ = [
     "CascadeResult",
     "DegreeSummary",
     "EdgeListError",
+    "ErdosRenyi",
     "IHCParams",
     "Network",
     "OracleSpec",

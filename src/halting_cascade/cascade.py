@@ -16,7 +16,10 @@ order, application draws over newly recommended agents in ascending id,
 then hiring draws over new applicants in ascending id. The tests hold two
 references that follow this schedule: the engine as first written, whose
 results this one must equal, and a plain independent cascade, whose reach
-equals the engine's when the application probability is zero.
+equals the engine's when the application probability is zero. On a G(n, p)
+star, every step after the first draws its recruits by one ``binomial`` and
+one ``choice`` call instead (``_reed_frost_recruits``); the tests compare
+its outcome distributions with the engine's on drawn graphs.
 
 Streams: ``replicate`` runs every batch and sweep, and every generator it
 reads comes from ``replication_streams``, which starts it at a PCG64 state
@@ -26,6 +29,7 @@ them.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import Network, _sort_unique
+from .graph import ErdosRenyi, ErdosRenyiStar, Network, _sort_unique
 
 
 class StateCounts(NamedTuple):
@@ -120,6 +124,33 @@ def _per_agent(value, n: int, name: str) -> float | np.ndarray:
 _NONE = np.empty(0, dtype=np.int64)
 
 
+def _reed_frost_recruits(
+    passive: np.ndarray, unreached: int, carriers: int, contact: float, rng: np.random.Generator
+) -> np.ndarray:
+    """The passive agents that ``carriers`` fresh carriers recruit on G(n, p),
+    sorted, with the graph revealed only as the cascade examines it.
+
+    A carrier examines only passive agents, and no agent becomes passive
+    again, so each pair of a carrier and one of the ``unreached`` passive
+    agents is examined here for the first time (principle of deferred
+    decisions): it is an edge that passes the posting with chance
+    ``contact`` = p p_r, independently of all else. So each passive agent is
+    recruited independently with chance ``1 - (1 - contact)**carriers``, a
+    Reed-Frost chain binomial step. Draws one ``binomial(unreached,
+    chance)`` for the count and, when it is not 0, the recruits as
+    ``choice(unreached, count, replace=False, shuffle=False)``, sorted, into
+    the passive agents in ascending id.
+    """
+    # at contact 1, log1p(-1) is -inf: every passive agent is recruited
+    chance = 1.0 if contact == 1 else -math.expm1(carriers * math.log1p(-contact))
+    count = rng.binomial(unreached, chance)
+    if not count:
+        return _NONE
+    picks = rng.choice(unreached, count, replace=False, shuffle=False)
+    picks.sort()
+    return np.flatnonzero(passive)[picks]
+
+
 def run_cascade(
     network,
     params: IHCParams,
@@ -145,9 +176,19 @@ def run_cascade(
     anyone, and halters, all recruited at the final step, sit at that depth.
     The trace tallies the other four states: the frontier is the fresh
     agents, and the unhired applicants are all applicants but the halters.
+
+    ``network`` may instead be an ``ErdosRenyiStar``, a G(n, p) draw with
+    only its seed agent's neighbours revealed; the run must start from that
+    agent alone. Step 1 then reads the revealed neighbours as the seed's
+    arcs, and every later step recruits by ``_reed_frost_recruits`` in place
+    of the recommendation draws over arcs, in time proportional to n and not
+    to the arcs; the application and hiring draws are unchanged.
     """
     n = network.n
     seed_arr = _normalize_seeds(seeds, n)
+    star = network if isinstance(network, ErdosRenyiStar) else None
+    if star is not None and seed_arr.tolist() != [star.seed]:
+        raise ValueError(f"a G(n, p) star runs from its seed agent {star.seed} alone")
     p_a = _per_agent(params.p_a, n, "p_a")
     p_h = _per_agent(params.p_h, n, "p_h")
     per_agent_a = isinstance(p_a, np.ndarray)
@@ -169,29 +210,33 @@ def run_cascade(
 
     while True:
         steps += 1
-        dst = network.out_arcs(frontier)
-        # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
-        dst = dst.compress(passive.take(dst))
+        if star is not None and steps > 1:
+            newly = _reed_frost_recruits(passive, unreached, frontier.size, star.graph.p * p_r, rng)
+        else:
+            dst = network.out_arcs(frontier) if star is None else star.neighbors
+            # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
+            dst = dst.compress(passive.take(dst))
+            newly = _NONE
+            if dst.size:
+                # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
+                newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
         spent += frontier.size
 
         frontier = _NONE
-        if dst.size:
-            # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
-            newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
-            if newly.size:
-                passive[newly] = False
-                unreached -= newly.size
-                last_recruiting_step = steps
-                draws = rng.random(newly.size)
-                applies = draws < (p_a[newly] if per_agent_a else p_a)
-                appliers = newly[applies]
-                if appliers.size:
-                    applicants_total += int(appliers.size)
-                    draws = rng.random(appliers.size)
-                    halters = appliers[draws < (p_h[appliers] if per_agent_h else p_h)]
-                    frontier = newly[~applies]
-                else:
-                    frontier = newly
+        if newly.size:
+            passive[newly] = False
+            unreached -= newly.size
+            last_recruiting_step = steps
+            draws = rng.random(newly.size)
+            applies = draws < (p_a[newly] if per_agent_a else p_a)
+            appliers = newly[applies]
+            if appliers.size:
+                applicants_total += int(appliers.size)
+                draws = rng.random(appliers.size)
+                halters = appliers[draws < (p_h[appliers] if per_agent_h else p_h)]
+                frontier = newly[~applies]
+            else:
+                frontier = newly
 
         if trace is not None:
             unhired = applicants_total - halters.size
@@ -269,12 +314,14 @@ def replicate(
     seed: int,
     paths: Sequence[tuple[int, ...]],
     reps: int,
-    network: Network | Callable[[np.random.Generator], Network],
+    network: Network | ErdosRenyi | Callable[[np.random.Generator], Network],
     params: Sequence[IHCParams | float],
     skills: tuple[float, int, float] | None = None,
     seeds: Sequence[int] | None = None,
     record_trace: bool = False,
-) -> Iterator[tuple[Network, Sequence[int], list[tuple[CascadeResult, CascadeResult | None]]]]:
+) -> Iterator[
+    tuple[Network | ErdosRenyiStar, Sequence[int], list[tuple[CascadeResult, CascadeResult | None]]]
+]:
     """Run the ``reps`` replications of one group of sweep cells, rep-major.
 
     A group is a list of cells that differ only in cascade parameters: cell
@@ -295,25 +342,33 @@ def replicate(
     read, and only for those: fixed ``seeds`` replace the seed-node draw,
     whose child keeps its number but is not built.
 
-    ``network`` is a fixed ``Network`` or a factory called with the network
-    stream. Each ``params[i]`` holds the cascade probabilities; with
-    ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
+    ``network`` is a fixed ``Network``, a factory called with the network
+    stream, or an ``ErdosRenyi`` G(n, p). For G(n, p) no graph is built: the
+    network stream reveals the seed agent's neighbours (``ErdosRenyi.reveal``;
+    one seed agent only), and each cell's cascade samples the rest of the
+    graph as it goes (``run_cascade``), so the cells share the seed and its
+    neighbours but not the other pairs, whose draws come from each cell's
+    own cascade stream. Each ``params[i]`` holds the cascade probabilities;
+    with ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
     alone, the cell binds ``p_a``/``p_h`` from the replication's skill world,
     and the oracle runs on that same world at that reach. Build factories
-    inside the caller, so that layer functions such as ``generate_er`` are
+    inside the caller, so that layer functions such as ``generate_ba`` are
     looked up by their module-level names at call time (the benchmark's
     tracer patches those names).
 
-    Yields, per replication, (network, seed agents, one (cascade result,
-    oracle result or None) per cell). Only one network is alive at a time:
-    the last one stays referenced until the next is built, so the allocator
-    does not hand its pages back in between.
+    Yields, per replication, (network or revealed G(n, p) star, seed agents,
+    one (cascade result, oracle result or None) per cell). Only one network
+    is alive at a time: the last one stays referenced until the next is
+    built, so the allocator does not hand its pages back in between.
     """
     # skills and oracle import this module, so their names are looked up here
     from .oracle import simulate_oracle
     from .skills import bind_params, sample_skill_world
 
-    shared = (skills is not None, callable(network), seeds is None)  # world, network, seed node
+    er = isinstance(network, ErdosRenyi)
+    if er and seeds is not None and len(seeds) != 1:
+        raise ValueError("a G(n, p) cascade takes exactly one seed agent")
+    shared = (skills is not None, er or callable(network), seeds is None)  # world, network, seed
     lead = sum(shared[:2]) + 1  # the seed-node child keeps its number when not built
     children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
     streams = replication_streams(
@@ -326,6 +381,8 @@ def replicate(
         world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
         net = network(net_rng) if callable(network) else network
         rep_seeds = seeds if node_rng is None else (int(node_rng.integers(net.n)),)
+        if er:
+            net = network.reveal(rep_seeds[0], net_rng)
         world = None
         if skills is not None:
             world = sample_skill_world(net.n, *skills[:2], world_rng)

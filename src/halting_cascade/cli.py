@@ -2,8 +2,10 @@
 
 Every subcommand is a pure function of its configuration: the master seed
 names a stream per cell, child and replication, the cells of a group share
-each replication's network, rows are buffered and written in grid order,
-and a rerun with the same inputs produces byte-identical output.
+each replication's draws of the network (on G(n, p), the seed agent's
+neighbours; cascades sample the rest of the graph as they go), rows are
+buffered and written in grid order, and a rerun with the same inputs
+produces byte-identical output.
 Configuration merges built-in defaults, an optional scale preset,
 an optional JSON config file, and command-line flags, in that order.
 """
@@ -25,9 +27,9 @@ from typing import Any, Callable, Sequence
 from .cascade import IHCParams, replicate
 from .graph import (
     EdgeListError,
+    ErdosRenyi,
     degree_stats,
     generate_ba,
-    generate_er,
     load_edge_list,
 )
 from .incentives import compute_payouts
@@ -207,13 +209,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def cmd_heatmap(cfg: dict) -> list[dict]:
-    """Success and chain-length grid over p_r x p_a x p_h on ER draws.
+    """Success and chain-length grid over p_r x p_a x p_h on G(n, p).
 
-    The whole grid is one group: each replication's ER network and seed
-    node are shared by every cell.
+    The whole grid is one group: each replication's seed agent and its
+    neighbours are shared by every cell, and each cell's cascade samples the
+    rest of the graph as it goes.
     """
     grid = list(itertools.product(cfg["p_r"], cfg["p_a"], cfg["p_h"]))
-    er = functools.partial(generate_er, cfg["n"], cfg["mean_degree"])
+    er = ErdosRenyi(cfg["n"], cfg["mean_degree"])
     params = [IHCParams(p_r=p_r, p_a=p_a, p_h=p_h) for p_r, p_a, p_h in grid]
     paths = [(cell,) for cell in range(len(grid))]
     runs = replicate(cfg["seed"], paths, cfg["reps"], er, params)
@@ -241,10 +244,11 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
     """Seed-degree-binned outcomes on preferential-attachment vs ER networks.
 
     The ``p_r`` cells of one topology are one group: they share each
-    replication's network and seed node.
+    replication's seed node and, on BA, its network; on G(n, p) they share
+    the seed's neighbours, and each cascade samples the rest as it goes.
     """
     ba_core = cfg["ba_core"] if cfg["ba_core"] is not None else cfg["ba_attachment"]
-    er = functools.partial(generate_er, cfg["n"], cfg["er_mean_degree"])
+    er = ErdosRenyi(cfg["n"], cfg["er_mean_degree"])
     ba = functools.partial(generate_ba, cfg["n"], ba_core, cfg["ba_attachment"])
     params = [IHCParams(p_r=p_r, p_a=cfg["p_a"], p_h=cfg["p_h"]) for p_r in cfg["p_r"]]
     rows = []
@@ -253,7 +257,7 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
         runs = replicate(cfg["seed"], paths, cfg["reps"], build, params)
         bins: list[dict[tuple[int, int], list]] = [{} for _ in params]
         for network, (seed_node,), outcomes in runs:
-            key = degree_bin(int(network.out_degrees[seed_node]))
+            key = degree_bin(len(network.out_neighbors(seed_node)))
             for cell_bins, (result, _) in zip(bins, outcomes):
                 cell_bins.setdefault(key, []).append(result)
         for p_r, cell_bins in zip(cfg["p_r"], bins):
@@ -286,13 +290,13 @@ def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
     """Cascade vs direct-posting comparison on shared skill worlds.
 
     Each replication draws one skill world and feeds it to both systems:
-    the cascade runs on an ER network, the baseline posts straight to its
-    reached agents. The ``p_r`` cells of one vacancy size are one group:
-    they share each replication's skill world, network and seed node. The
+    the cascade runs on G(n, p), the baseline posts straight to its reached
+    agents. The ``p_r`` cells of one vacancy size are one group: they share
+    each replication's skill world, seed agent and its neighbours. The
     closed-form baseline value rides along as a reference column.
     """
     rows = []
-    er = functools.partial(generate_er, cfg["population"], cfg["mean_degree"])
+    er = ErdosRenyi(cfg["population"], cfg["mean_degree"])
     n_p_r = len(cfg["p_r"])
     for vacancy_idx, vacancy_size in enumerate(cfg["vacancy_sizes"]):
         # cells are numbered in (vacancy, p_r) grid order
@@ -433,7 +437,7 @@ class _Command:
 _COMMANDS: dict[str, _Command] = {
     "heatmap": _Command(
         cmd_heatmap,
-        "success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
+        "success/chain-length grid over p_r x p_a x p_h on G(n, p) sharing each seed's neighbours",
         {
             "n": _Field(1000, _int_at_least(2)),
             "mean_degree": _Field(50.0, _number(lo=0.0, open_lo=True)),

@@ -9,9 +9,10 @@ from __future__ import annotations
 import io
 import logging
 import math
+import operator
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -160,6 +161,15 @@ def _jumps(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarra
     return np.clip(jumps, 1, cap, out=jumps)
 
 
+def _er_probability(n: int, mean_degree: float) -> float:
+    """The pair probability p = mean_degree/(n-1) of G(n, p), after checking both."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not 0 <= mean_degree <= n - 1:
+        raise ValueError("mean degree must lie in [0, n-1]")
+    return mean_degree / (n - 1)
+
+
 def generate_er(n: int, mean_degree: float, seed) -> Network:
     """Erdos-Renyi G(n, p) with p chosen to hit the requested mean degree.
 
@@ -174,11 +184,7 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
     call, until a jump leaves the pair range. p = 0 draws nothing and takes
     no pair; p = 1 draws nothing and takes every pair.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 0 <= mean_degree <= n - 1:
-        raise ValueError("mean degree must lie in [0, n-1]")
-    p = mean_degree / (n - 1)
+    p = _er_probability(n, mean_degree)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
 
@@ -215,6 +221,68 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
     pairs[:, 0] = np.repeat(i_all, counts)
     np.subtract(selected, np.repeat(offsets - i_all - 1, counts), out=pairs[:, 1])
     return Network(n, pairs, directed=False)
+
+
+@dataclass(frozen=True)
+class ErdosRenyi:
+    """G(n, p) with p = mean_degree/(n-1), as a law: no graph is built.
+
+    A sweep hands it to ``cascade.replicate``, which draws a replication's
+    seed agent and reveals that agent's neighbours (``reveal``), and
+    ``run_cascade`` samples the cascade on the rest of the graph as the
+    cascade examines it. Takes ``generate_er``'s arguments and checks.
+    """
+
+    n: int
+    mean_degree: float
+    p: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _er_probability(self.n, self.mean_degree))
+
+    def reveal(self, node: int, seed) -> ErdosRenyiStar:
+        """The graph with ``node``'s neighbours drawn and every other pair unrevealed.
+
+        Draws ``binomial(n - 1, p)`` for the degree, then the neighbours as
+        ``choice(n - 1, degree, replace=False, shuffle=False)``, sorted, where
+        an index i stands for agent i below ``node`` and i + 1 from it on.
+        ``seed`` is anything ``numpy.random.default_rng`` accepts.
+        """
+        try:
+            node = operator.index(node)
+        except TypeError:
+            raise ValueError(f"seed agent id must be an integer, got {node!r}") from None
+        if not 0 <= node < self.n:
+            raise ValueError("seed agent id out of range")
+        rng = np.random.default_rng(seed)
+        degree = rng.binomial(self.n - 1, self.p)
+        others = rng.choice(self.n - 1, degree, replace=False, shuffle=False)
+        others.sort()
+        others += others >= node
+        others.flags.writeable = False
+        return ErdosRenyiStar(self, node, others)
+
+
+@dataclass(frozen=True, eq=False)
+class ErdosRenyiStar:
+    """A G(n, p) draw of which only the pairs of agent ``seed`` are revealed.
+
+    ``neighbors`` is that agent's sorted, read-only neighbour array. A
+    cascade on it must start from ``seed`` alone.
+    """
+
+    graph: ErdosRenyi
+    seed: int
+    neighbors: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
+    def out_neighbors(self, u: int) -> np.ndarray:
+        if u != self.seed:
+            raise ValueError(f"only agent {self.seed}'s neighbours are revealed")
+        return self.neighbors
 
 
 _CHUNK = 256  # added nodes whose first pools generate_ba draws in one call

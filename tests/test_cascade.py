@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
     StateCounts,
+    replicate,
     replication_streams,
     run_batch,
     run_cascade,
 )
-from halting_cascade.graph import Network, generate_ba, generate_er, generate_star
+from halting_cascade.graph import ErdosRenyi, Network, generate_ba, generate_er, generate_star
 
 
 def _complete(n: int) -> Network:
@@ -315,9 +317,14 @@ class TestProperties:
         p_a=st.floats(min_value=0.0, max_value=1.0),
         p_h=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sampled=st.booleans(),
     )
-    def test_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed):
-        network = generate_er(n, degree_frac * (n - 1), seed=seed)
+    def test_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed, sampled):
+        degree = degree_frac * (n - 1)
+        if sampled:  # G(n, p) revealed by the cascade
+            network = ErdosRenyi(n, degree).reveal(0, seed)
+        else:
+            network = generate_er(n, degree, seed=seed)
         params = IHCParams(p_r, p_a, p_h)
         result = run_cascade(network, params, (0,), seed, record_trace=True)
 
@@ -455,6 +462,80 @@ class TestStatistics:
         expected = 1.0 - 0.7**10
         sigma = math.sqrt(expected * (1.0 - expected) / len(results))
         assert abs(rate - expected) < 3 * sigma
+
+
+class TestErdosRenyiSampler:
+    """``run_cascade`` on a G(n, p) star: laws that hold run by run.
+    ``tests/test_distributions.py`` compares its outcome distributions with
+    the engine's on drawn graphs."""
+
+    def test_p_zero_ends_at_step_one(self):
+        star = ErdosRenyi(50, 0.0).reveal(7, 3)
+        for rng_seed in range(20):
+            result = run_cascade(star, IHCParams(1.0, 0.5, 1.0), (7,), rng_seed, record_trace=True)
+            assert (result.success, result.steps, result.chain_length) == (False, 1, 1)
+            assert result.trace[-1] == StateCounts(passive=49, fresh=0, spent=1, applied=0, halted=0)
+
+    def test_p_and_p_r_one_recruit_every_agent_at_step_one(self):
+        # no applicant: the whole population carries at step 2, where the
+        # contact chance is 1 (log1p(-1) is -inf) and no passive agent is left
+        n = 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(n):
+                star = ErdosRenyi(n, n - 1).reveal(seed, seed)
+                result = run_cascade(star, IHCParams(1.0, 0.0, 1.0), (seed,), 4, record_trace=True)
+                assert (result.success, result.steps, result.chain_length) == (False, 2, 2)
+                assert result.trace[1:] == (
+                    StateCounts(passive=0, fresh=n - 1, spent=1, applied=0, halted=0),
+                    StateCounts(passive=0, fresh=0, spent=n, applied=0, halted=0),
+                )
+
+    def test_contact_chance_one_recruits_every_passive_agent(self):
+        passive = np.array([False, True, True, False, True])
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recruits = cascade._reed_frost_recruits(passive, 3, 2, 1.0, rng)
+            assert recruits.tolist() == [1, 2, 4]
+            assert cascade._reed_frost_recruits(passive, 3, 2, 0.0, rng).size == 0
+
+    def test_seed_never_applies(self):
+        # the seed is the one agent that would apply and be hired for sure
+        n = 40
+        for seed in range(0, n, 3):
+            p_a, p_h = np.full(n, 0.3), np.zeros(n)
+            p_a[seed] = p_h[seed] = 1.0
+            star = ErdosRenyi(n, 4.0).reveal(seed, seed)
+            for rng_seed in range(10):
+                result = run_cascade(star, IHCParams(0.8, p_a, p_h), (seed,), rng_seed)
+                assert not result.success
+
+    def test_only_the_drawn_seed_runs(self):
+        star = ErdosRenyi(20, 4.0).reveal(3, 0)
+        params = IHCParams(0.5, 0.5, 0.5)
+        for seeds in [(4,), (3, 4), (0,)]:
+            with pytest.raises(ValueError, match="seed agent 3 alone"):
+                run_cascade(star, params, seeds, 0)
+        assert run_cascade(star, params, (np.int64(3), 3), 0) == run_cascade(star, params, (3,), 0)
+        with pytest.raises(ValueError, match="exactly one seed agent"):
+            next(replicate(0, [()], 1, ErdosRenyi(20, 4.0), [params], seeds=(1, 2)))
+
+    def test_a_group_shares_the_seed_star(self):
+        """Each replication reveals one seed star, from the leader's network
+        child, and every cell runs from it; a fixed seed is revealed too."""
+        law = ErdosRenyi(60, 5.0)
+        params = [IHCParams(p_r, 0.2, 0.5) for p_r in (0.3, 1.0)]
+        runs = list(replicate(9, [(0,), (1,)], 5, law, params))
+        for star, (seed,), outcomes in runs:
+            assert star.graph is law and star.seed == seed
+            assert all(result.seeds == (seed,) for result, _ in outcomes)
+        net_rng, node_rng = next(replication_streams(9, [((0,), 0), ((0,), 1)], 1))
+        star, (seed,), _ = runs[0]
+        assert seed == int(node_rng.integers(60))
+        assert star.neighbors.tolist() == law.reveal(seed, net_rng).neighbors.tolist()
+        fixed = run_batch(law, params[0], 4, 2, seeds=(5,))
+        assert all(result.seeds == (5,) for result in fixed)
 
 
 class TestBatch:

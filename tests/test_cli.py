@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from halting_cascade import cascade, cli, oracle, skills
+from halting_cascade import cascade, cli, graph, oracle, skills
 from halting_cascade.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 
 
@@ -526,7 +526,8 @@ def _record(monkeypatch, module, name: str, calls: list) -> None:
 
 
 class TestCommonRandomNetworks:
-    """Cells that differ only in cascade parameters share each replication's draws."""
+    """Cells that differ only in cascade parameters share each replication's
+    draws: a BA network, or on G(n, p) the seed agent's revealed neighbours."""
 
     @pytest.mark.parametrize(
         "command, config, groups, cells",
@@ -540,7 +541,7 @@ class TestCommonRandomNetworks:
         self, tmp_path, capsys, monkeypatch, command, config, groups, cells
     ):
         built, cascades, worlds, bound = [], [], [], []
-        _record(monkeypatch, cli, "generate_er", built)
+        _record(monkeypatch, graph.ErdosRenyi, "reveal", built)
         _record(monkeypatch, cli, "generate_ba", built)
         _record(monkeypatch, cascade, "run_cascade", cascades)
         _record(monkeypatch, skills, "sample_skill_world", worlds)
@@ -658,21 +659,21 @@ class TestCommonRandomNetworks:
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11"],
-            "014c346a60e8983691a1a8ad176a682888cb8f0bb906b007b8757a9463623988",
+            "c36b6bfe5f42c7ffae4af9a22eb140a4b3f5147dea3343c3318cdf4ff81b7138",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4"],
-            "eb3ff03de10e0dba49eeddc93e8646d142f122eac73f55f4647c1be725ab3bf7",
+            "573f1ddb5a309f5038a154ebdc17e92db672bc84a5849c1e2c85a255426c1e03",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "4e959b090dd4e2eca0fc8c28f7fed1abdcf55a932d9da0af85f2f18cb865a942",
+            "d9bcb99b388ec834e856bcd969dfc0c3a4054a34cc12b03777dcc99e2dee6691",
         ),
         (
             "empirical",
@@ -691,21 +692,21 @@ class TestCommonRandomNetworks:
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11", "--format", "jsonl"],
-            "747c73458563374a99c1a2f9b9e6a0aaa26bbb43702f33687220b864c8abb1f3",
+            "eea9b5ee87a8bfe2e02e44059e6e3b8c41de18014eccee2edacc3f15b9876478",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4", "--format", "jsonl"],
-            "081cf3d3ed4232a42e697404994cede6e3d38fb8ce0e3df8219dbbba9b43a0c1",
+            "3b519fec1d8cb10159b1d1fb1e6dd8af82357948258256008b61305256f6d129",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "147230b3f81b44759ba4c41c2aeb2796c400e53d3ef4a91b73d3ad5acdb04184",
+            "2c10cfc05676e6f37071a5cfcd5b860f31854ca03108dbf2cafe3817a45045c2",
         ),
         (
             "empirical",
@@ -792,7 +793,7 @@ _HELP_ARG = (["-h", "--help"], "help", "==SUPPRESS==", None, None, 0,
              "show this help message and exit")
 _SUBCOMMAND_TABLE = [
     ("heatmap",
-     "success/chain-length grid over p_r x p_a x p_h on ER networks shared by the grid",
+     "success/chain-length grid over p_r x p_a x p_h on G(n, p) sharing each seed's neighbours",
      _COMMON_ARGS + _SIMULATION_ARGS),
     ("ba-vs-er", "seed-degree-binned outcomes on BA vs ER topologies",
      _COMMON_ARGS + _SIMULATION_ARGS),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from halting_cascade import graph
 from halting_cascade.graph import (
     EdgeListError,
+    ErdosRenyi,
     Network,
     degree_stats,
     generate_ba,
@@ -519,6 +520,48 @@ class TestGenerateEr:
         assert np.random.default_rng(rng) is rng
         assert graph._jumps(rng, 0.1, 5, 46).tolist() == [1] * 5
         assert generate_er(10, 0.9, rng).edge_count == 45
+
+
+class TestErdosRenyi:
+    """The G(n, p) law that sweeps sample on, and its seed-star reveal."""
+
+    @pytest.mark.parametrize("n, mean_degree", [(1, 0.0), (10, -0.5), (10, 9.5)])
+    def test_rejects_what_generate_er_rejects(self, n, mean_degree):
+        with pytest.raises(ValueError) as ours:
+            ErdosRenyi(n, mean_degree)
+        with pytest.raises(ValueError) as theirs:
+            generate_er(n, mean_degree, seed=1)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_pair_probability(self):
+        assert ErdosRenyi(41, 4.0).p == 0.1
+        assert ErdosRenyi(10, 0.0).p == 0.0
+        assert ErdosRenyi(10, 9.0).p == 1.0
+
+    @pytest.mark.parametrize(
+        "n, mean_degree", [(2, 1.0), (40, 6.0), (300, 20.0), (10, 0.0), (25, 24.0)]
+    )
+    def test_reveal_follows_its_draw_schedule(self, n, mean_degree):
+        law = ErdosRenyi(n, mean_degree)
+        for node in {0, n // 2, n - 1}:
+            star = law.reveal(node, 5)
+            rng = np.random.default_rng(5)
+            picks = rng.choice(n - 1, rng.binomial(n - 1, law.p), replace=False, shuffle=False)
+            assert star.neighbors.tolist() == [i + (i >= node) for i in sorted(picks.tolist())]
+            assert (star.n, star.seed, star.graph) == (n, node, law)
+            assert star.out_neighbors(node) is star.neighbors
+            assert not star.neighbors.flags.writeable
+            assert np.all(np.diff(star.neighbors) > 0)
+
+    def test_reveal_rejects_bad_nodes(self):
+        law = ErdosRenyi(10, 3.0)
+        for node in (-1, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                law.reveal(node, 0)
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            law.reveal(1.5, 0)
+        with pytest.raises(ValueError, match="only agent 2"):
+            law.reveal(2, 0).out_neighbors(3)
 
 
 class TestJumps:
