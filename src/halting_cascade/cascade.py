@@ -344,9 +344,10 @@ def replicate(
 
     ``network`` is a fixed ``Network``, a factory called with the network
     stream, or an ``ErdosRenyi`` G(n, p). For G(n, p) no graph is built: the
-    network stream reveals the seed agent's neighbours (``ErdosRenyi.reveal``;
-    one seed agent only), and each cell's cascade samples the rest of the
-    graph as it goes (``run_cascade``), so the cells share the seed and its
+    network stream reveals the first seed agent's neighbours
+    (``ErdosRenyi.reveal``; ``run_cascade`` rejects any other seed set),
+    and each cell's cascade samples the rest of the graph as it goes
+    (``run_cascade``), so the cells share the seed and its
     neighbours but not the other pairs, whose draws come from each cell's
     own cascade stream. Each ``params[i]`` holds the cascade probabilities;
     with ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
@@ -366,8 +367,8 @@ def replicate(
     from .skills import bind_params, sample_skill_world
 
     er = isinstance(network, ErdosRenyi)
-    if er and seeds is not None and len(seeds) != 1:
-        raise ValueError("a G(n, p) cascade takes exactly one seed agent")
+    if er and seeds is not None and not len(seeds):
+        raise ValueError("at least one seed agent is required")
     shared = (skills is not None, er or callable(network), seeds is None)  # world, network, seed
     lead = sum(shared[:2]) + 1  # the seed-node child keeps its number when not built
     children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle

@@ -317,16 +317,39 @@ class TestProperties:
         p_a=st.floats(min_value=0.0, max_value=1.0),
         p_h=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        sampled=st.booleans(),
     )
-    def test_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed, sampled):
-        degree = degree_frac * (n - 1)
-        if sampled:  # G(n, p) revealed by the cascade
-            network = ErdosRenyi(n, degree).reveal(0, seed)
-        else:
-            network = generate_er(n, degree, seed=seed)
+    def test_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed):
+        network = generate_er(n, degree_frac * (n - 1), seed=seed)
         params = IHCParams(p_r, p_a, p_h)
         result = run_cascade(network, params, (0,), seed, record_trace=True)
+
+        assert result.trace is not None
+        assert len(result.trace) == result.steps + 1
+        assert result.trace[0] == StateCounts(n - 1, 1, 0, 0, 0)
+        passive_path = [c.passive for c in result.trace]
+        for counts in result.trace:
+            assert sum(counts) == n
+        assert passive_path == sorted(passive_path, reverse=True)
+
+        assert result.success == bool(result.halters)
+        assert result.applicants >= len(result.halters)
+        assert result.chain_length >= (2 if result.success else 1)
+        final = result.trace[-1]
+        assert final.applied + final.halted == result.applicants
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=25),
+        degree_frac=st.floats(min_value=0.0, max_value=1.0),
+        p_r=st.floats(min_value=0.0, max_value=1.0),
+        p_a=st.floats(min_value=0.0, max_value=1.0),
+        p_h=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sampled_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed):
+        # the same laws on a G(n, p) revealed by the cascade
+        star = ErdosRenyi(n, degree_frac * (n - 1)).reveal(0, seed)
+        result = run_cascade(star, IHCParams(p_r, p_a, p_h), (0,), seed, record_trace=True)
 
         assert result.trace is not None
         assert len(result.trace) == result.steps + 1
@@ -518,8 +541,10 @@ class TestErdosRenyiSampler:
             with pytest.raises(ValueError, match="seed agent 3 alone"):
                 run_cascade(star, params, seeds, 0)
         assert run_cascade(star, params, (np.int64(3), 3), 0) == run_cascade(star, params, (3,), 0)
-        with pytest.raises(ValueError, match="exactly one seed agent"):
+        with pytest.raises(ValueError, match="seed agent 1 alone"):
             next(replicate(0, [()], 1, ErdosRenyi(20, 4.0), [params], seeds=(1, 2)))
+        with pytest.raises(ValueError, match="at least one seed agent"):
+            next(replicate(0, [()], 1, ErdosRenyi(20, 4.0), [params], seeds=()))
 
     def test_a_group_shares_the_seed_star(self):
         """Each replication reveals one seed star, from the leader's network
