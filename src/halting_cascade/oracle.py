@@ -291,7 +291,7 @@ def simulate_oracle(
         leaves += 1
         leaves.sort()
         recommended = leaves[np.random.default_rng(run_seed).random(reach) < p_r]
-        hired = recommended[world.coverage()[recommended] == len(world.vacancy)]
+        hired = recommended[world.coverage[recommended] == world.vacancy_size]
     return CascadeResult(
         success=bool(hired.size),
         chain_length=2 if recommended.size else 1,

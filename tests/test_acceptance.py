@@ -30,7 +30,6 @@ from halting_cascade.skills import bind_params, sample_skill_world
 from test_cascade import ic_reference
 from test_metrics import bin_by_seed_degree
 from test_oracle import poisson_cdf
-from test_skills import agent_skills
 
 
 def _regime_batch(master: int, p_r: float, p_a: float, p_h: float, reps: int = 200):
@@ -113,7 +112,7 @@ def test_04_skill_count_tail_fractions():
     started = time.perf_counter()
     targets = {4: 0.35, 6: 0.08, 8: 0.01}
     world = sample_skill_world(5000, 3.0, 4, seed=4)
-    counts = np.array([len(s) for s in agent_skills(world)])
+    counts = world.counts
     for at_least, target in targets.items():
         analytic = 1.0 - poisson_cdf(at_least - 1, 3.0)
         empirical = float(np.mean(counts >= at_least))

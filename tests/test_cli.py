@@ -271,6 +271,15 @@ class TestIhcVsOracle:
         if float(oracle["success_rate"]) > 0:
             assert float(oracle["mean_chain_depth"]) == 2.0
 
+    def test_catalog_past_the_hypergeometric_limit_exits_config(self, tmp_path, capsys):
+        cfg = {"population": 2, "mean_degree": 1.0, "skill_rate": 2e9, "vacancy_sizes": [4],
+               "reps": 1}
+        path = tmp_path / "ivo.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, _, err = _run(capsys, ["ihc-vs-oracle", "--config", str(path), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "skill_rate" in err
+
 
 class TestOracleAnalytic:
     def test_pure_computation_rows(self, tmp_path, capsys):
@@ -673,7 +682,7 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "d9bcb99b388ec834e856bcd969dfc0c3a4054a34cc12b03777dcc99e2dee6691",
+            "7781b364a66db0090d8b53061ceaac88e940d2606f62fb278e202279e73f8277",
         ),
         (
             "empirical",
@@ -706,7 +715,7 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "2c10cfc05676e6f37071a5cfcd5b860f31854ca03108dbf2cafe3817a45045c2",
+            "13cb6b8de65bd75357d25dc01ab26803c91e89b7a8aa132fd0523cbc8e8494f3",
         ),
         (
             "empirical",

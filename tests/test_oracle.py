@@ -25,7 +25,6 @@ from halting_cascade.oracle import (
     truncation_bounds,
 )
 from halting_cascade.skills import sample_skill_world
-from test_skills import agent_skills
 
 
 def poisson_cdf(k: int, rate: float) -> float:
@@ -215,7 +214,7 @@ class TestQualifiedProbability:
         fractions = []
         for world_ss in base.spawn(n_worlds):
             world = sample_skill_world(n_agents, 3.0, 1, seed=world_ss)
-            qualified = sum(world.vacancy <= s for s in agent_skills(world))
+            qualified = int(np.sum(world.coverage == 1))
             fractions.append(qualified / n_agents)
         observed = float(np.mean(fractions))
         se = float(np.std(fractions, ddof=1)) / math.sqrt(n_worlds)
@@ -418,7 +417,7 @@ def reference_simulate_oracle(world, reach_fraction, p_r, star_rng, run_rng):
     probability one and per-agent hiring at full skill coverage.
     """
     star = generate_star(world.n, reach_fraction, star_rng)
-    p_h = (world.coverage() == len(world.vacancy)).astype(float)
+    p_h = (world.coverage == world.vacancy_size).astype(float)
     params = IHCParams(p_r=p_r, p_a=1.0, p_h=p_h)
     return run_cascade(star, params, seeds=(0,), rng_seed=run_rng)
 

@@ -6,21 +6,15 @@ from collections.abc import Set
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from halting_cascade import skills
 from halting_cascade.skills import (
     SkillWorld,
     bind_params,
     sample_skill_world,
 )
-
-
-def agent_skills(world: SkillWorld) -> tuple[frozenset[int], ...]:
-    """Each agent's skill ids as a set, read off the ``held`` matrix."""
-    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in world.held)
 
 
 # scalar references for one agent's skill set; ``bind_params`` must agree
@@ -37,27 +31,35 @@ def application_probability(agent_skills: Set[int], vacancy: Set[int]) -> float:
 
 
 def _reference_world(n: int, skill_rate: float, vacancy_size: int, seed) -> SkillWorld:
-    """``sample_skill_world`` as it was before its row-sort cut: the argsort
-    layout and the draws it fixes, which the library must keep."""
+    """The skill world drawn skill by skill, as a held matrix.
+
+    Each agent holds the first ``count`` entries of a uniformly random
+    permutation of the catalog (the row-wise argsort of a block of uniforms),
+    and the vacancy is a uniform ``vacancy_size``-subset of it. The world is
+    read off the matrix: row sums are the counts, sums over the vacancy's
+    columns the coverages.
+    """
     rng = np.random.default_rng(seed)
     counts = rng.poisson(skill_rate, size=n)
     universe = int(max(counts.max(), vacancy_size))
     order = np.argsort(rng.random((n, universe)), axis=1)
     held = np.empty((n, universe), dtype=bool)
     held[np.arange(n)[:, None], order] = np.arange(universe) < counts[:, None]
-    vacancy = (
-        frozenset(rng.choice(universe, size=vacancy_size, replace=False).tolist())
-        if vacancy_size
-        else frozenset()
-    )
-    return SkillWorld(universe, vacancy, held)
+    vacancy = rng.choice(universe, size=vacancy_size, replace=False)
+    return SkillWorld(vacancy_size, held.sum(axis=1), held[:, np.sort(vacancy)].sum(axis=1))
 
 
-class _QuarterUniforms(np.random.Generator):
-    """A generator whose uniforms are rounded down to quarters, so they tie."""
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        return np.floor(super().random(size) * 4) / 4
+def _agent_sets(world: SkillWorld) -> tuple[list[frozenset[int]], frozenset[int]]:
+    """Skill sets with the world's counts and coverages, and the vacancy
+    ``{0, ..., vacancy_size - 1}``: agent i holds its first ``coverage[i]``
+    required skills and ``counts[i] - coverage[i]`` skills outside the
+    vacancy."""
+    v = world.vacancy_size
+    sets = [
+        frozenset(range(cov)) | frozenset(range(v, v + count - cov))
+        for count, cov in zip(world.counts.tolist(), world.coverage.tolist())
+    ]
+    return sets, frozenset(range(v))
 
 
 def _poisson_tail(rate: float, at_least: int) -> float:
@@ -69,53 +71,44 @@ class TestSampling:
     def test_same_seed_same_world(self):
         a = sample_skill_world(40, 3.0, 4, seed=123)
         b = sample_skill_world(40, 3.0, 4, seed=123)
-        assert a == b
-        assert a != sample_skill_world(40, 3.0, 4, seed=124)
+        c = sample_skill_world(40, 3.0, 4, seed=124)
+        assert np.array_equal(a.counts, b.counts) and np.array_equal(a.coverage, b.coverage)
+        assert not (np.array_equal(a.counts, c.counts) and np.array_equal(a.coverage, c.coverage))
 
     def test_catalog_covers_counts_and_vacancy(self):
         world = sample_skill_world(200, 5.0, 2, seed=0)
-        largest = max(len(s) for s in agent_skills(world))
-        assert world.universe_size == largest
-        assert len(world.vacancy) == 2
-        for skills in (*agent_skills(world), world.vacancy):
-            assert all(0 <= skill < world.universe_size for skill in skills)
+        assert world.universe_size == world.counts.max() >= 2
+        assert world.vacancy_size == 2
+        assert np.all(world.coverage <= np.minimum(world.counts, 2))
 
     def test_catalog_floor_is_vacancy_size(self):
         world = sample_skill_world(10, 0.0, 5, seed=0)
         assert world.universe_size == 5
-        assert all(s == frozenset() for s in agent_skills(world))
-        assert world.vacancy == frozenset(range(5))
+        assert not world.counts.any() and not world.coverage.any()
 
     def test_empty_vacancy(self):
         world = sample_skill_world(10, 2.0, 0, seed=0)
-        assert world.vacancy == frozenset()
+        assert world.vacancy_size == 0
+        assert not world.coverage.any()
 
     def test_mean_skill_count_matches_rate(self):
         world = sample_skill_world(5000, 3.0, 4, seed=7)
-        mean = sum(len(s) for s in agent_skills(world)) / world.n
+        mean = float(world.counts.mean())
         assert abs(mean - 3.0) < 3 * math.sqrt(3.0 / 5000)
 
     def test_tail_fractions_match_poisson(self):
         world = sample_skill_world(5000, 3.0, 4, seed=21)
-        counts = np.array([len(s) for s in agent_skills(world)])
         for at_least in (4, 6, 8):
             expected = _poisson_tail(3.0, at_least)
-            observed = float(np.mean(counts >= at_least))
+            observed = float(np.mean(world.counts >= at_least))
             sigma = math.sqrt(expected * (1.0 - expected) / world.n)
             assert abs(observed - expected) < 3 * sigma
 
     def test_counts_are_the_first_draw(self):
-        # skill identities and the vacancy are drawn after the counts, so a
-        # seed's per-agent counts do not depend on how identities are drawn
+        # coverages are drawn after the counts, so a seed's per-agent counts
+        # do not depend on how coverages are drawn
         world = sample_skill_world(5000, 3.0, 4, seed=4)
-        counts = [len(s) for s in agent_skills(world)]
-        assert counts == np.random.default_rng(4).poisson(3.0, 5000).tolist()
-
-    def test_skill_ids_uniform_over_catalog(self):
-        world = sample_skill_world(5000, 3.0, 4, seed=11)
-        held = [skill for skills in agent_skills(world) for skill in skills]
-        observed = np.bincount(held, minlength=world.universe_size)
-        assert stats.chisquare(observed).pvalue > 0.001
+        assert world.counts.tolist() == np.random.default_rng(4).poisson(3.0, 5000).tolist()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="n must"):
@@ -125,48 +118,76 @@ class TestSampling:
         with pytest.raises(ValueError, match="vacancy_size"):
             sample_skill_world(5, 3.0, -1, seed=0)
 
+    def test_catalog_past_the_hypergeometric_limit_names_skill_rate(self):
+        with pytest.raises(ValueError, match="skill_rate=2000000000.0"):
+            sample_skill_world(2, 2e9, 4, seed=0)
 
-class TestAgainstArgsortLayout:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n=st.integers(1, 60),
-        skill_rate=st.floats(0, 7.5, allow_nan=False),
-        vacancy_size=st.integers(0, 8),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(n=1, skill_rate=0.0, vacancy_size=0, seed=0)  # an empty catalog
-    @example(n=5, skill_rate=0.0, vacancy_size=3, seed=0)  # every count is 0
-    @example(n=40, skill_rate=7.5, vacancy_size=2, seed=1)
-    @example(n=2000, skill_rate=3.0, vacancy_size=8, seed=20260815)
-    def test_equals_reference(self, n, skill_rate, vacancy_size, seed):
-        """The same world, and the generator left where the reference leaves it."""
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_skill_world(n, skill_rate, vacancy_size, ours)
-        want = _reference_world(n, skill_rate, vacancy_size, theirs)
-        assert got == want
-        assert ours.bit_generator.state == theirs.bit_generator.state
 
-    def test_tied_cut_takes_the_argsort_path(self, monkeypatch):
-        fallbacks = []
-        layout = skills._argsort_layout
+class TestAgainstReference:
+    """The sampler against the held-matrix reference, the same law by another route."""
 
-        def counting(u, counts):
-            fallbacks.append(u.shape)
-            return layout(u, counts)
+    def test_same_counts_and_catalog(self):
+        # an empty catalog, every count 0, a high rate, the benchmark's size
+        for n, skill_rate, vacancy_size in ((1, 0.0, 0), (5, 0.0, 3), (40, 7.5, 2), (2000, 3.0, 8)):
+            for seed in range(20):
+                got = sample_skill_world(n, skill_rate, vacancy_size, seed)
+                want = _reference_world(n, skill_rate, vacancy_size, seed)
+                assert np.array_equal(got.counts, want.counts)
+                assert got.universe_size == want.universe_size
 
-        monkeypatch.setattr(skills, "_argsort_layout", counting)
-        for seed in range(5):
-            ours = _QuarterUniforms(np.random.PCG64(seed))
-            theirs = _QuarterUniforms(np.random.PCG64(seed))
-            assert sample_skill_world(300, 3.0, 4, ours) == _reference_world(300, 3.0, 4, theirs)
-        assert len(fallbacks) == 5
+    def test_empty_vacancy_is_covered_identically(self):
+        for seed in range(20):
+            got, want = sample_skill_world(50, 3.0, 0, seed), _reference_world(50, 3.0, 0, seed)
+            assert np.array_equal(got.coverage, want.coverage)
 
-    def test_untied_worlds_take_the_cut_path(self, monkeypatch):
-        fallbacks = []
-        monkeypatch.setattr(skills, "_argsort_layout", lambda u, c: fallbacks.append(u.shape))
-        for seed in range(5):
-            sample_skill_world(2000, 3.0, 4, seed)
-        assert fallbacks == []
+    def test_coverage_law_matches_reference(self):
+        """Coverage histograms and per-world qualified counts agree in law.
+
+        Both samplers draw the same counts and catalog at one seed, and
+        given them each agent's coverage is independent of every other's.
+        So the pooled coverage histograms are compared by a chi-square test
+        of homogeneity, each is compared with the hypergeometric law summed
+        over the world's agents by a chi-square goodness of fit, and the
+        per-world qualified counts (coverage == vacancy_size), exchangeable
+        within a seed, by a two-sided Wilcoxon signed-rank test on their
+        differences. Every test is two-sided and must give p > 0.001.
+        """
+        n_worlds, n_agents, rate, bound = 1000, 50, 3.0, 1e-3
+        report = []
+        for vacancy_size in (1, 2, 4):
+            bins = np.arange(vacancy_size + 1)
+            got, want, expected = [], [], np.zeros(bins.size)
+            for seed in np.random.SeedSequence(20261020 + vacancy_size).spawn(n_worlds):
+                ours = sample_skill_world(n_agents, rate, vacancy_size, seed)
+                theirs = _reference_world(n_agents, rate, vacancy_size, seed)
+                got.append(ours.coverage)
+                want.append(theirs.coverage)
+                pmf = stats.hypergeom.pmf(
+                    bins[:, None], ours.universe_size, vacancy_size, ours.counts[None, :]
+                )
+                expected += pmf.sum(axis=1)
+            got, want = np.array(got), np.array(want)
+            hist = np.array([np.bincount(c.ravel(), minlength=bins.size) for c in (got, want)])
+            homogeneity = stats.chi2_contingency(hist[:, hist.sum(axis=0) > 0], correction=False)
+            fits = [stats.chisquare(h, expected * h.sum() / expected.sum()) for h in hist]
+            qualified = [(c == vacancy_size).sum(axis=1) for c in (got, want)]
+            paired = stats.wilcoxon(qualified[0], qualified[1], zero_method="zsplit")
+            results = {
+                "homogeneity": homogeneity.pvalue,
+                "fit, sampler": fits[0].pvalue,
+                "fit, reference": fits[1].pvalue,
+                "qualified, paired": paired.pvalue,
+            }
+            report += [(p, vacancy_size, name) for name, p in results.items()]
+            print(
+                f"v={vacancy_size}: chi2 homogeneity={homogeneity.statistic:.2f} "
+                f"fit={fits[0].statistic:.2f} (reference {fits[1].statistic:.2f}) "
+                f"Wilcoxon={paired.statistic:.0f} "
+                + " ".join(f"p[{name}]={p:.4f}" for name, p in results.items())
+            )
+        worst = min(report)
+        print(f"worst: p={worst[0]:.4f} ({worst[2]}, v={worst[1]}), bound p > {bound}")
+        assert worst[0] > bound
 
 
 class TestProbabilities:
@@ -209,10 +230,12 @@ class TestBinding:
         p_a = np.asarray(params.p_a)
         p_h = np.asarray(params.p_h)
         assert p_a.shape == p_h.shape == (300,)
-        for i, skills in enumerate(agent_skills(world)):
-            assert p_h[i] == hiring_probability(skills, world.vacancy)
-            assert p_a[i] == application_probability(skills, world.vacancy)
+        sets, vacancy = _agent_sets(world)
+        for i, skills in enumerate(sets):
+            assert p_h[i] == hiring_probability(skills, vacancy)
+            assert p_a[i] == application_probability(skills, vacancy)
         assert np.all(p_a[p_h == 1.0] == 1.0)
+        assert p_h.any() and not p_h.all()
 
     def test_empty_vacancy_binds_everything_to_one(self):
         world = sample_skill_world(50, 3.0, 0, seed=2)
@@ -222,56 +245,43 @@ class TestBinding:
 
 
 class TestArrayStorage:
-    def test_held_is_a_read_only_matrix(self):
+    def test_arrays_are_read_only_ints(self):
         world = sample_skill_world(40, 3.0, 4, seed=3)
-        assert world.held.dtype == bool
-        assert world.held.shape == (40, world.universe_size)
-        with pytest.raises(ValueError):
-            world.held[0, 0] = not world.held[0, 0]
-
-    def test_constructor_copies_its_matrix(self):
-        held = np.array([[True, False], [False, False]])
-        world = SkillWorld(2, frozenset({1}), held)
-        held[1, 1] = True
-        assert held.flags.writeable
-        assert agent_skills(world) == (frozenset({0}), frozenset())
-
-    def test_rejects_matrix_of_wrong_width(self):
-        with pytest.raises(ValueError, match="universe_size"):
-            SkillWorld(3, frozenset(), np.zeros((4, 2), dtype=bool))
-
-    def test_row_sums_are_the_poisson_counts(self):
-        world = sample_skill_world(3000, 3.0, 4, seed=17)
-        counts = np.random.default_rng(17).poisson(3.0, 3000)
-        assert np.array_equal(world.held.sum(axis=1), counts)
-
-    def test_agent_skills_view_matches_rows(self):
-        world = sample_skill_world(200, 4.0, 3, seed=8)
-        assert len(agent_skills(world)) == world.n == 200
-        for row, skills in zip(world.held, agent_skills(world)):
-            assert skills == frozenset(np.flatnonzero(row).tolist())
+        for values in (world.counts, world.coverage):
+            assert values.dtype == np.int64
+            assert values.shape == (40,)
+            with pytest.raises(ValueError):
+                values[0] += 1
 
     def test_coverage_counts_required_skills_held(self):
-        world = sample_skill_world(200, 4.0, 3, seed=8)
-        expected = [len(skills & world.vacancy) for skills in agent_skills(world)]
-        assert world.coverage().tolist() == expected
+        # when the catalog is the vacancy, every skill an agent holds is required
+        world = sample_skill_world(50, 3.0, 30, seed=5)
+        assert world.universe_size == 30
+        assert np.array_equal(world.coverage, world.counts)
 
-    def test_coverage_is_a_read_only_column_sum(self):
-        world = sample_skill_world(200, 4.0, 3, seed=8)
-        coverage = world.coverage()
-        assert coverage is world.coverage()
-        assert np.array_equal(coverage, world.held[:, sorted(world.vacancy)].sum(axis=1))
-        with pytest.raises(ValueError):
-            coverage[0] += 1
+    def test_constructor_copies_its_arrays(self):
+        counts, coverage = np.array([2, 0]), np.array([1, 0])
+        world = SkillWorld(1, counts, coverage)
+        counts[1], coverage[1] = 5, 1
+        assert counts.flags.writeable and coverage.flags.writeable
+        assert world.counts.tolist() == [2, 0] and world.coverage.tolist() == [1, 0]
+        assert world.n == 2 and world.universe_size == 2
 
-    def test_rejects_skill_ids_outside_catalog(self):
-        with pytest.raises(ValueError, match="skill ids"):
-            SkillWorld(3, frozenset({3}), np.zeros((2, 3), dtype=bool))
+    def test_rejects_arrays_of_different_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            SkillWorld(2, np.array([1, 2, 3]), np.array([0, 1]))
 
-    def test_one_cell_changes_equality(self):
-        world = sample_skill_world(20, 3.0, 2, seed=1)
-        held = world.held.copy()
-        held[0, 0] = not held[0, 0]
-        other = SkillWorld(world.universe_size, world.vacancy, held)
-        assert other != world
+    @pytest.mark.parametrize(
+        "counts, coverage", [([-1, 2], [0, 1]), ([1, 2], [0, -1])], ids=["count", "coverage"]
+    )
+    def test_rejects_negative_values(self, counts, coverage):
+        with pytest.raises(ValueError, match="non-negative"):
+            SkillWorld(2, np.array(counts), np.array(coverage))
 
+    def test_rejects_coverage_above_count(self):
+        with pytest.raises(ValueError, match="exceed"):
+            SkillWorld(4, np.array([1, 2]), np.array([1, 3]))
+
+    def test_rejects_coverage_above_vacancy_size(self):
+        with pytest.raises(ValueError, match="exceed"):
+            SkillWorld(2, np.array([5, 2]), np.array([3, 1]))
