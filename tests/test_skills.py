@@ -253,6 +253,21 @@ class TestArrayStorage:
             with pytest.raises(ValueError):
                 values[0] += 1
 
+    def test_coverage_is_a_read_only_column_sum(self):
+        # the reference's route: coverage is the held matrix summed over the vacancy's columns
+        held = np.random.default_rng(8).random((200, 6)) < 0.5
+        vacancy = [1, 4, 5]
+        world = SkillWorld(len(vacancy), held.sum(axis=1), held[:, vacancy].sum(axis=1))
+        assert np.array_equal(world.coverage, held[:, vacancy].sum(axis=1))
+        with pytest.raises(ValueError):
+            world.coverage[0] += 1
+
+    def test_row_sums_are_the_poisson_counts(self):
+        # the held-matrix reference reads its counts off its rows
+        world = _reference_world(3000, 3.0, 4, seed=17)
+        counts = np.random.default_rng(17).poisson(3.0, 3000)
+        assert np.array_equal(world.counts, counts)
+
     def test_coverage_counts_required_skills_held(self):
         # when the catalog is the vacancy, every skill an agent holds is required
         world = sample_skill_world(50, 3.0, 30, seed=5)
