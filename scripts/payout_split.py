@@ -7,8 +7,8 @@ the recommendation probability in a slow-spread regime shows the poster's
 expected retained fraction falling geometrically with depth, and checks the
 ledger round trip: the surplus alone pins down how long the chain was. The
 ``p_r`` cells are one group of ``replicate`` on G(n, p): they share each
-replication's seed agent and its neighbours, so the contrasts between them
-are paired, and each cascade samples the rest of the graph as it goes.
+replication's seed agent and its degree, so the contrasts between them are
+paired, and each cascade runs as a chain over counts (``run_chain``).
 """
 from collections import Counter
 from fractions import Fraction

@@ -16,10 +16,11 @@ order, application draws over newly recommended agents in ascending id,
 then hiring draws over new applicants in ascending id. The tests hold two
 references that follow this schedule: the engine as first written, whose
 results this one must equal, and a plain independent cascade, whose reach
-equals the engine's when the application probability is zero. On a G(n, p)
-star, every step after the first draws its recruits by one ``binomial`` and
-one ``choice`` call instead (``_reed_frost_recruits``); the tests compare
-its outcome distributions with the engine's on drawn graphs.
+equals the engine's when the application probability is zero. On G(n, p)
+no network is built: ``run_chain`` runs a cascade as a chain over class
+counts, one ``binomial`` per step and class each for recruits, appliers and
+hires; the tests check it against the engine on drawn graphs and against an
+exact recursion.
 
 Streams: ``replicate`` runs every batch and sweep, and every generator it
 reads comes from ``replication_streams``, which starts it at a PCG64 state
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import ErdosRenyi, ErdosRenyiStar, Network, _sort_unique
+from .graph import ErdosRenyi, Network, _sort_unique
 
 
 class StateCounts(NamedTuple):
@@ -84,13 +85,14 @@ class CascadeResult:
     ``chain_length`` counts agents on the recommendation path from seed to
     halter inclusive (a direct hire gives 2). For runs with no hire it is
     the deepest recommendation generation reached, counting seeds as 1.
-    ``applicants`` counts every agent that ever applied, hired or not.
+    ``applicants`` counts every agent that ever applied, hired or not, and
+    ``halters`` the number of agents hired at the last step.
     """
 
     success: bool
     chain_length: int
     applicants: int
-    halters: frozenset[int]
+    halters: int
     steps: int
     seeds: tuple[int, ...]
     trace: tuple[StateCounts, ...] | None = None
@@ -124,35 +126,8 @@ def _per_agent(value, n: int, name: str) -> float | np.ndarray:
 _NONE = np.empty(0, dtype=np.int64)
 
 
-def _reed_frost_recruits(
-    passive: np.ndarray, unreached: int, carriers: int, contact: float, rng: np.random.Generator
-) -> np.ndarray:
-    """The passive agents that ``carriers`` fresh carriers recruit on G(n, p),
-    sorted, with the graph revealed only as the cascade examines it.
-
-    A carrier examines only passive agents, and no agent becomes passive
-    again, so each pair of a carrier and one of the ``unreached`` passive
-    agents is examined here for the first time (principle of deferred
-    decisions): it is an edge that passes the posting with chance
-    ``contact`` = p p_r, independently of all else. So each passive agent is
-    recruited independently with chance ``1 - (1 - contact)**carriers``, a
-    Reed-Frost chain binomial step. Draws one ``binomial(unreached,
-    chance)`` for the count and, when it is not 0, the recruits as
-    ``choice(unreached, count, replace=False, shuffle=False)``, sorted, into
-    the passive agents in ascending id.
-    """
-    # at contact 1, log1p(-1) is -inf: every passive agent is recruited
-    chance = 1.0 if contact == 1 else -math.expm1(carriers * math.log1p(-contact))
-    count = rng.binomial(unreached, chance)
-    if not count:
-        return _NONE
-    picks = rng.choice(unreached, count, replace=False, shuffle=False)
-    picks.sort()
-    return np.flatnonzero(passive)[picks]
-
-
 def run_cascade(
-    network,
+    network: Network,
     params: IHCParams,
     seeds: Iterable[int],
     rng_seed,
@@ -164,7 +139,7 @@ def run_cascade(
     The run ends when any applicant is hired (success) or when no fresh
     carriers remain. Every step but the last recruits at least one passive
     agent, so a run ends within n steps. All agents hired at the final step
-    are recorded as halters; they necessarily share one chain length.
+    are counted as halters; they necessarily share one chain length.
     ``rng_seed`` is anything ``numpy.random.default_rng`` accepts.
 
     Each step costs time in the arcs leaving its frontier, not in ``n``:
@@ -176,19 +151,9 @@ def run_cascade(
     anyone, and halters, all recruited at the final step, sit at that depth.
     The trace tallies the other four states: the frontier is the fresh
     agents, and the unhired applicants are all applicants but the halters.
-
-    ``network`` may instead be an ``ErdosRenyiStar``, a G(n, p) draw with
-    only its seed agent's neighbours revealed; the run must start from that
-    agent alone. Step 1 then reads the revealed neighbours as the seed's
-    arcs, and every later step recruits by ``_reed_frost_recruits`` in place
-    of the recommendation draws over arcs, in time proportional to n and not
-    to the arcs; the application and hiring draws are unchanged.
     """
     n = network.n
     seed_arr = _normalize_seeds(seeds, n)
-    star = network if isinstance(network, ErdosRenyiStar) else None
-    if star is not None and seed_arr.tolist() != [star.seed]:
-        raise ValueError(f"a G(n, p) star runs from its seed agent {star.seed} alone")
     p_a = _per_agent(params.p_a, n, "p_a")
     p_h = _per_agent(params.p_h, n, "p_h")
     per_agent_a = isinstance(p_a, np.ndarray)
@@ -210,16 +175,13 @@ def run_cascade(
 
     while True:
         steps += 1
-        if star is not None and steps > 1:
-            newly = _reed_frost_recruits(passive, unreached, frontier.size, star.graph.p * p_r, rng)
-        else:
-            dst = network.out_arcs(frontier) if star is None else star.neighbors
-            # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
-            dst = dst.compress(passive.take(dst))
-            newly = _NONE
-            if dst.size:
-                # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
-                newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
+        dst = network.out_arcs(frontier)
+        # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
+        dst = dst.compress(passive.take(dst))
+        newly = _NONE
+        if dst.size:
+            # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
+            newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
         spent += frontier.size
 
         frontier = _NONE
@@ -248,11 +210,84 @@ def run_cascade(
         success=bool(halters.size),
         chain_length=last_recruiting_step + 1,
         applicants=applicants_total,
-        halters=frozenset(halters.tolist()),
+        halters=int(halters.size),
         steps=steps,
         seeds=tuple(seed_arr.tolist()),
         trace=tuple(trace) if trace is not None else None,
     )
+
+
+def run_chain(
+    p_a: Sequence[float], p_h: Sequence[float], p_r: float, p: float,
+    unreached: Sequence[int], neighbours: Sequence[int], seed: int, rng: np.random.Generator,
+    *, record_trace: bool = False,
+) -> CascadeResult:
+    """One cascade from agent ``seed`` on G(n, p), run as a chain over counts.
+
+    Agents of class c apply with chance ``p_a[c]`` and are hired with chance
+    ``p_h[c]``; ``unreached[c]`` of them are passive (the seed is not), and
+    ``neighbours[c]`` of those are the seed's neighbours. A carrier examines
+    only passive agents, which never become passive again, so each pair of a
+    carrier and a passive agent is examined for the first time (principle of
+    deferred decisions). With F carriers, each passive agent is thus
+    recruited independently with chance ``1 - (1 - p p_r)**F``, a Reed-Frost
+    chain binomial step (Abbey, Human Biology 24, 1952), and the class
+    counts are the whole state (a lumped chain; Kemeny & Snell, *Finite
+    Markov Chains*, 1960). Draws, per step and class in ascending order:
+    ``binomial(pool, chance)`` recruits, from the class's neighbours with
+    chance ``p_r`` at step 1 and from its unreached agents with the
+    Reed-Frost chance after; if any, ``binomial(recruits, p_a[c])``
+    appliers; if any, ``binomial(appliers, p_h[c])`` hires. The result,
+    trace included, reads as ``run_cascade``'s.
+    """
+    unreached = list(unreached)
+    pool, chance, contact = neighbours, p_r, p * p_r
+    left, fresh = sum(unreached), 1
+    spent = applicants = hires = last_recruiting_step = steps = 0
+    trace = [StateCounts(left, fresh, 0, 0, 0)] if record_trace else None
+    while True:
+        steps += 1
+        spent += fresh
+        fresh = 0
+        for c, size in enumerate(pool):
+            recruits = rng.binomial(size, chance) if size else 0
+            if recruits:
+                unreached[c] -= recruits
+                left -= recruits
+                last_recruiting_step = steps
+                appliers = rng.binomial(recruits, p_a[c])
+                fresh += recruits - appliers
+                if appliers:
+                    applicants += appliers
+                    hires += rng.binomial(appliers, p_h[c])
+        if trace is not None:
+            trace.append(StateCounts(left, fresh, spent, applicants - hires, hires))
+        if hires or not fresh:
+            break
+        pool = unreached
+        # at contact 1, log1p(-1) is -inf: every passive agent is recruited
+        chance = 1.0 if contact == 1 else -math.expm1(fresh * math.log1p(-contact))
+    return CascadeResult(
+        success=bool(hires),
+        chain_length=last_recruiting_step + 1,
+        applicants=applicants,
+        halters=hires,
+        steps=steps,
+        seeds=(seed,),
+        trace=tuple(trace) if trace is not None else None,
+    )
+
+
+def _split(count: int, sizes: list[int], rng: np.random.Generator) -> list[int]:
+    """A uniform ``count``-subset of classes of ``sizes`` agents, as per-class
+    counts: one ``hypergeometric`` draw per class but the last, in order."""
+    parts, rest = [], sum(sizes)
+    for size in sizes[:-1]:
+        rest -= size
+        part = rng.hypergeometric(size, rest, count) if count else 0
+        parts.append(part)
+        count -= part
+    return parts + [count]
 
 
 # -- streams ------------------------------------------------------------------
@@ -319,9 +354,7 @@ def replicate(
     skills: tuple[float, int, float] | None = None,
     seeds: Sequence[int] | None = None,
     record_trace: bool = False,
-) -> Iterator[
-    tuple[Network | ErdosRenyiStar, Sequence[int], list[tuple[CascadeResult, CascadeResult | None]]]
-]:
+) -> Iterator[tuple[int, Sequence[int], list[tuple[CascadeResult, CascadeResult | None]]]]:
     """Run the ``reps`` replications of one group of sweep cells, rep-major.
 
     A group is a list of cells that differ only in cascade parameters: cell
@@ -343,32 +376,39 @@ def replicate(
     whose child keeps its number but is not built.
 
     ``network`` is a fixed ``Network``, a factory called with the network
-    stream, or an ``ErdosRenyi`` G(n, p). For G(n, p) no graph is built: the
-    network stream reveals the first seed agent's neighbours
-    (``ErdosRenyi.reveal``; ``run_cascade`` rejects any other seed set),
-    and each cell's cascade samples the rest of the graph as it goes
-    (``run_cascade``), so the cells share the seed and its
-    neighbours but not the other pairs, whose draws come from each cell's
-    own cascade stream. Each ``params[i]`` holds the cascade probabilities;
-    with ``skills`` = (skill_rate, vacancy_size, reach_fraction) it is ``p_r``
-    alone, the cell binds ``p_a``/``p_h`` from the replication's skill world,
-    and the oracle runs on that same world at that reach. Build factories
-    inside the caller, so that layer functions such as ``generate_ba`` are
-    looked up by their module-level names at call time (the benchmark's
-    tracer patches those names).
+    stream, or an ``ErdosRenyi`` G(n, p), on which no graph is built: each
+    cell runs ``run_chain`` from one seed agent over one class (scalar
+    ``p_a``/``p_h``) or the world's coverage classes, and the network stream
+    draws the seed's degree, ``binomial(n - 1, p)``, and its split over the
+    classes (``_split``), which all cells share. Each ``params[i]`` holds the
+    cascade probabilities; with ``skills`` = (skill_rate, vacancy_size,
+    reach_fraction) it is ``p_r`` alone, the cell's ``p_a``/``p_h`` come from
+    the replication's skill world, and the oracle runs on that same world at
+    that reach. Build factories inside the caller, so that layer functions
+    such as ``generate_ba`` are looked up by their module-level names at
+    call time (the benchmark's tracer patches those names).
 
-    Yields, per replication, (network or revealed G(n, p) star, seed agents,
-    one (cascade result, oracle result or None) per cell). Only one network
-    is alive at a time: the last one stays referenced until the next is
-    built, so the allocator does not hand its pages back in between.
+    Yields, per replication, (the lowest seed agent's degree, seed agents,
+    one (cascade result, oracle result or None) per cell). Only one network is
+    alive at a time: the last one stays referenced until the next is built,
+    so the allocator does not hand its pages back in between.
     """
     # skills and oracle import this module, so their names are looked up here
     from .oracle import simulate_oracle
-    from .skills import bind_params, sample_skill_world
+    from .skills import bind_params, coverage_classes, sample_skill_world
 
     er = isinstance(network, ErdosRenyi)
-    if er and seeds is not None and not len(seeds):
-        raise ValueError("at least one seed agent is required")
+    if er:
+        if seeds is not None:
+            seeds = tuple(_normalize_seeds(seeds, network.n).tolist())
+            if len(seeds) > 1:
+                raise ValueError("a G(n, p) cascade runs from one seed agent")
+        if skills is not None:
+            chains = [(*coverage_classes(skills[1]), p_r) for p_r in params]
+        elif all(np.isscalar(c.p_a) and np.isscalar(c.p_h) for c in params):
+            chains = [([c.p_a], [c.p_h], c.p_r) for c in params]
+        else:
+            raise ValueError("a G(n, p) cascade takes scalar p_a and p_h")
     shared = (skills is not None, er or callable(network), seeds is None)  # world, network, seed
     lead = sum(shared[:2]) + 1  # the seed-node child keeps its number when not built
     children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
@@ -378,26 +418,37 @@ def replicate(
         + [(path, child) for path in paths for child in children],
         reps,
     )
+    net = network
     for rngs in map(iter, streams):
         world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
-        net = network(net_rng) if callable(network) else network
+        if callable(network):
+            net = network(net_rng)
         rep_seeds = seeds if node_rng is None else (int(node_rng.integers(net.n)),)
+        world = sample_skill_world(net.n, *skills[:2], world_rng) if skills else None
         if er:
-            net = network.reveal(rep_seeds[0], net_rng)
-        world = None
-        if skills is not None:
-            world = sample_skill_world(net.n, *skills[:2], world_rng)
+            unreached = [net.n - 1]
+            if world is not None:
+                unreached = np.bincount(world.coverage, minlength=skills[1] + 1).tolist()
+                unreached[world.coverage[rep_seeds[0]]] -= 1
+            neighbours = _split(net_rng.binomial(net.n - 1, net.p), unreached, net_rng)
         outcomes = []
-        for cell_params in params:
-            cascade_params = cell_params if world is None else bind_params(world, cell_params)
-            result = run_cascade(
-                net, cascade_params, rep_seeds, next(rngs), record_trace=record_trace
-            )
+        for cell, cell_params in enumerate(params):
+            if er:
+                result = run_chain(
+                    *chains[cell], net.p, unreached, neighbours, rep_seeds[0], next(rngs),
+                    record_trace=record_trace,
+                )
+            else:
+                cascade_params = cell_params if world is None else bind_params(world, cell_params)
+                result = run_cascade(
+                    net, cascade_params, rep_seeds, next(rngs), record_trace=record_trace
+                )
             oracle = None
             if world is not None:
                 oracle = simulate_oracle(world, skills[2], cell_params, next(rngs), next(rngs))
             outcomes.append((result, oracle))
-        yield net, rep_seeds, outcomes
+        degree = sum(neighbours) if er else len(net.out_neighbors(outcomes[0][0].seeds[0]))
+        yield degree, rep_seeds, outcomes
 
 
 def run_batch(

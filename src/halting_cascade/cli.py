@@ -2,12 +2,11 @@
 
 Every subcommand is a pure function of its configuration: the master seed
 names a stream per cell, child and replication, the cells of a group share
-each replication's draws of the network (on G(n, p), the seed agent's
-neighbours; cascades sample the rest of the graph as they go), rows are
-buffered and written in grid order, and a rerun with the same inputs
-produces byte-identical output.
-Configuration merges built-in defaults, an optional scale preset,
-an optional JSON config file, and command-line flags, in that order.
+each replication's network draws (on G(n, p), where cascades run as chains
+over counts, the seed and its neighbour counts), rows are written in grid
+order, and a rerun with the same inputs is byte-identical. Configuration
+merges built-in defaults, an optional scale preset, an optional JSON config
+file, and command-line flags, in that order.
 """
 from __future__ import annotations
 
@@ -211,10 +210,8 @@ def _write_output(text: str, out: str | None) -> None:
 def cmd_heatmap(cfg: dict) -> list[dict]:
     """Success and chain-length grid over p_r x p_a x p_h on G(n, p).
 
-    The whole grid is one group: each replication's seed agent and its
-    neighbours are shared by every cell, and each cell's cascade samples the
-    rest of the graph as it goes.
-    """
+    The whole grid is one group: every cell runs from each replication's
+    seed agent and its degree."""
     grid = list(itertools.product(cfg["p_r"], cfg["p_a"], cfg["p_h"]))
     er = ErdosRenyi(cfg["n"], cfg["mean_degree"])
     params = [IHCParams(p_r=p_r, p_a=p_a, p_h=p_h) for p_r, p_a, p_h in grid]
@@ -244,9 +241,8 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
     """Seed-degree-binned outcomes on preferential-attachment vs ER networks.
 
     The ``p_r`` cells of one topology are one group: they share each
-    replication's seed node and, on BA, its network; on G(n, p) they share
-    the seed's neighbours, and each cascade samples the rest as it goes.
-    """
+    replication's seed node and its network on BA, its degree on G(n, p),
+    which ``replicate`` yields for the bins."""
     ba_core = cfg["ba_core"] if cfg["ba_core"] is not None else cfg["ba_attachment"]
     er = ErdosRenyi(cfg["n"], cfg["er_mean_degree"])
     ba = functools.partial(generate_ba, cfg["n"], ba_core, cfg["ba_attachment"])
@@ -256,8 +252,8 @@ def cmd_ba_vs_er(cfg: dict) -> list[dict]:
         paths = [(topo_idx, p_r_idx) for p_r_idx in range(len(params))]
         runs = replicate(cfg["seed"], paths, cfg["reps"], build, params)
         bins: list[dict[tuple[int, int], list]] = [{} for _ in params]
-        for network, (seed_node,), outcomes in runs:
-            key = degree_bin(len(network.out_neighbors(seed_node)))
+        for seed_degree, _, outcomes in runs:
+            key = degree_bin(seed_degree)
             for cell_bins, (result, _) in zip(bins, outcomes):
                 cell_bins.setdefault(key, []).append(result)
         for p_r, cell_bins in zip(cfg["p_r"], bins):
@@ -292,9 +288,8 @@ def cmd_ihc_vs_oracle(cfg: dict) -> list[dict]:
     Each replication draws one skill world and feeds it to both systems:
     the cascade runs on G(n, p), the baseline posts straight to its reached
     agents. The ``p_r`` cells of one vacancy size are one group: they share
-    each replication's skill world, seed agent and its neighbours. The
-    closed-form baseline value rides along as a reference column.
-    """
+    each replication's skill world, seed agent and its degree. The
+    closed-form baseline value rides along as a reference column."""
     rows = []
     er = ErdosRenyi(cfg["population"], cfg["mean_degree"])
     n_p_r = len(cfg["p_r"])

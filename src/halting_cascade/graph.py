@@ -9,7 +9,6 @@ from __future__ import annotations
 import io
 import logging
 import math
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -227,10 +226,9 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
 class ErdosRenyi:
     """G(n, p) with p = mean_degree/(n-1), as a law: no graph is built.
 
-    A sweep hands it to ``cascade.replicate``, which draws a replication's
-    seed agent and reveals that agent's neighbours (``reveal``), and
-    ``run_cascade`` samples the cascade on the rest of the graph as the
-    cascade examines it. Takes ``generate_er``'s arguments and checks.
+    A sweep hands it to ``cascade.replicate``, which samples each cascade
+    on it as a chain over counts (``cascade.run_chain``). Takes
+    ``generate_er``'s arguments and checks.
     """
 
     n: int
@@ -239,50 +237,6 @@ class ErdosRenyi:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _er_probability(self.n, self.mean_degree))
-
-    def reveal(self, node: int, seed) -> ErdosRenyiStar:
-        """The graph with ``node``'s neighbours drawn and every other pair unrevealed.
-
-        Draws ``binomial(n - 1, p)`` for the degree, then the neighbours as
-        ``choice(n - 1, degree, replace=False, shuffle=False)``, sorted, where
-        an index i stands for agent i below ``node`` and i + 1 from it on.
-        ``seed`` is anything ``numpy.random.default_rng`` accepts.
-        """
-        try:
-            node = operator.index(node)
-        except TypeError:
-            raise ValueError(f"seed agent id must be an integer, got {node!r}") from None
-        if not 0 <= node < self.n:
-            raise ValueError("seed agent id out of range")
-        rng = np.random.default_rng(seed)
-        degree = rng.binomial(self.n - 1, self.p)
-        others = rng.choice(self.n - 1, degree, replace=False, shuffle=False)
-        others.sort()
-        others += others >= node
-        others.flags.writeable = False
-        return ErdosRenyiStar(self, node, others)
-
-
-@dataclass(frozen=True, eq=False)
-class ErdosRenyiStar:
-    """A G(n, p) draw of which only the pairs of agent ``seed`` are revealed.
-
-    ``neighbors`` is that agent's sorted, read-only neighbour array. A
-    cascade on it must start from ``seed`` alone.
-    """
-
-    graph: ErdosRenyi
-    seed: int
-    neighbors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def out_neighbors(self, u: int) -> np.ndarray:
-        if u != self.seed:
-            raise ValueError(f"only agent {self.seed}'s neighbours are revealed")
-        return self.neighbors
 
 
 _CHUNK = 256  # added nodes whose first pools generate_ba draws in one call

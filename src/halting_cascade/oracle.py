@@ -119,15 +119,31 @@ def _catalog(
     cap is the first k where that cdf reaches ``mass_threshold``. The float
     cdf can level off just below 1, so the table also ends at the first k
     past the mode whose pmf rounds to 0, where the cdf can grow no more.
-    ``math.fsum`` is correctly rounded, so each Poisson cdf entry is the one
-    a fresh sum of ``pmf[:k + 1]`` gives.
+    The running sum is kept exactly, as Shewchuk's non-overlapping partials
+    (Discrete Comput. Geom. 18, 1997; the recipe ``math.fsum`` is built on),
+    updated once per k, and ``math.fsum`` of the partials is the correctly
+    rounded sum: each Poisson cdf entry is the one a fresh ``math.fsum`` of
+    ``pmf[:k + 1]`` gives, in time linear in the table, not quadratic.
     """
     pmf: list[float] = []
     cdf: list[float] = []
+    partials: list[float] = []
     k = 0
     while True:
-        pmf.append(poisson_pmf(k, skill_rate))
-        cdf.append(min(1.0, math.fsum(pmf)) ** population)
+        x = poisson_pmf(k, skill_rate)
+        pmf.append(x)
+        i = 0
+        for y in partials:
+            if x < y:  # no pmf value is negative, so no abs
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        cdf.append(min(1.0, math.fsum(partials)) ** population)
         # ``not <`` so that a NaN cdf (from a NaN or infinite rate) ends it too
         if not cdf[k] < mass_threshold or (k > skill_rate and pmf[k] == 0.0):
             return pmf, cdf
@@ -296,7 +312,7 @@ def simulate_oracle(
         success=bool(hired.size),
         chain_length=2 if recommended.size else 1,
         applicants=int(recommended.size),
-        halters=frozenset(hired.tolist()),
+        halters=int(hired.size),
         steps=1,
         seeds=(0,),
     )

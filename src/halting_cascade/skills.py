@@ -89,15 +89,15 @@ def sample_skill_world(n: int, skill_rate: float, vacancy_size: int, seed) -> Sk
     return SkillWorld(vacancy_size, counts, coverage)
 
 
-def bind_params(world: SkillWorld, p_r) -> IHCParams:
-    """Cascade parameters with per-agent application and hiring probabilities.
+def coverage_classes(vacancy_size: int) -> tuple[list[float], list[float]]:
+    """The chances of coverage c = 0..v: ``p_a`` is the covered fraction c/v,
+    ``p_h`` 1.0 at full coverage only; at v = 0 one class has both 1.0."""
+    v = vacancy_size
+    return ([c / v for c in range(v + 1)] if v else [1.0]), [0.0] * v + [1.0]
 
-    Both come from each agent's coverage of the vacancy: ``p_a`` is the
-    covered fraction, ``p_h`` is 1.0 at full coverage; an empty vacancy
-    binds both to 1.0.
-    """
-    required = world.vacancy_size
-    coverage = world.coverage
-    p_a = coverage / required if required else np.ones(world.n)
-    p_h = (coverage == required).astype(float)
-    return IHCParams(p_r=p_r, p_a=p_a, p_h=p_h)
+
+def bind_params(world: SkillWorld, p_r) -> IHCParams:
+    """Cascade parameters with per-agent ``p_a``/``p_h``: each agent's
+    coverage class's chances (``coverage_classes``)."""
+    p_a, p_h = coverage_classes(world.vacancy_size)
+    return IHCParams(p_r=p_r, p_a=np.take(p_a, world.coverage), p_h=np.take(p_h, world.coverage))

@@ -7,13 +7,14 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halting_cascade import cascade
+from halting_cascade import cascade, skills
 from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
@@ -137,7 +138,7 @@ def _reference_cascade(network, params, seeds, rng_seed, *, record_trace=False):
         success=bool(halters.size),
         chain_length=chain_length,
         applicants=applicants_total,
-        halters=frozenset(int(h) for h in halters),
+        halters=int(halters.size),
         steps=steps,
         seeds=tuple(int(s) for s in seed_arr),
         trace=tuple(trace) if trace is not None else None,
@@ -205,7 +206,7 @@ class TestSingleRun:
         assert result.chain_length == 1
         assert result.applicants == 0
         assert result.steps == 1
-        assert result.halters == frozenset()
+        assert result.halters == 0
 
     def test_complete_graph_all_probs_one(self):
         result = run_cascade(_complete(11), IHCParams(1.0, 1.0, 1.0), (0,), 7)
@@ -213,7 +214,7 @@ class TestSingleRun:
         assert result.chain_length == 2
         assert result.applicants == 10
         assert result.steps == 1
-        assert result.halters == frozenset(range(1, 11))
+        assert result.halters == 10
 
     def test_path_hand_trace(self):
         # 0 - 1 - 2: the middle agent only relays, the end agent is a
@@ -225,7 +226,7 @@ class TestSingleRun:
         assert result.chain_length == 3
         assert result.steps == 2
         assert result.applicants == 1
-        assert result.halters == frozenset({2})
+        assert result.halters == 1
         assert result.trace == (
             StateCounts(passive=2, fresh=1, spent=0, applied=0, halted=0),
             StateCounts(passive=1, fresh=1, spent=1, applied=0, halted=0),
@@ -241,7 +242,7 @@ class TestSingleRun:
         assert result.success
         assert result.steps == 1
         assert result.applicants == 2
-        assert result.halters == frozenset({1})
+        assert result.halters == 1
         assert result.trace == (
             StateCounts(passive=2, fresh=1, spent=0, applied=0, halted=0),
             StateCounts(passive=0, fresh=0, spent=1, applied=1, halted=1),
@@ -251,7 +252,7 @@ class TestSingleRun:
         result = run_cascade(_complete(2), IHCParams(1.0, 1.0, 1.0), (0,), 5)
         assert result.success
         assert result.applicants == 1
-        assert result.halters == frozenset({1})
+        assert result.halters == 1
 
         isolated = run_cascade(Network(1, []), IHCParams(1.0, 1.0, 1.0), (0,), 5)
         assert not isolated.success
@@ -332,7 +333,7 @@ class TestProperties:
         assert passive_path == sorted(passive_path, reverse=True)
 
         assert result.success == bool(result.halters)
-        assert result.applicants >= len(result.halters)
+        assert result.applicants >= result.halters
         assert result.chain_length >= (2 if result.success else 1)
         final = result.trace[-1]
         assert final.applied + final.halted == result.applicants
@@ -347,9 +348,10 @@ class TestProperties:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_sampled_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed):
-        # the same laws on a G(n, p) revealed by the cascade
-        star = ErdosRenyi(n, degree_frac * (n - 1)).reveal(0, seed)
-        result = run_cascade(star, IHCParams(p_r, p_a, p_h), (0,), seed, record_trace=True)
+        # the same laws on a G(n, p) run as a chain over counts
+        law = ErdosRenyi(n, degree_frac * (n - 1))
+        runs = replicate(seed, [()], 1, law, [IHCParams(p_r, p_a, p_h)], None, (0,), True)
+        ((result, _),) = next(runs)[2]
 
         assert result.trace is not None
         assert len(result.trace) == result.steps + 1
@@ -360,7 +362,7 @@ class TestProperties:
         assert passive_path == sorted(passive_path, reverse=True)
 
         assert result.success == bool(result.halters)
-        assert result.applicants >= len(result.halters)
+        assert result.applicants >= result.halters
         assert result.chain_length >= (2 if result.success else 1)
         final = result.trace[-1]
         assert final.applied + final.halted == result.applicants
@@ -374,7 +376,7 @@ class TestProperties:
         network = generate_er(30, 4, seed=11)
         result = run_cascade(network, IHCParams(0.5, p_a, 0.0), (0,), seed)
         assert not result.success
-        assert result.halters == frozenset()
+        assert result.halters == 0
 
     def test_shared_seed_applicants_monotone_in_p_a(self):
         # single-generation star, no hiring: the application block reads
@@ -487,17 +489,22 @@ class TestStatistics:
         assert abs(rate - expected) < 3 * sigma
 
 
+def _chain(law, params, master_seed, reps=1, **options):
+    """The cascade results of ``replicate``'s one-cell group on ``law``."""
+    runs = replicate(master_seed, [()], reps, law, [params], record_trace=True, **options)
+    return [result for _, _, ((result, _),) in runs]
+
+
 class TestErdosRenyiSampler:
-    """``run_cascade`` on a G(n, p) star: laws that hold run by run.
-    ``tests/test_distributions.py`` compares its outcome distributions with
-    the engine's on drawn graphs."""
+    """``run_chain``, the G(n, p) cascade over class counts: laws that hold
+    run by run. ``tests/test_distributions.py`` compares its outcome
+    distributions with the engine's on drawn graphs, and
+    ``tests/test_exact_gnp.py`` its success rate with an exact recursion."""
 
     def test_p_zero_ends_at_step_one(self):
-        star = ErdosRenyi(50, 0.0).reveal(7, 3)
-        for rng_seed in range(20):
-            result = run_cascade(star, IHCParams(1.0, 0.5, 1.0), (7,), rng_seed, record_trace=True)
+        for result in _chain(ErdosRenyi(50, 0.0), IHCParams(1.0, 0.5, 1.0), 3, reps=20):
             assert (result.success, result.steps, result.chain_length) == (False, 1, 1)
-            assert result.trace[-1] == StateCounts(passive=49, fresh=0, spent=1, applied=0, halted=0)
+            assert result.trace[-1] == StateCounts(49, fresh=0, spent=1, applied=0, halted=0)
 
     def test_p_and_p_r_one_recruit_every_agent_at_step_one(self):
         # no applicant: the whole population carries at step 2, where the
@@ -505,9 +512,7 @@ class TestErdosRenyiSampler:
         n = 30
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for seed in range(n):
-                star = ErdosRenyi(n, n - 1).reveal(seed, seed)
-                result = run_cascade(star, IHCParams(1.0, 0.0, 1.0), (seed,), 4, record_trace=True)
+            for result in _chain(ErdosRenyi(n, n - 1), IHCParams(1.0, 0.0, 1.0), 4, reps=n):
                 assert (result.success, result.steps, result.chain_length) == (False, 2, 2)
                 assert result.trace[1:] == (
                     StateCounts(passive=0, fresh=n - 1, spent=1, applied=0, halted=0),
@@ -515,50 +520,110 @@ class TestErdosRenyiSampler:
                 )
 
     def test_contact_chance_one_recruits_every_passive_agent(self):
-        passive = np.array([False, True, True, False, True])
+        # step 1 recruits the seed's one neighbour; at step 2 the contact
+        # chance p p_r is 1, so both classes' passive agents are all recruited
         rng = np.random.default_rng(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            recruits = cascade._reed_frost_recruits(passive, 3, 2, 1.0, rng)
-            assert recruits.tolist() == [1, 2, 4]
-            assert cascade._reed_frost_recruits(passive, 3, 2, 0.0, rng).size == 0
+            result = cascade.run_chain(
+                [0.0, 0.0], [1.0, 1.0], 1.0, 1.0, [5, 3], [1, 0], 9, rng, record_trace=True
+            )
+        assert result.trace == (
+            StateCounts(passive=8, fresh=1, spent=0, applied=0, halted=0),
+            StateCounts(passive=7, fresh=1, spent=1, applied=0, halted=0),
+            StateCounts(passive=0, fresh=7, spent=2, applied=0, halted=0),
+            StateCounts(passive=0, fresh=0, spent=9, applied=0, halted=0),
+        )
+        assert (result.steps, result.chain_length, result.seeds) == (3, 3, (9,))
+
+    def test_p_a_zero_never_hires(self):
+        params = IHCParams(1.0, 0.0, 1.0)
+        for result in _chain(ErdosRenyi(40, 6.0), params, 5, reps=50):
+            assert (result.success, result.applicants, result.halters) == (False, 0, 0)
 
     def test_seed_never_applies(self):
-        # the seed is the one agent that would apply and be hired for sure
+        # the seed is the one fully covered agent: the only one that could
+        # be hired, it is never recruited
         n = 40
+        law = ErdosRenyi(n, 4.0)
         for seed in range(0, n, 3):
-            p_a, p_h = np.full(n, 0.3), np.zeros(n)
-            p_a[seed] = p_h[seed] = 1.0
-            star = ErdosRenyi(n, 4.0).reveal(seed, seed)
-            for rng_seed in range(10):
-                result = run_cascade(star, IHCParams(0.8, p_a, p_h), (seed,), rng_seed)
-                assert not result.success
+            coverage = np.zeros(n, dtype=int)
+            coverage[seed] = 2
+            world = skills.SkillWorld(2, np.full(n, 2), coverage)
+            with mock.patch.object(skills, "sample_skill_world", return_value=world):
+                runs = replicate(seed, [()], 10, law, [0.8], (3.0, 2, 0.5), (seed,))
+                for _, _, ((result, _),) in runs:
+                    assert not result.success and result.seeds == (seed,)
 
     def test_only_the_drawn_seed_runs(self):
-        star = ErdosRenyi(20, 4.0).reveal(3, 0)
+        law = ErdosRenyi(20, 4.0)
         params = IHCParams(0.5, 0.5, 0.5)
-        for seeds in [(4,), (3, 4), (0,)]:
-            with pytest.raises(ValueError, match="seed agent 3 alone"):
-                run_cascade(star, params, seeds, 0)
-        assert run_cascade(star, params, (np.int64(3), 3), 0) == run_cascade(star, params, (3,), 0)
-        with pytest.raises(ValueError, match="seed agent 1 alone"):
-            next(replicate(0, [()], 1, ErdosRenyi(20, 4.0), [params], seeds=(1, 2)))
+        with pytest.raises(ValueError, match="one seed agent"):
+            next(replicate(0, [()], 1, law, [params], seeds=(1, 2)))
         with pytest.raises(ValueError, match="at least one seed agent"):
-            next(replicate(0, [()], 1, ErdosRenyi(20, 4.0), [params], seeds=()))
+            next(replicate(0, [()], 1, law, [params], seeds=()))
+        for bad in [(-1,), (20,)]:
+            with pytest.raises(ValueError, match="out of range"):
+                next(replicate(0, [()], 1, law, [params], seeds=bad))
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            next(replicate(0, [()], 1, law, [params], seeds=(1.5,)))
+        assert _chain(law, params, 0, seeds=(np.int64(3), 3)) == _chain(law, params, 0, seeds=(3,))
+
+    def test_per_agent_probabilities_are_rejected(self):
+        law = ErdosRenyi(20, 4.0)
+        for params in [IHCParams(0.5, np.full(20, 0.5), 0.5), IHCParams(0.5, 0.5, [0.5] * 20)]:
+            with pytest.raises(ValueError, match="scalar p_a and p_h"):
+                next(replicate(0, [()], 1, law, [IHCParams(0.5, 0.5, 0.5), params]))
+
+    @pytest.mark.parametrize(
+        "n, mean_degree", [(2, 1.0), (40, 6.0), (300, 20.0), (10, 0.0), (25, 24.0)]
+    )
+    def test_seed_neighbours_follow_their_draw_schedule(self, n, mean_degree, monkeypatch):
+        """The leader's network child draws the seed's degree, ``binomial(n
+        - 1, p)``, then its split over the coverage classes, one
+        ``hypergeometric(class, later classes, left)`` call per class but
+        the last; every cell runs on that split."""
+        law = ErdosRenyi(n, mean_degree)
+        calls = []
+        chain = cascade.run_chain
+
+        def recording(*args, **kwargs):
+            calls.append(args[:7])
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(cascade, "run_chain", recording)
+        list(replicate(6, [(0,), (1,)], 3, law, [0.3, 1.0], (3.0, 2, 0.5)))
+        streams = replication_streams(6, [((0,), child) for child in range(3)], 3)
+        for rep, (world_rng, net_rng, node_rng) in enumerate(streams):
+            world = skills.sample_skill_world(n, 3.0, 2, world_rng)
+            seed = int(node_rng.integers(n))
+            unreached = np.bincount(world.coverage, minlength=3)
+            unreached[world.coverage[seed]] -= 1
+            left = net_rng.binomial(n - 1, law.p)
+            neighbours = []
+            for c in range(2):
+                later = int(unreached[c + 1 :].sum())
+                part = net_rng.hypergeometric(unreached[c], later, left) if left else 0
+                neighbours.append(part)
+                left -= part
+            neighbours.append(left)
+            want = (law.p, unreached.tolist(), neighbours, seed)
+            for p_r, args in zip([0.3, 1.0], calls[2 * rep : 2 * rep + 2]):
+                assert args == ([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], p_r, *want)
 
     def test_a_group_shares_the_seed_star(self):
-        """Each replication reveals one seed star, from the leader's network
-        child, and every cell runs from it; a fixed seed is revealed too."""
+        """Each replication draws one seed agent and its degree, from the
+        leader's children, and every cell runs from them; a fixed seed is
+        used as given. ``replicate`` yields the seed's degree."""
         law = ErdosRenyi(60, 5.0)
         params = [IHCParams(p_r, 0.2, 0.5) for p_r in (0.3, 1.0)]
         runs = list(replicate(9, [(0,), (1,)], 5, law, params))
-        for star, (seed,), outcomes in runs:
-            assert star.graph is law and star.seed == seed
+        for _, (seed,), outcomes in runs:
             assert all(result.seeds == (seed,) for result, _ in outcomes)
         net_rng, node_rng = next(replication_streams(9, [((0,), 0), ((0,), 1)], 1))
-        star, (seed,), _ = runs[0]
+        degree, (seed,), _ = runs[0]
         assert seed == int(node_rng.integers(60))
-        assert star.neighbors.tolist() == law.reveal(seed, net_rng).neighbors.tolist()
+        assert degree == net_rng.binomial(59, law.p)
         fixed = run_batch(law, params[0], 4, 2, seeds=(5,))
         assert all(result.seeds == (5,) for result in fixed)
 
@@ -629,25 +694,27 @@ class TestBatch:
         )
 
     # sha256 over every result's fields, trace included, computed on the
-    # engine as first written; any change to a draw or a result moves it
+    # engine as first written; any change to a draw or a result moves it.
+    # Re-pinned when ``halters`` became a count: the engine that kept halter
+    # ids gives these digests with ``len(halters)`` in its place
     PINNED_BATCHES = {
         "saturating": (
             IHCParams(0.3, 0.1, 0.0),
             20,
             (0, 1, 2),
-            "23989760cb31e59b36b6a299f01109d2187fe66dc1b42e57b74bdc24e0e6552c",
+            "58bbf9c08d2c8657bf64345889a9345eabb1b2a9b8d70773d81e2d40f68fc380",
         ),
         "halting": (
             IHCParams(0.5, 1.0, 1.0),
             60,
             None,
-            "7489e5368a9cdfe39d912d932c32d7f4a6aa54ed62d31d2c72934bb38a2e5892",
+            "4ead80e4d8dd36a99823c078b18545342b13ea852a8c1563bc998bcf7aaa18e3",
         ),
         "dying": (
             IHCParams(0.02, 0.1, 0.5),
             60,
             None,
-            "c61b29261042d9ca9c3669050a57dff8ec46600c3ee260d7617fcb9026db3187",
+            "6d4271aa1fe8871ecaa19d8116a6d34cbdf6efb0ffb6a1ada8e5afe656e9a703",
         ),
     }
 
@@ -661,7 +728,7 @@ class TestBatch:
                 r.success,
                 r.chain_length,
                 r.applicants,
-                sorted(r.halters),
+                r.halters,
                 r.steps,
                 r.seeds,
                 r.trace,

@@ -536,7 +536,8 @@ def _record(monkeypatch, module, name: str, calls: list) -> None:
 
 class TestCommonRandomNetworks:
     """Cells that differ only in cascade parameters share each replication's
-    draws: a BA network, or on G(n, p) the seed agent's revealed neighbours."""
+    draws: a BA network, or on G(n, p) the seed agent's degree and its split
+    over the agent classes."""
 
     @pytest.mark.parametrize(
         "command, config, groups, cells",
@@ -550,9 +551,12 @@ class TestCommonRandomNetworks:
         self, tmp_path, capsys, monkeypatch, command, config, groups, cells
     ):
         built, cascades, worlds, bound = [], [], [], []
-        _record(monkeypatch, graph.ErdosRenyi, "reveal", built)
+        # on G(n, p) the shared draw is the seed's neighbour split, which
+        # every cell's chain reads as its sixth argument
+        _record(monkeypatch, cascade, "_split", built)
         _record(monkeypatch, cli, "generate_ba", built)
         _record(monkeypatch, cascade, "run_cascade", cascades)
+        _record(monkeypatch, cascade, "run_chain", cascades)
         _record(monkeypatch, skills, "sample_skill_world", worlds)
         _record(monkeypatch, skills, "bind_params", bound)
         _sweep(tmp_path, capsys, command, config)
@@ -561,21 +565,24 @@ class TestCommonRandomNetworks:
         assert len(built) == groups * reps
         assert len(cascades) == groups * cells * reps
         by_network: dict[int, list] = {id(net): [] for _, net in built}
-        for (network, _, seeds, run_start), _ in cascades:
-            by_network[id(network)].append((seeds, run_start))
+        for args, _ in cascades:
+            # run_cascade(network, params, seeds, rng) or
+            # run_chain(p_a, p_h, p_r, p, unreached, neighbours, seed, rng)
+            if len(args) == 4:
+                network, seeds, p_r = args[0], args[2], None
+            else:
+                network, seeds, p_r = args[5], args[6], args[2]
+            by_network[id(network)].append((seeds, args[-1], p_r))
         for runs in by_network.values():
             # one seed node, and one cascade per cell (a cell's stream names it)
-            assert len({seeds for seeds, _ in runs}) == 1
-            assert len({key for _, key in runs}) == len(runs) == cells
+            assert len({seeds for seeds, _, _ in runs}) == 1
+            assert len({key for _, key, _ in runs}) == len(runs) == cells
+            if command == "ihc-vs-oracle":
+                assert [p_r for _, _, p_r in runs] == config["p_r"]
 
-        if command == "ihc-vs-oracle":
-            assert len(worlds) == groups * reps
-            by_world: dict[int, list] = {id(world): [] for _, world in worlds}
-            for (world, p_r), _ in bound:
-                by_world[id(world)].append(p_r)
-            assert all(sorted(p) == config["p_r"] for p in by_world.values())
-        else:
-            assert worlds == bound == []
+        # a G(n, p) cell reads its world's coverage classes, not per-agent arrays
+        assert bound == []
+        assert len(worlds) == (groups * reps if command == "ihc-vs-oracle" else 0)
 
     @pytest.mark.parametrize(
         "command, config, groups, cells",
@@ -649,15 +656,19 @@ class TestCommonRandomNetworks:
         monkeypatch.setattr(np.random, "default_rng", recording)
         monkeypatch.setattr(cascade, "replication_streams", handing)
         _record(monkeypatch, cascade, "run_cascade", cascades)
+        _record(monkeypatch, cascade, "run_chain", cascades)
         _sweep(tmp_path, capsys, command, config)
+        # a chain draws from the generator it is handed, without default_rng
+        seeded += [args[-1] for args, _ in cascades if len(args) == 8]
         unique = set(seeded)
         assert len(unique) == len(seeded)
-        # every stream read comes from replication_streams, and the seed-node
-        # draws, which read their generator without default_rng, are distinct too
+        # every stream read comes from replication_streams, and the draws that
+        # read their generator directly (seed node, seed's neighbours) are
+        # distinct too
         assert unique <= set(handed)
         assert len(set(handed)) == len(handed)
-        # every cascade stream plus at least the seed-node streams were seen
-        assert len(unique) > len(cascades) > 0
+        # every cascade stream was seen
+        assert len(unique) >= len(cascades) > 0
 
 
 @pytest.mark.parametrize(
@@ -668,21 +679,21 @@ class TestCommonRandomNetworks:
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11"],
-            "c36b6bfe5f42c7ffae4af9a22eb140a4b3f5147dea3343c3318cdf4ff81b7138",
+            "d5d6933832f4f5cea67fac08fe27566f53115fa2ce7ad112efca8123ffe62717",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4"],
-            "573f1ddb5a309f5038a154ebdc17e92db672bc84a5849c1e2c85a255426c1e03",
+            "0d8021d100fff1f5f4ac7451301a488ab7da72209ac75f807e1025cee8ec8ef4",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "7781b364a66db0090d8b53061ceaac88e940d2606f62fb278e202279e73f8277",
+            "b552a81d3cb65249f274b20b03f6135272bfb30b630ad3889eca8aa75d0dc20b",
         ),
         (
             "empirical",
@@ -701,21 +712,21 @@ class TestCommonRandomNetworks:
             {"n": 60, "mean_degree": 6.0, "p_r": [0.1, 0.5], "p_a": [0.2, 0.8],
              "p_h": [0.5], "reps": 5},
             ["--seed", "11", "--format", "jsonl"],
-            "eea9b5ee87a8bfe2e02e44059e6e3b8c41de18014eccee2edacc3f15b9876478",
+            "e3ee65de8afd9157710bb078a3bd8a58564c582f022d2828e631bde0e989c83c",
         ),
         (
             "ba-vs-er",
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4", "--format", "jsonl"],
-            "3b519fec1d8cb10159b1d1fb1e6dd8af82357948258256008b61305256f6d129",
+            "94257d07fc58d7273a5ea26c80ee79afe4b10fc33cd76f4e5f5da559bfa3980b",
         ),
         (
             "ihc-vs-oracle",
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "13cb6b8de65bd75357d25dc01ab26803c91e89b7a8aa132fd0523cbc8e8494f3",
+            "94befb186cc5a751c2022a94fbeaddc28fc5633062283244d6ed5e279b693ef4",
         ),
         (
             "empirical",
@@ -756,6 +767,49 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
     code, _, _ = _run(capsys, argv + flags + ["--out", str(out)])
     assert code == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "command, config, seed, column, value, sha256",
+    [
+        (
+            "ba-vs-er",
+            {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
+             "reps": 6},
+            4,
+            "topology",
+            "ba",
+            "5d9185da7fa8f1ce9e78610ff4bc0efe03439f004445e8ad5181c1c4c2425e2a",
+        ),
+        (
+            "ihc-vs-oracle",
+            {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
+             "p_r": [0.3, 1.0], "reps": 5},
+            8,
+            "system",
+            "oracle",
+            "9f8ad8f17aa5af819e76016c530d92d6994f682ffaa12a31fd4e9e808fe3156e",
+        ),
+    ],
+    ids=["ba-vs-er-ba-rows", "ihc-vs-oracle-oracle-rows"],
+)
+def test_rows_off_g_n_p_are_pinned(tmp_path, capsys, command, config, seed, column, value, sha256):
+    """The header and the rows that no G(n, p) draw reaches, at the pinned
+    sweeps' seeds: BA rows read their own network and seed streams, and
+    oracle rows their world and oracle streams. Pinned before G(n, p)
+    cascades became a chain over counts, which left them unmoved."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    code, _, _ = _run(
+        capsys, [command, "--config", str(path), "--seed", str(seed), "--out", str(out)]
+    )
+    assert code == EXIT_OK
+    header, *lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    at = header.rstrip("\n").split(",").index(column)
+    kept = [line for line in lines if line.split(",")[at] == value]
+    assert kept
+    assert hashlib.sha256("".join([header, *kept]).encode()).hexdigest() == sha256
 
 
 def _analytic_digest(tmp_path, capsys, flags: list[str]) -> str:

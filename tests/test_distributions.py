@@ -3,7 +3,7 @@
 Each test compares draws with a law, not with one stream of numbers, so it
 holds across a change of draw schedule: BA graphs against the list-and-set
 reference in ``test_graph``, ER edge counts against Binomial(C(n, 2), p),
-cascades sampled on G(n, p) as they reveal it against cascades on drawn
+cascades run on G(n, p) as a chain over counts against cascades on drawn
 ER graphs, and sibling streams against independence. The seeds are fixed; a bound that
 fails at its seed is a finding, not a seed to change. Each test prints its
 statistic.
@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from halting_cascade import cascade
 from halting_cascade.cascade import IHCParams, replication_streams, run_cascade
-from halting_cascade.graph import ErdosRenyi, generate_ba, generate_er
-from halting_cascade.skills import bind_params, sample_skill_world
+from halting_cascade.graph import generate_ba, generate_er
+from halting_cascade.skills import bind_params, coverage_classes, sample_skill_world
 from test_graph import _reference_ba
 
 ALPHA = 1e-3
@@ -104,26 +105,48 @@ _ER_COMPARISONS = len(_ER_DEGREES) * (len(_ER_CELLS) * (len(_ER_METRICS) - 1) + 
 _ER_Z_BOUND = stats.norm.isf(ALPHA / (2 * _ER_COMPARISONS))
 
 
+def _chain_run(world, node: int, degree: int, p: float, cell, rng):
+    """``run_chain`` from ``node`` of a seed ``degree``, the way ``replicate``
+    runs a G(n, p) cell: one class for scalar ``p_a``/``p_h``, else the
+    world's coverage classes with the seed taken out."""
+    p_r, skilled = cell
+    p_a, p_h, unreached = [0.2], [0.0], [_ER_N - 1]
+    if skilled:
+        p_a, p_h = coverage_classes(world.vacancy_size)
+        unreached = np.bincount(world.coverage, minlength=len(p_a)).tolist()
+        unreached[world.coverage[node]] -= 1
+    neighbours = cascade._split(degree, unreached, rng)
+    return cascade.run_chain(
+        p_a, p_h, p_r, p, unreached, neighbours, node, rng, record_trace=True
+    )
+
+
 def _er_outcomes(mean_degree: float, sampled: bool, seed: int) -> np.ndarray:
     """(cell, replication, metric) outcomes on G(_ER_N, p).
 
-    Each replication draws a uniform seed agent, the graph (by
-    ``generate_er``, or only the seed's neighbours by ``ErdosRenyi.reveal``
-    when ``sampled``) and a skill world (rate 3, vacancy size 2), then runs
-    every cell from that seed with a trace. One generator feeds every draw in
-    turn.
+    Each replication draws a uniform seed agent, a skill world (rate 3,
+    vacancy size 2) and the graph by ``generate_er``, or, when ``sampled``,
+    only the seed's degree, ``binomial(n - 1, p)``. It then runs every cell
+    from that seed with a trace: ``run_cascade`` on the graph, or
+    ``run_chain``. One generator feeds every draw in turn.
     """
     rng = np.random.default_rng(seed)
-    law = ErdosRenyi(_ER_N, mean_degree)
+    p = mean_degree / (_ER_N - 1)
     out = np.empty((len(_ER_CELLS), _ER_REPS, len(_ER_METRICS)))
     for rep in range(_ER_REPS):
         node = int(rng.integers(_ER_N))
-        network = law.reveal(node, rng) if sampled else generate_er(_ER_N, mean_degree, rng)
-        seed_degree = len(network.out_neighbors(node))
         world = sample_skill_world(_ER_N, 3.0, 2, rng)
+        if sampled:
+            seed_degree = int(rng.binomial(_ER_N - 1, p))
+        else:
+            network = generate_er(_ER_N, mean_degree, rng)
+            seed_degree = len(network.out_neighbors(node))
         for cell, (p_r, skilled) in enumerate(_ER_CELLS):
-            params = bind_params(world, p_r) if skilled else IHCParams(p_r, 0.2, 0.0)
-            result = run_cascade(network, params, (node,), rng, record_trace=True)
+            if sampled:
+                result = _chain_run(world, node, seed_degree, p, (p_r, skilled), rng)
+            else:
+                params = bind_params(world, p_r) if skilled else IHCParams(p_r, 0.2, 0.0)
+                result = run_cascade(network, params, (node,), rng, record_trace=True)
             reach = _ER_N - result.trace[-1].passive
             out[cell, rep] = (
                 result.success, result.chain_length, result.applicants, result.steps, reach,
@@ -135,7 +158,7 @@ def _er_outcomes(mean_degree: float, sampled: bool, seed: int) -> np.ndarray:
 @pytest.mark.parametrize("mean_degree", _ER_DEGREES)
 def test_er_sampler_matches_the_engine_on_drawn_graphs(mean_degree):
     """Two-sided z of the difference in means, engine on drawn graphs against
-    the sampler, per (cell, metric): |z| < ``_ER_Z_BOUND`` (4.31). A metric
+    the chain, per (cell, metric): |z| < ``_ER_Z_BOUND`` (4.31). A metric
     constant on both sides, success at p_h = 0, must be the same constant."""
     engine = _er_outcomes(mean_degree, sampled=False, seed=1)
     sampled = _er_outcomes(mean_degree, sampled=True, seed=2)

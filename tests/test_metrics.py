@@ -43,7 +43,7 @@ def _result(success: bool, chain_length: int, applicants: int = 0, seed: int = 0
         success=success,
         chain_length=chain_length,
         applicants=applicants,
-        halters=frozenset({1}) if success else frozenset(),
+        halters=int(success),
         steps=1,
         seeds=(seed,),
     )
