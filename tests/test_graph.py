@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from halting_cascade import graph
+from halting_cascade.cascade import IHCParams, replicate
 from halting_cascade.graph import (
     EdgeListError,
     ErdosRenyi,
@@ -537,6 +538,21 @@ class TestErdosRenyi:
         assert ErdosRenyi(41, 4.0).p == 0.1
         assert ErdosRenyi(10, 0.0).p == 0.0
         assert ErdosRenyi(10, 9.0).p == 1.0
+
+    def test_reveal_rejects_bad_nodes(self):
+        """A cascade on the law reveals G(n, p) from one seed agent, which
+        must be an integer id in range; the last agent is a valid seed."""
+        law = ErdosRenyi(10, 3.0)
+        params = [IHCParams(0.5, 0.5, 0.5)]
+        for node in (-1, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                next(replicate(0, [()], 1, law, params, seeds=(node,)))
+        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
+            next(replicate(0, [()], 1, law, params, seeds=(1.5,)))
+        with pytest.raises(ValueError, match="one seed agent"):
+            next(replicate(0, [()], 1, law, params, seeds=(2, 3)))
+        ((result, _),) = next(replicate(0, [()], 1, law, params, seeds=(9,)))[2]
+        assert result.seeds == (9,)
 
 
 class TestJumps:
