@@ -42,12 +42,15 @@ from .oracle import (
     p_lambda,
     p_success_trial,
     poisson_pmf,
+    post_vacancy,
     simulate_oracle,
     truncation_bounds,
 )
 from .skills import (
+    CoverageLaw,
     SkillWorld,
     bind_params,
+    sample_coverage_counts,
     sample_skill_world,
 )
 
@@ -56,6 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchSummary",
     "CascadeResult",
+    "CoverageLaw",
     "DegreeSummary",
     "EdgeListError",
     "ErdosRenyi",
@@ -82,8 +86,10 @@ __all__ = [
     "p_lambda",
     "p_success_trial",
     "poisson_pmf",
+    "post_vacancy",
     "run_batch",
     "run_cascade",
+    "sample_coverage_counts",
     "sample_skill_world",
     "simulate_oracle",
     "summarize",

@@ -26,10 +26,14 @@ Streams: ``replicate`` runs every batch and sweep, and every generator it
 reads comes from ``replication_streams``, which starts it at a PCG64 state
 read off a Philox counter block named by the master seed, the cell's path,
 the stream's child index and the replication. Only public numpy calls make
-them.
+them. On G(n, p) with skills the world stream draws a coverage histogram
+(``skills.sample_coverage_counts``) and the hub's label, and the oracle's
+two streams draw the posting as counts (``oracle.post_vacancy``).
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
@@ -367,7 +371,7 @@ def replicate(
     Stream rule: replication ``rep`` of the cell at ``path`` reads streams
     ``(path, child)`` of ``replication_streams``, one child per stream the
     sweep uses, in the fixed order skill world, network, seed node, cascade,
-    then the oracle's reached set and its run. The shared streams are those
+    then the oracle's star and its run. The shared streams are those
     of the group's first cell (the leader); every cell reads its own cascade
     and oracle children. Each stream thus comes from a distinct (path, child,
     rep), and the leader's draws are those of a group that holds it alone.
@@ -383,10 +387,24 @@ def replicate(
     classes (``_split``), which all cells share. Each ``params[i]`` holds the
     cascade probabilities; with ``skills`` = (skill_rate, vacancy_size,
     reach_fraction) it is ``p_r`` alone, the cell's ``p_a``/``p_h`` come from
-    the replication's skill world, and the oracle runs on that same world at
-    that reach. Build factories inside the caller, so that layer functions
-    such as ``generate_ba`` are looked up by their module-level names at
-    call time (the benchmark's tracer patches those names).
+    the replication's skill world, and the oracle posts on that same world
+    at that reach. Build factories inside the caller, so that layer
+    functions such as ``generate_ba`` are looked up by their module-level
+    names at call time (the benchmark's tracer patches those names); the
+    world samplers and the posting are looked up here at call time too.
+
+    A skill world on a built network is per agent: ``sample_skill_world``,
+    ``bind_params`` and ``simulate_oracle`` with agent 0 as the hub. On
+    G(n, p) agents have no identities, and no length-n array is built: the
+    world stream draws the coverage histogram from a ``CoverageLaw`` made
+    once per call, then the hub's label, ``integers(n)``. Agents are
+    labelled class by class, so the hub is qualified when its label lies in
+    the full-coverage class, and the seed leaves the class whose cumulative
+    count holds its id; a fixed seed other than the hub, agent 0, takes a
+    uniform label other than the hub's, one more ``integers(n - 1)``. The
+    oracle is ``post_vacancy`` on the number of qualified agents other than
+    the hub. A population of ``10**9`` or more, past numpy's hypergeometric
+    urn limit, is refused before any draw.
 
     Yields, per replication, (the lowest seed agent's degree, seed agents,
     one (cascade result, oracle result or None) per cell). Only one network is
@@ -394,16 +412,26 @@ def replicate(
     so the allocator does not hand its pages back in between.
     """
     # skills and oracle import this module, so their names are looked up here
-    from .oracle import simulate_oracle
-    from .skills import bind_params, coverage_classes, sample_skill_world
+    from .oracle import post_vacancy, simulate_oracle
+    from .skills import (
+        _URN_LIMIT, CoverageLaw, bind_params, coverage_classes, sample_coverage_counts,
+        sample_skill_world,
+    )
 
     er = isinstance(network, ErdosRenyi)
+    law = None
     if er:
         if seeds is not None:
             seeds = tuple(_normalize_seeds(seeds, network.n).tolist())
             if len(seeds) > 1:
                 raise ValueError("a G(n, p) cascade runs from one seed agent")
         if skills is not None:
+            if network.n >= _URN_LIMIT:
+                raise ValueError(
+                    f"population={network.n}: a G(n, p) population with skill worlds must be "
+                    f"below {_URN_LIMIT}, numpy's hypergeometric urn limit"
+                )
+            law = CoverageLaw(network.n, *skills[:2])
             chains = [(*coverage_classes(skills[1]), p_r) for p_r in params]
         elif all(np.isscalar(c.p_a) and np.isscalar(c.p_h) for c in params):
             chains = [([c.p_a], [c.p_h], c.p_r) for c in params]
@@ -423,14 +451,24 @@ def replicate(
         world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
         if callable(network):
             net = network(net_rng)
-        rep_seeds = seeds if node_rng is None else (int(node_rng.integers(net.n)),)
-        world = sample_skill_world(net.n, *skills[:2], world_rng) if skills else None
+        n = net.n
+        rep_seeds = seeds if node_rng is None else (int(node_rng.integers(n)),)
+        world = None
+        if law is not None:
+            # agents are labelled class by class; the hub and the seed hold uniform labels
+            unreached = sample_coverage_counts(law, world_rng)
+            hub = int(world_rng.integers(n))
+            qualified = unreached[-1] - (hub >= n - unreached[-1])
+            label = rep_seeds[0]
+            if node_rng is None:  # a fixed seed is the hub, agent 0, or another agent
+                label = hub if label == 0 else (hub + 1 + int(world_rng.integers(n - 1))) % n
+            unreached[bisect.bisect_right(list(itertools.accumulate(unreached)), label)] -= 1
+        elif skills is not None:
+            world = sample_skill_world(n, *skills[:2], world_rng)
+        elif er:
+            unreached = [n - 1]
         if er:
-            unreached = [net.n - 1]
-            if world is not None:
-                unreached = np.bincount(world.coverage, minlength=skills[1] + 1).tolist()
-                unreached[world.coverage[rep_seeds[0]]] -= 1
-            neighbours = _split(net_rng.binomial(net.n - 1, net.p), unreached, net_rng)
+            neighbours = _split(net_rng.binomial(n - 1, net.p), unreached, net_rng)
         outcomes = []
         for cell, cell_params in enumerate(params):
             if er:
@@ -444,8 +482,12 @@ def replicate(
                     net, cascade_params, rep_seeds, next(rngs), record_trace=record_trace
                 )
             oracle = None
-            if world is not None:
-                oracle = simulate_oracle(world, skills[2], cell_params, next(rngs), next(rngs))
+            if skills is not None:
+                star, run = next(rngs), next(rngs)
+                if world is None:
+                    oracle = post_vacancy(n, qualified, skills[2], cell_params, star, run)
+                else:
+                    oracle = simulate_oracle(world, skills[2], cell_params, star, run)
             outcomes.append((result, oracle))
         degree = sum(neighbours) if er else len(net.out_neighbors(outcomes[0][0].seeds[0]))
         yield degree, rep_seeds, outcomes

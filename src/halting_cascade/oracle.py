@@ -270,6 +270,55 @@ def truncated_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBou
 # -- simulation counterpart ---------------------------------------------------
 
 
+def post_vacancy(
+    n: int, qualified: int, reach_fraction: float, p_r: float, star_seed, run_seed
+) -> CascadeResult:
+    """One stochastic trial of the hub posting, drawn as counts.
+
+    The hub posts straight to d = round(reach_fraction * (n - 1)) distinct
+    agents drawn uniformly from the n - 1 others, ``qualified`` of which
+    cover every required skill. Each reached agent is recommended with
+    probability ``p_r`` and then always applies, and an applicant is hired
+    when it is qualified. The recommended agents are a uniform subset of
+    the others given their number, so that number is ``binomial(d, p_r)``
+    and the hires among them are hypergeometric. The result reads as a
+    one-step cascade seeded at the hub, agent 0: successful runs report
+    chain length 2.
+
+    Draws: the run stream, ``run_seed``, gives R = ``binomial(d, p_r)``
+    recommended agents; if R > 0, the star stream, ``star_seed``, gives
+    ``hypergeometric(qualified, n - 1 - qualified, R)`` hires. Neither
+    stream is read when d is 0. Each seed is anything
+    ``numpy.random.default_rng`` accepts.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0 <= qualified < n:
+        raise ValueError(f"qualified must lie in [0, n - 1], got {qualified}")
+    if not 0 <= reach_fraction <= 1:
+        raise ValueError("reach fraction must lie in [0, 1]")
+    if not 0 <= p_r <= 1:
+        raise ValueError(f"p_r must lie in [0, 1], got {p_r}")
+    reach = round(reach_fraction * (n - 1))
+    recommended = hired = 0
+    if reach:
+        recommended = int(np.random.default_rng(run_seed).binomial(reach, p_r))
+        if recommended:
+            hired = int(
+                np.random.default_rng(star_seed).hypergeometric(
+                    qualified, n - 1 - qualified, recommended
+                )
+            )
+    return CascadeResult(
+        success=bool(hired),
+        chain_length=2 if recommended else 1,
+        applicants=recommended,
+        halters=hired,
+        steps=1,
+        seeds=(0,),
+    )
+
+
 def simulate_oracle(
     world: SkillWorld,
     reach_fraction: float,
@@ -279,40 +328,10 @@ def simulate_oracle(
 ) -> CascadeResult:
     """One stochastic trial of the hub posting, on the same skill world.
 
-    Agent 0 acts as the hub and posts straight to d = round(reach_fraction *
-    (n - 1)) distinct agents drawn uniformly from 1..n-1. Each reached agent
-    is recommended with probability ``p_r`` and then always applies, and an
-    applicant is hired when it covers every required skill. The hub never
-    applies, so its own skills are unused. The result reads as a one-step
-    cascade seeded at the hub: successful runs report chain length 2.
-
-    Draws: the star stream, ``star_seed``, gives the reached set,
-    ``choice(n - 1, d, replace=False) + 1``, sorted. The run stream,
-    ``run_seed``, gives one uniform per reached agent in ascending id, and
-    an agent is recommended when its uniform is below ``p_r``. Neither
-    stream is read when d is 0. Each seed is anything
-    ``numpy.random.default_rng`` accepts.
+    Agent 0 acts as the hub, and the agents that cover every required skill
+    among the others are the qualified ones; ``post_vacancy`` draws the
+    posting from their number, with the same streams and draws. The hub
+    never applies, so its own skills are unused.
     """
-    n = world.n
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= reach_fraction <= 1:
-        raise ValueError("reach fraction must lie in [0, 1]")
-    if not 0 <= p_r <= 1:
-        raise ValueError(f"p_r must lie in [0, 1], got {p_r}")
-    reach = round(reach_fraction * (n - 1))
-    recommended = hired = np.empty(0, dtype=np.int64)
-    if reach:
-        leaves = np.random.default_rng(star_seed).choice(n - 1, size=reach, replace=False)
-        leaves += 1
-        leaves.sort()
-        recommended = leaves[np.random.default_rng(run_seed).random(reach) < p_r]
-        hired = recommended[world.coverage[recommended] == world.vacancy_size]
-    return CascadeResult(
-        success=bool(hired.size),
-        chain_length=2 if recommended.size else 1,
-        applicants=int(recommended.size),
-        halters=int(hired.size),
-        steps=1,
-        seeds=(0,),
-    )
+    qualified = int(np.count_nonzero(world.coverage[1:] == world.vacancy_size))
+    return post_vacancy(world.n, qualified, reach_fraction, p_r, star_seed, run_seed)

@@ -7,14 +7,13 @@ import math
 import re
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halting_cascade import cascade, skills
+from halting_cascade import cascade, oracle, skills
 from halting_cascade.cascade import (
     CascadeResult,
     IHCParams,
@@ -541,19 +540,99 @@ class TestErdosRenyiSampler:
         for result in _chain(ErdosRenyi(40, 6.0), params, 5, reps=50):
             assert (result.success, result.applicants, result.halters) == (False, 0, 0)
 
-    def test_seed_never_applies(self):
-        # the seed is the one fully covered agent: the only one that could
-        # be hired, it is never recruited
-        n = 40
-        law = ErdosRenyi(n, 4.0)
-        for seed in range(0, n, 3):
-            coverage = np.zeros(n, dtype=int)
-            coverage[seed] = 2
-            world = skills.SkillWorld(2, np.full(n, 2), coverage)
-            with mock.patch.object(skills, "sample_skill_world", return_value=world):
-                runs = replicate(seed, [()], 10, law, [0.8], (3.0, 2, 0.5), (seed,))
-                for _, _, ((result, _),) in runs:
-                    assert not result.success and result.seeds == (seed,)
+    def test_seed_never_applies(self, monkeypatch):
+        # one agent is fully covered, the only one that could be hired: a run
+        # seeded at it never hires, and on the complete graph every other does
+        n, runs = 4, []
+        chain = cascade.run_chain
+
+        def recording(*args, **kwargs):
+            result = chain(*args, **kwargs)
+            runs.append((args[4], result))
+            return result
+
+        monkeypatch.setattr(cascade, "run_chain", recording)
+        monkeypatch.setattr(skills, "sample_coverage_counts", lambda law, rng: [n - 1, 0, 1])
+        list(replicate(0, [()], 60, ErdosRenyi(n, 3.0), [1.0], (3.0, 2, 0.5)))
+        seeded = [result.success for unreached, result in runs if unreached[2] == 0]
+        others = [result.success for unreached, result in runs if unreached[2] == 1]
+        assert seeded and others and len(seeded) + len(others) == 60
+        assert not any(seeded) and all(others)
+
+    @pytest.mark.parametrize("seeds", [None, (0,), (3,)], ids=["drawn", "hub", "other"])
+    def test_seed_and_hub_hold_uniform_labels(self, monkeypatch, seeds):
+        """On G(n, p) agents are labelled class by class, and the hub (agent
+        0) and the seed hold uniform labels. So a drawn seed shares the
+        hub's class with chance sum (m_c / n)**2, as two independent uniform
+        agents do; a fixed seed at agent 0 is the hub, and any other fixed
+        agent shares its class with chance sum m_c (m_c - 1) / (n (n - 1)).
+        At vacancy size 1 there are two classes: the seed's is the one its
+        chain finds short, and the hub's is full coverage when the oracle's
+        qualified count is short. Over 4000 replications of 6 agents, z of
+        the shared count against the sum of its chances, two-sided, below
+        3.29; the other law's z is printed."""
+        n, reps, worlds, chains, posts = 6, 4000, [], [], []
+        sample, chain, post = skills.sample_coverage_counts, cascade.run_chain, oracle.post_vacancy
+
+        def drawing(*args):
+            worlds.append(sample(*args))
+            return list(worlds[-1])
+
+        def running(*args, **kwargs):
+            chains.append(list(args[4]))
+            return chain(*args, **kwargs)
+
+        def posting(*args):
+            posts.append(args[1])
+            return post(*args)
+
+        monkeypatch.setattr(skills, "sample_coverage_counts", drawing)
+        monkeypatch.setattr(cascade, "run_chain", running)
+        monkeypatch.setattr(oracle, "post_vacancy", posting)
+        list(replicate(12, [()], reps, ErdosRenyi(n, 2.0), [0.5], (3.0, 1, 0.5), seeds))
+        shared, chances = 0, {"independent": [], "distinct": []}
+        for counts, unreached, qualified in zip(worlds, chains, posts, strict=True):
+            seed_class = [a - b for a, b in zip(counts, unreached)].index(1)
+            hub_class = int(qualified < counts[1])
+            shared += seed_class == hub_class
+            chances["independent"].append(sum(m * m for m in counts) / n**2)
+            chances["distinct"].append(sum(m * (m - 1) for m in counts) / (n * (n - 1)))
+        assert len(worlds) == reps
+        if seeds == (0,):
+            assert shared == reps
+            return
+        zs = {
+            name: (shared - sum(p)) / math.sqrt(sum(x * (1 - x) for x in p))
+            for name, p in chances.items()
+        }
+        print(f"seeds={seeds}: shared {shared:.0f} of {reps}; z against independent labels "
+              f"{zs['independent']:.2f}, against distinct agents {zs['distinct']:.2f}")
+        assert abs(zs["independent" if seeds is None else "distinct"]) < 3.29
+
+    def test_a_million_agents_with_skills_allocate_no_agent_array(self):
+        """A G(n, p) sweep with skill worlds keeps no per-agent array: 20
+        replications of two cells at n = 10**6 peak under 1 MB of traced
+        allocations (a per-agent world alone takes 8 MB)."""
+        tracemalloc.start()
+        try:
+            runs = list(replicate(3, [(0,), (1,)], 20, ErdosRenyi(10**6, 20.0), [0.2, 1.0],
+                                  (3.0, 4, 0.5)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"peak {peak} bytes")
+        assert len(runs) == 20
+        assert peak < 1_000_000
+
+    def test_population_past_the_hypergeometric_limit_is_refused_before_any_draw(
+        self, monkeypatch
+    ):
+        def unread(*args):
+            raise AssertionError("a stream was built")
+
+        monkeypatch.setattr(cascade, "replication_streams", unread)
+        with pytest.raises(ValueError, match="population=1000000000"):
+            next(replicate(0, [()], 1, ErdosRenyi(10**9, 20.0), [0.5], (3.0, 2, 0.5)))
 
     def test_only_the_drawn_seed_runs(self):
         law = ErdosRenyi(20, 4.0)
@@ -579,8 +658,10 @@ class TestErdosRenyiSampler:
         "n, mean_degree", [(2, 1.0), (40, 6.0), (300, 20.0), (10, 0.0), (25, 24.0)]
     )
     def test_seed_neighbours_follow_their_draw_schedule(self, n, mean_degree, monkeypatch):
-        """The leader's network child draws the seed's degree, ``binomial(n
-        - 1, p)``, then its split over the coverage classes, one
+        """The leader's world child draws the coverage histogram and the
+        hub's label, and the seed leaves the class whose cumulative count
+        holds its id. The leader's network child draws the seed's degree,
+        ``binomial(n - 1, p)``, then its split over the coverage classes, one
         ``hypergeometric(class, later classes, left)`` call per class but
         the last; every cell runs on that split."""
         law = ErdosRenyi(n, mean_degree)
@@ -594,11 +675,12 @@ class TestErdosRenyiSampler:
         monkeypatch.setattr(cascade, "run_chain", recording)
         list(replicate(6, [(0,), (1,)], 3, law, [0.3, 1.0], (3.0, 2, 0.5)))
         streams = replication_streams(6, [((0,), child) for child in range(3)], 3)
+        coverage = skills.CoverageLaw(n, 3.0, 2)
         for rep, (world_rng, net_rng, node_rng) in enumerate(streams):
-            world = skills.sample_skill_world(n, 3.0, 2, world_rng)
+            unreached = np.array(skills.sample_coverage_counts(coverage, world_rng))
+            world_rng.integers(n)  # the hub's label
             seed = int(node_rng.integers(n))
-            unreached = np.bincount(world.coverage, minlength=3)
-            unreached[world.coverage[seed]] -= 1
+            unreached[np.searchsorted(np.cumsum(unreached), seed, side="right")] -= 1
             left = net_rng.binomial(n - 1, law.p)
             neighbours = []
             for c in range(2):

@@ -280,6 +280,14 @@ class TestIhcVsOracle:
         assert code == EXIT_CONFIG
         assert "skill_rate" in err
 
+    def test_population_past_the_hypergeometric_limit_exits_config(self, tmp_path, capsys):
+        cfg = {"population": 10**9, "mean_degree": 20.0, "vacancy_sizes": [2], "reps": 1}
+        path = tmp_path / "ivo.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        code, _, err = _run(capsys, ["ihc-vs-oracle", "--config", str(path), "--seed", "1"])
+        assert code == EXIT_CONFIG
+        assert "population" in err
+
 
 class TestOracleAnalytic:
     def test_pure_computation_rows(self, tmp_path, capsys):
@@ -557,7 +565,7 @@ class TestCommonRandomNetworks:
         _record(monkeypatch, cli, "generate_ba", built)
         _record(monkeypatch, cascade, "run_cascade", cascades)
         _record(monkeypatch, cascade, "run_chain", cascades)
-        _record(monkeypatch, skills, "sample_skill_world", worlds)
+        _record(monkeypatch, skills, "sample_coverage_counts", worlds)
         _record(monkeypatch, skills, "bind_params", bound)
         _sweep(tmp_path, capsys, command, config)
 
@@ -580,7 +588,8 @@ class TestCommonRandomNetworks:
             if command == "ihc-vs-oracle":
                 assert [p_r for _, _, p_r in runs] == config["p_r"]
 
-        # a G(n, p) cell reads its world's coverage classes, not per-agent arrays
+        # a G(n, p) world is drawn as its coverage histogram, one per group and
+        # rep, and its cells read the classes, not per-agent arrays
         assert bound == []
         assert len(worlds) == (groups * reps if command == "ihc-vs-oracle" else 0)
 
@@ -693,19 +702,19 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "b552a81d3cb65249f274b20b03f6135272bfb30b630ad3889eca8aa75d0dc20b",
+            "b134e941113cd65226e5c9fbf1ee24b39a8dd67b03e60330f01d463f11456461",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9"],
-            "cb42b3facd3982b74b3846c4ee21e9f1e5b3fecac1fb6055a8bb9a3a2ece364b",
+            "0f101e8b87b01c2ac574c097755fb7de8633e7a644fd78ce1759936309e5043b",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--directed"],
-            "82d2fdfca2d9ef5c52ffc9346e9c6ec5fc8eec91087048da67cff44775470e4c",
+            "90b5649ed7ef22d7eb7a1d1f292fd39b08ee55601899b51167b7f89d214bb89d",
         ),
         (
             "heatmap",
@@ -726,19 +735,19 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "94befb186cc5a751c2022a94fbeaddc28fc5633062283244d6ed5e279b693ef4",
+            "291a57402e529fa3daa532027e1477b1af8202665e8d109a58f164937c1431bd",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--format", "jsonl"],
-            "f83c113c3d9bb465fcabf1c5e0138dac62be59e98005a48cb51edcd9e5d12b1b",
+            "4cba07e5205a653e15ea93e2322b49ebff26d2f1c58304ee71cf5e543937a815",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--directed", "--format", "jsonl"],
-            "c79929c2dd3a181e772c1e7beac870395af5fc80d90a12f2808ca1feaa6f3bdc",
+            "359f8c463be883cdd2519a183d0cb4910da817f519122e25f26a40b20f1c34cc",
         ),
     ],
     # named by sweep, not by hash, so that a re-pin keeps every test's id
@@ -788,16 +797,18 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
             8,
             "system",
             "oracle",
-            "9f8ad8f17aa5af819e76016c530d92d6994f682ffaa12a31fd4e9e808fe3156e",
+            "5e5a601ce712635ba939dcdf9776e4cafd04bc8254346c079244203636d19635",
         ),
     ],
     ids=["ba-vs-er-ba-rows", "ihc-vs-oracle-oracle-rows"],
 )
 def test_rows_off_g_n_p_are_pinned(tmp_path, capsys, command, config, seed, column, value, sha256):
-    """The header and the rows that no G(n, p) draw reaches, at the pinned
-    sweeps' seeds: BA rows read their own network and seed streams, and
-    oracle rows their world and oracle streams. Pinned before G(n, p)
-    cascades became a chain over counts, which left them unmoved."""
+    """The header and the rows that no G(n, p) cascade draw reaches, at the
+    pinned sweeps' seeds: BA rows read their own network and seed streams,
+    and oracle rows their world and oracle streams. The BA rows were pinned
+    before G(n, p) cascades became a chain over counts, which left them
+    unmoved; the oracle rows moved once, when worlds became coverage
+    histograms and posting one count-level draw."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out.csv"

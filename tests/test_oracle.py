@@ -23,10 +23,13 @@ from halting_cascade.oracle import (
     p_lambda,
     p_success_trial,
     poisson_pmf,
+    post_vacancy,
     simulate_oracle,
     truncation_bounds,
 )
-from halting_cascade.skills import sample_skill_world
+from halting_cascade.skills import SkillWorld, sample_skill_world
+
+ALPHA = 1e-3  # chance that a law test with a Bonferroni bound fails on a correct sampler
 
 
 def poisson_cdf(k: int, rate: float) -> float:
@@ -480,30 +483,82 @@ class TestSimulatedOracle:
             if result.success:
                 assert result.chain_length == 2
 
+    def test_matches_star_cascade_reference_in_law(self):
+        """Success, applicants and halters against the one-hop star cascade,
+        on one fixed world per case: z of the difference of means over 2000
+        runs a side, two-sided, with a Bonferroni bound at ``ALPHA``; a
+        metric constant on both sides must be the same constant."""
+        # (n, skill_rate, vacancy_size, reach, p_r): the benchmark's world,
+        # a rare qualified agent, an empty vacancy, certain recommendation,
+        # and a population of five
+        cases = [(2000, 3.0, 2, 0.5, 0.3), (300, 3.0, 4, 0.5, 0.2), (40, 3.0, 0, 1.0, 0.5),
+                 (60, 6.0, 3, 0.3, 1.0), (5, 3.0, 1, 1.0, 0.7)]
+        runs, metrics = 2000, ("success", "applicants", "halters")
+        bound = stats.norm.isf(ALPHA / (2 * len(cases) * len(metrics)))
+        worst = (0.0, "")
+        for case, (n, skill_rate, vacancy_size, reach, p_r) in enumerate(cases):
+            world = sample_skill_world(n, skill_rate, vacancy_size, seed=case)
+            ours_ss, theirs_ss = np.random.SeedSequence([31, case]).spawn(2)
+            ours = [simulate_oracle(world, reach, p_r, *ss.spawn(2)) for ss in ours_ss.spawn(runs)]
+            theirs = [
+                reference_simulate_oracle(world, reach, p_r, *map(np.random.default_rng, ss.spawn(2)))
+                for ss in theirs_ss.spawn(runs)
+            ]
+            for result in ours:
+                assert result.chain_length == (2 if result.applicants else 1)
+                assert (result.steps, result.seeds) == (1, (0,))
+                assert result.success == (result.halters > 0)
+            for metric in metrics:
+                a, b = (np.array([getattr(r, metric) for r in side], float) for side in (ours, theirs))
+                se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / runs)
+                if se == 0:
+                    assert a[0] == b[0], (case, metric)
+                    continue
+                z = (a.mean() - b.mean()) / se
+                if abs(z) > abs(worst[0]):
+                    worst = (z, f"case {case} {metric}: {a.mean():.4f} vs {b.mean():.4f}")
+        print(f"worst z={worst[0]:.2f} at {worst[1]}; bound {bound:.2f}")
+        assert abs(worst[0]) < bound
+
     @given(
-        n=st.integers(1, 60),
-        skill_rate=st.floats(0.0, 6.0),
-        vacancy_size=st.integers(0, 3),
+        n=st.integers(1, 3000),
+        share=st.floats(0.0, 1.0),
         reach=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         p_r=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=2000, skill_rate=3.0, vacancy_size=2, reach=0.5, p_r=0.3, seed=1)
-    @example(n=1, skill_rate=3.0, vacancy_size=2, reach=1.0, p_r=1.0, seed=1)
-    @example(n=40, skill_rate=3.0, vacancy_size=0, reach=1.0, p_r=0.5, seed=2)
-    @settings(max_examples=300, deadline=None)
-    def test_equals_star_cascade_reference(self, n, skill_rate, vacancy_size, reach, p_r, seed):
-        world = sample_skill_world(n, skill_rate, vacancy_size, seed=seed)
-        (star, run), want_rngs, (_, run_start) = (
+    @example(n=1, share=0.0, reach=1.0, p_r=1.0, seed=1)
+    @example(n=40, share=1.0, reach=1.0, p_r=0.5, seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_posting_follows_its_draw_schedule(self, n, share, reach, p_r, seed):
+        """The run stream gives ``binomial(d, p_r)`` recommended agents, the
+        star stream, only if any, ``hypergeometric(q, n - 1 - q, R)`` hires."""
+        qualified = round(share * (n - 1))
+        (star, run), (star_want, run_want) = (
             [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
-            for _ in range(3)
+            for _ in range(2)
         )
-        got = simulate_oracle(world, reach, p_r, star, run)
-        assert got == reference_simulate_oracle(world, reach, p_r, *want_rngs)
-        assert star.bit_generator.state == want_rngs[0].bit_generator.state
-        # the run stream gives one uniform per reached agent, none when none is
-        run_start.random(round(reach * (n - 1)))
-        assert run.bit_generator.state == run_start.bit_generator.state
+        got = post_vacancy(n, qualified, reach, p_r, star, run)
+        reach_count = round(reach * (n - 1))
+        recommended = int(run_want.binomial(reach_count, p_r)) if reach_count else 0
+        hired = 0
+        if recommended:
+            hired = int(star_want.hypergeometric(qualified, n - 1 - qualified, recommended))
+        assert (got.applicants, got.halters, got.success) == (recommended, hired, hired > 0)
+        assert star.bit_generator.state == star_want.bit_generator.state
+        assert run.bit_generator.state == run_want.bit_generator.state
+
+    def test_reads_the_qualified_count_off_the_world(self):
+        # agent 0 is the hub: its coverage never counts
+        world = SkillWorld(2, [2, 2, 1, 2, 0], [2, 2, 1, 2, 0])
+        got = simulate_oracle(world, 1.0, 1.0, 3, 4)
+        assert got == post_vacancy(5, 2, 1.0, 1.0, 3, 4)
+        assert (got.applicants, got.halters) == (4, 2)
+
+    @pytest.mark.parametrize("qualified", [-1, 5])
+    def test_rejects_a_qualified_count_outside_the_others(self, qualified):
+        with pytest.raises(ValueError, match="qualified"):
+            post_vacancy(5, qualified, 0.5, 0.5, 1, 2)
 
     @pytest.mark.parametrize("reach, p_r", [(-0.1, 0.5), (1.5, 0.5), (0.5, -0.1), (0.5, 1.5)])
     def test_rejects_probabilities_outside_unit_interval(self, reach, p_r):

@@ -1,7 +1,10 @@
 """Tests for skill worlds and the probabilities they induce."""
 from __future__ import annotations
 
+import functools
 import math
+import time
+import tracemalloc
 from collections.abc import Set
 
 import numpy as np
@@ -11,10 +14,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from halting_cascade.skills import (
+    CoverageLaw,
     SkillWorld,
+    _log_factorial,
     bind_params,
+    sample_coverage_counts,
     sample_skill_world,
 )
+
+ALPHA = 1e-3  # chance that a law test with Bonferroni bounds fails on a correct sampler
 
 
 # scalar references for one agent's skill set; ``bind_params`` must agree
@@ -188,6 +196,159 @@ class TestAgainstReference:
         worst = min(report)
         print(f"worst: p={worst[0]:.4f} ({worst[2]}, v={worst[1]}), bound p > {bound}")
         assert worst[0] > bound
+
+
+# (n, skill_rate, vacancy_size): an overdispersed qualified count (its
+# variance is about 186 against 51 for a binomial), the benchmark's size and
+# its largest vacancy, no skills, an empty vacancy, and a vacancy larger
+# than every count (the catalog is the vacancy)
+_HISTOGRAM_SHAPES = [(500, 3.0, 2), (2000, 3.0, 8), (50, 0.0, 3), (100, 3.0, 0), (100, 3.0, 30)]
+_WORLDS = 4000  # per shape and side
+
+
+@functools.lru_cache(maxsize=None)
+def _histograms(n: int, skill_rate: float, vacancy_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(worlds, classes) coverage histograms: ``sample_coverage_counts`` on
+    one generator, and the ``bincount`` of per-agent worlds on others."""
+    law = CoverageLaw(n, skill_rate, vacancy_size)
+    rng = np.random.default_rng([20261020, n, vacancy_size])
+    ours = np.array([sample_coverage_counts(law, rng) for _ in range(_WORLDS)])
+    seeds = np.random.SeedSequence([20261021, n, vacancy_size]).spawn(_WORLDS)
+    theirs = np.array([
+        np.bincount(sample_skill_world(n, skill_rate, vacancy_size, seed).coverage,
+                    minlength=vacancy_size + 1)
+        for seed in seeds
+    ])
+    return ours, theirs
+
+
+class TestCoverageCounts:
+    """The class-count sampler against ``bincount`` of per-agent worlds, the
+    same law by another route. Every comparison is two-sided, with a
+    Bonferroni bound over its family at ``ALPHA``."""
+
+    def test_class_means_match_per_agent_worlds(self):
+        """z of the difference of each class's mean count; a class constant
+        on both sides must be the same constant."""
+        pairs = [(shape, _histograms(*shape)) for shape in _HISTOGRAM_SHAPES]
+        tested = sum(
+            int(((ours.var(0) + theirs.var(0)) > 0).sum()) for _, (ours, theirs) in pairs
+        )
+        bound = stats.norm.isf(ALPHA / (2 * tested))
+        worst = (0.0, "")
+        for shape, (ours, theirs) in pairs:
+            assert (ours.sum(axis=1) == shape[0]).all()
+            for c in range(ours.shape[1]):
+                se = math.sqrt((ours[:, c].var(ddof=1) + theirs[:, c].var(ddof=1)) / _WORLDS)
+                if se == 0:
+                    assert ours[0, c] == theirs[0, c], (shape, c)
+                    continue
+                z = (ours[:, c].mean() - theirs[:, c].mean()) / se
+                if abs(z) > abs(worst[0]):
+                    worst = (z, f"{shape} class {c}: {ours[:, c].mean():.4f} vs "
+                                f"{theirs[:, c].mean():.4f}")
+        print(f"worst z={worst[0]:.2f} at {worst[1]}; bound {bound:.2f} over {tested} means")
+        assert abs(worst[0]) < bound
+
+    def test_full_coverage_variance_and_law_match(self):
+        """The qualified count m_v: z of the difference of its variances,
+        each with the standard error sqrt((m4 - s**4) / worlds), and a
+        two-sample Kolmogorov-Smirnov test of its law."""
+        varied = [shape for shape in _HISTOGRAM_SHAPES if _histograms(*shape)[1][:, -1].var()]
+        bound = stats.norm.isf(ALPHA / (2 * len(varied)))
+        worst_z, worst_p = (0.0, None), (1.0, None)
+        for shape in _HISTOGRAM_SHAPES:
+            full = [side[:, -1].astype(float) for side in _histograms(*shape)]
+            if shape not in varied:
+                assert full[0].tolist() == full[1].tolist(), shape
+                continue
+            var = [x.var(ddof=1) for x in full]
+            se = math.sqrt(sum(((x - x.mean()) ** 4).mean() - v**2 for x, v in zip(full, var))
+                           / _WORLDS)
+            z = (var[0] - var[1]) / se
+            p = stats.ks_2samp(*full).pvalue
+            n, v = shape[0], shape[2]
+            mean_share = full[1].mean() / n
+            print(f"{shape}: var(m_v) {var[0]:.2f} vs {var[1]:.2f} (binomial "
+                  f"{n * mean_share * (1 - mean_share):.2f}), z={z:.2f}; KS p={p:.4f}")
+            worst_z = max(worst_z, (abs(z), shape))
+            worst_p = min(worst_p, (p, shape))
+        print(f"worst |z|={worst_z[0]:.2f} at {worst_z[1]}, bound {bound:.2f}; "
+              f"worst KS p={worst_p[0]:.4f} at {worst_p[1]}, bound {ALPHA / len(varied):.1e}")
+        assert worst_z[0] < bound
+        assert worst_p[0] > ALPHA / len(varied)
+
+    def test_mixture_equals_the_hypergeometric_sum(self):
+        """``mix`` against scipy's Poisson and hypergeometric pmfs, summed
+        over every count below the largest, for largest counts above and
+        below the vacancy size."""
+        for n, skill_rate, v in ((500, 3.0, 2), (40, 7.5, 12), (200, 1e6, 4)):
+            law = CoverageLaw(n, skill_rate, v)
+            center = int(np.argmax(law.pmf))
+            for top in range(max(1, center - 10), center + 12, 3):
+                most = law.low + top
+                counts = np.arange(law.low, most)
+                hyp = stats.hypergeom.pmf(np.arange(v + 1), max(most, v), v, counts[:, None])
+                want = stats.poisson.pmf(counts, skill_rate) @ hyp
+                assert law.mix(top) == pytest.approx(want / want.sum(), abs=1e-11)
+
+    def test_log_factorial_matches_lgamma(self):
+        k = np.unique(np.geomspace(1, 10**9, 400).astype(np.int64))
+        k = np.concatenate([np.arange(2000), k])
+        want = np.array([math.lgamma(i + 1) for i in k.tolist()])
+        assert np.abs(_log_factorial(k) - want).max() <= 4e-16 * want.max()
+        assert np.array_equal(_log_factorial(np.arange(1024)), want[:1024])
+
+    def test_same_generator_state_same_histogram(self):
+        law = CoverageLaw(300, 3.0, 4)
+        first = [sample_coverage_counts(law, np.random.default_rng(5)) for _ in range(2)]
+        assert first[0] == first[1]
+        assert sum(first[0]) == 300 and len(first[0]) == 5
+
+    def test_one_agent_and_no_skills(self):
+        assert sample_coverage_counts(CoverageLaw(1, 0.0, 2), np.random.default_rng(0)) == [1, 0, 0]
+        assert sample_coverage_counts(CoverageLaw(7, 3.0, 0), np.random.default_rng(0)) == [7]
+
+    def test_high_rate_draws_fast_and_matches_mean_coverage(self):
+        """At skill rate 10**6 the tables span O(sqrt(rate)) counts, 100
+        worlds take under 5 s, and the mean coverage per agent matches the
+        per-agent sampler's within |z| < 3.29 (two-sided, ``ALPHA``)."""
+        n, rate, v, worlds = 200, 1e6, 4, 100
+        started = time.perf_counter()
+        law = CoverageLaw(n, rate, v)
+        rng = np.random.default_rng(7)
+        ours = [np.dot(sample_coverage_counts(law, rng), range(v + 1)) / n for _ in range(worlds)]
+        elapsed = time.perf_counter() - started
+        theirs = [
+            sample_skill_world(n, rate, v, seed).coverage.mean()
+            for seed in np.random.SeedSequence(8).spawn(worlds)
+        ]
+        se = math.sqrt((np.var(ours, ddof=1) + np.var(theirs, ddof=1)) / worlds)
+        z = (np.mean(ours) - np.mean(theirs)) / se
+        print(f"{law.pmf.size} table entries; {elapsed:.2f} s; mean coverage "
+              f"{np.mean(ours):.5f} vs {np.mean(theirs):.5f}, z={z:.2f}")
+        assert law.pmf.size <= 30 * math.sqrt(rate) + 82
+        assert elapsed < 5.0
+        assert abs(z) < stats.norm.isf(ALPHA / 2)
+
+    def test_catalog_past_the_hypergeometric_limit_is_refused_before_any_table(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="skill_rate=2000000000.0"):
+                CoverageLaw(2, 2e9, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "n, skill_rate, vacancy_size, message",
+        [(0, 3.0, 2, "n must"), (5, -1.0, 2, "skill_rate"), (5, math.nan, 2, "skill_rate"),
+         (5, math.inf, 2, "skill_rate"), (5, 3.0, -1, "vacancy_size")],
+    )
+    def test_rejects_bad_arguments(self, n, skill_rate, vacancy_size, message):
+        with pytest.raises(ValueError, match=message):
+            CoverageLaw(n, skill_rate, vacancy_size)
 
 
 class TestProbabilities:
