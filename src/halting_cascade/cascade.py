@@ -282,18 +282,6 @@ def run_chain(
     )
 
 
-def _split(count: int, sizes: list[int], rng: np.random.Generator) -> list[int]:
-    """A uniform ``count``-subset of classes of ``sizes`` agents, as per-class
-    counts: one ``hypergeometric`` draw per class but the last, in order."""
-    parts, rest = [], sum(sizes)
-    for size in sizes[:-1]:
-        rest -= size
-        part = rng.hypergeometric(size, rest, count) if count else 0
-        parts.append(part)
-        count -= part
-    return parts + [count]
-
-
 # -- streams ------------------------------------------------------------------
 
 _BLOCK = 1024  # replications whose stream words one Philox read returns
@@ -376,15 +364,19 @@ def replicate(
     and oracle children. Each stream thus comes from a distinct (path, child,
     rep), and the leader's draws are those of a group that holds it alone.
     One ``replication_streams`` call builds a generator for every stream
-    read, and only for those: fixed ``seeds`` replace the seed-node draw,
-    whose child keeps its number but is not built.
+    read, and only for those: fixed ``seeds`` on a built network replace the
+    seed-node draw, whose child keeps its number but is not built.
 
     ``network`` is a fixed ``Network``, a factory called with the network
-    stream, or an ``ErdosRenyi`` G(n, p), on which no graph is built: each
-    cell runs ``run_chain`` from one seed agent over one class (scalar
-    ``p_a``/``p_h``) or the world's coverage classes, and the network stream
-    draws the seed's degree, ``binomial(n - 1, p)``, and its split over the
-    classes (``_split``), which all cells share. Each ``params[i]`` holds the
+    stream, or an ``ErdosRenyi`` G(n, p), on which no graph is built and
+    ``seeds`` must be ``None``: each cell runs ``run_chain`` from the drawn
+    seed agent over one class (scalar ``p_a``/``p_h``) or the world's
+    coverage classes, and the network stream draws the seed's neighbours in
+    each class, ``binomial(U_c, p)`` over the class's ``U_c`` other agents,
+    in ascending class order, which all cells share. Each other agent is a
+    neighbour independently with chance p (Gilbert, Ann. Math. Statist. 30,
+    1959), so the degree, their sum, is ``binomial(n - 1, p)``, and one
+    class makes it that one draw. Each ``params[i]`` holds the
     cascade probabilities; with ``skills`` = (skill_rate, vacancy_size,
     reach_fraction) it is ``p_r`` alone, the cell's ``p_a``/``p_h`` come from
     the replication's skill world, and the oracle posts on that same world
@@ -400,11 +392,9 @@ def replicate(
     once per call, then the hub's label, ``integers(n)``. Agents are
     labelled class by class, so the hub is qualified when its label lies in
     the full-coverage class, and the seed leaves the class whose cumulative
-    count holds its id; a fixed seed other than the hub, agent 0, takes a
-    uniform label other than the hub's, one more ``integers(n - 1)``. The
-    oracle is ``post_vacancy`` on the number of qualified agents other than
-    the hub. A population of ``10**9`` or more, past numpy's hypergeometric
-    urn limit, is refused before any draw.
+    count holds its id. The oracle is ``post_vacancy`` on the number of
+    qualified agents other than the hub. A population of ``10**9`` or more,
+    past numpy's hypergeometric urn limit, is refused before any draw.
 
     Yields, per replication, (the lowest seed agent's degree, seed agents,
     one (cascade result, oracle result or None) per cell). Only one network is
@@ -422,9 +412,7 @@ def replicate(
     law = None
     if er:
         if seeds is not None:
-            seeds = tuple(_normalize_seeds(seeds, network.n).tolist())
-            if len(seeds) > 1:
-                raise ValueError("a G(n, p) cascade runs from one seed agent")
+            raise ValueError("a G(n, p) cascade runs from a drawn seed agent; seeds must be None")
         if skills is not None:
             if network.n >= _URN_LIMIT:
                 raise ValueError(
@@ -459,16 +447,13 @@ def replicate(
             unreached = sample_coverage_counts(law, world_rng)
             hub = int(world_rng.integers(n))
             qualified = unreached[-1] - (hub >= n - unreached[-1])
-            label = rep_seeds[0]
-            if node_rng is None:  # a fixed seed is the hub, agent 0, or another agent
-                label = hub if label == 0 else (hub + 1 + int(world_rng.integers(n - 1))) % n
-            unreached[bisect.bisect_right(list(itertools.accumulate(unreached)), label)] -= 1
+            unreached[bisect.bisect_right(list(itertools.accumulate(unreached)), rep_seeds[0])] -= 1
         elif skills is not None:
             world = sample_skill_world(n, *skills[:2], world_rng)
         elif er:
             unreached = [n - 1]
         if er:
-            neighbours = _split(net_rng.binomial(n - 1, net.p), unreached, net_rng)
+            neighbours = [net_rng.binomial(size, net.p) for size in unreached]
         outcomes = []
         for cell, cell_params in enumerate(params):
             if er:
@@ -505,10 +490,11 @@ def run_batch(
     """Run ``n_reps`` cascades on a fixed network.
 
     ``seeds=None`` draws one uniform seed agent per replication; otherwise
-    the given set is reused. The batch is ``replicate``'s group of one cell
-    at path ``()`` under ``master_seed``, so results do not depend on
-    execution order, and any prefix of a longer batch is reproducible on
-    its own.
+    the given set is reused. An ``ErdosRenyi`` takes drawn seeds only, and a
+    given set raises ``ValueError`` before any draw. The batch is
+    ``replicate``'s group of one cell at path ``()`` under ``master_seed``,
+    so results do not depend on execution order, and any prefix of a longer
+    batch is reproducible on its own.
     """
     for name, value in (("n_reps", n_reps), ("master_seed", master_seed)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

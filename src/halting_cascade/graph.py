@@ -227,8 +227,9 @@ class ErdosRenyi:
     """G(n, p) with p = mean_degree/(n-1), as a law: no graph is built.
 
     A sweep hands it to ``cascade.replicate``, which samples each cascade
-    on it as a chain over counts (``cascade.run_chain``). Takes
-    ``generate_er``'s arguments and checks.
+    on it as a chain over counts (``cascade.run_chain``) from a drawn seed
+    agent; a fixed seed is refused. Takes ``generate_er``'s arguments and
+    checks.
     """
 
     n: int

@@ -108,6 +108,8 @@ def p_success_trial(reached: int, p_r: float) -> float:
 
 # -- qualified-agent probability ---------------------------------------------
 
+_ULP = 1 << 1074  # 1 in units of 2**-1074, the gap between subnormal doubles
+
 
 def _catalog(
     population: int, skill_rate: float, mass_threshold: float
@@ -119,33 +121,23 @@ def _catalog(
     cap is the first k where that cdf reaches ``mass_threshold``. The float
     cdf can level off just below 1, so the table also ends at the first k
     past the mode whose pmf rounds to 0, where the cdf can grow no more.
-    The running sum is kept exactly, as Shewchuk's non-overlapping partials
-    (Discrete Comput. Geom. 18, 1997; the recipe ``math.fsum`` is built on),
-    updated once per k, and ``math.fsum`` of the partials is the correctly
-    rounded sum: each Poisson cdf entry is the one a fresh ``math.fsum`` of
-    ``pmf[:k + 1]`` gives, in time linear in the table, not quadratic.
+    Every finite double is an integer multiple of 2**-1074, so the running
+    sum is kept exactly as an integer count of those units, and Python's
+    int true division rounds it correctly: each Poisson cdf entry is the
+    one a fresh ``math.fsum`` of ``pmf[:k + 1]`` gives, in time linear in
+    the table, not quadratic.
     """
     pmf: list[float] = []
     cdf: list[float] = []
-    partials: list[float] = []
+    total = 0
     k = 0
     while True:
         x = poisson_pmf(k, skill_rate)
         pmf.append(x)
-        i = 0
-        for y in partials:
-            if x < y:  # no pmf value is negative, so no abs
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
-        cdf.append(min(1.0, math.fsum(partials)) ** population)
-        # ``not <`` so that a NaN cdf (from a NaN or infinite rate) ends it too
-        if not cdf[k] < mass_threshold or (k > skill_rate and pmf[k] == 0.0):
+        num, den = x.as_integer_ratio()
+        total += num * (_ULP // den)
+        cdf.append(min(1.0, total / _ULP) ** population)
+        if cdf[k] >= mass_threshold or (k > skill_rate and pmf[k] == 0.0):
             return pmf, cdf
         k += 1
 
@@ -205,6 +197,7 @@ def truncation_bounds(
     """Truncation window used by ``oracle_success_probability``."""
     if not 0 <= p_qualified <= 1:
         raise ValueError("p_qualified must lie in [0, 1]")
+    _check_skill_rate(skill_rate)
     _check_mass_threshold(mass_threshold)
     mean = population * p_qualified
     sd = math.sqrt(population * p_qualified * (1 - p_qualified))

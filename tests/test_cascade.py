@@ -347,9 +347,9 @@ class TestProperties:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_sampled_trace_conserves_agents(self, n, degree_frac, p_r, p_a, p_h, seed):
-        # the same laws on a G(n, p) run as a chain over counts
+        # the same laws on a G(n, p) run as a chain over counts, from a drawn seed
         law = ErdosRenyi(n, degree_frac * (n - 1))
-        runs = replicate(seed, [()], 1, law, [IHCParams(p_r, p_a, p_h)], None, (0,), True)
+        runs = replicate(seed, [()], 1, law, [IHCParams(p_r, p_a, p_h)], None, None, True)
         ((result, _),) = next(runs)[2]
 
         assert result.trace is not None
@@ -488,10 +488,25 @@ class TestStatistics:
         assert abs(rate - expected) < 3 * sigma
 
 
-def _chain(law, params, master_seed, reps=1, **options):
+def _chain(law, params, master_seed, reps=1):
     """The cascade results of ``replicate``'s one-cell group on ``law``."""
-    runs = replicate(master_seed, [()], reps, law, [params], record_trace=True, **options)
+    runs = replicate(master_seed, [()], reps, law, [params], record_trace=True)
     return [result for _, _, ((result, _),) in runs]
+
+
+def _assert_fixed_seeds_refused(monkeypatch, law, seeds, skills=None):
+    """On G(n, p) ``replicate``, and ``run_batch`` through it, refuse any
+    ``seeds`` with ``ValueError`` before they build a stream."""
+
+    def unread(*args):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(cascade, "replication_streams", unread)
+    params = IHCParams(0.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match="seeds must be None"):
+        next(replicate(0, [()], 1, law, [params if skills is None else 0.5], skills, seeds))
+    with pytest.raises(ValueError, match="seeds must be None"):
+        run_batch(law, params, 1, 0, seeds=seeds)
 
 
 class TestErdosRenyiSampler:
@@ -564,14 +579,17 @@ class TestErdosRenyiSampler:
         """On G(n, p) agents are labelled class by class, and the hub (agent
         0) and the seed hold uniform labels. So a drawn seed shares the
         hub's class with chance sum (m_c / n)**2, as two independent uniform
-        agents do; a fixed seed at agent 0 is the hub, and any other fixed
-        agent shares its class with chance sum m_c (m_c - 1) / (n (n - 1)).
-        At vacancy size 1 there are two classes: the seed's is the one its
-        chain finds short, and the hub's is full coverage when the oracle's
-        qualified count is short. Over 4000 replications of 6 agents, z of
-        the shared count against the sum of its chances, two-sided, below
-        3.29; the other law's z is printed."""
+        agents do, not sum m_c (m_c - 1) / (n (n - 1)), as two distinct
+        agents would. At vacancy size 1 there are two classes: the seed's is
+        the one its chain finds short, and the hub's is full coverage when
+        the oracle's qualified count is short. Over 4000 replications of 6
+        agents, z of the shared count against the sum of its chances,
+        two-sided, below 3.29; the other law's z is printed. A fixed seed,
+        the hub or another agent, is refused before any stream is built."""
         n, reps, worlds, chains, posts = 6, 4000, [], [], []
+        if seeds is not None:
+            _assert_fixed_seeds_refused(monkeypatch, ErdosRenyi(n, 2.0), seeds, (3.0, 1, 0.5))
+            return
         sample, chain, post = skills.sample_coverage_counts, cascade.run_chain, oracle.post_vacancy
 
         def drawing(*args):
@@ -598,16 +616,13 @@ class TestErdosRenyiSampler:
             chances["independent"].append(sum(m * m for m in counts) / n**2)
             chances["distinct"].append(sum(m * (m - 1) for m in counts) / (n * (n - 1)))
         assert len(worlds) == reps
-        if seeds == (0,):
-            assert shared == reps
-            return
         zs = {
             name: (shared - sum(p)) / math.sqrt(sum(x * (1 - x) for x in p))
             for name, p in chances.items()
         }
         print(f"seeds={seeds}: shared {shared:.0f} of {reps}; z against independent labels "
               f"{zs['independent']:.2f}, against distinct agents {zs['distinct']:.2f}")
-        assert abs(zs["independent" if seeds is None else "distinct"]) < 3.29
+        assert abs(zs["independent"]) < 3.29
 
     def test_a_million_agents_with_skills_allocate_no_agent_array(self):
         """A G(n, p) sweep with skill worlds keeps no per-agent array: 20
@@ -634,19 +649,16 @@ class TestErdosRenyiSampler:
         with pytest.raises(ValueError, match="population=1000000000"):
             next(replicate(0, [()], 1, ErdosRenyi(10**9, 20.0), [0.5], (3.0, 2, 0.5)))
 
-    def test_only_the_drawn_seed_runs(self):
+    def test_only_the_drawn_seed_runs(self, monkeypatch):
+        """Every fixed seed set is refused, valid or not, with or without
+        skills; the drawn seed runs every cell."""
         law = ErdosRenyi(20, 4.0)
-        params = IHCParams(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError, match="one seed agent"):
-            next(replicate(0, [()], 1, law, [params], seeds=(1, 2)))
-        with pytest.raises(ValueError, match="at least one seed agent"):
-            next(replicate(0, [()], 1, law, [params], seeds=()))
-        for bad in [(-1,), (20,)]:
-            with pytest.raises(ValueError, match="out of range"):
-                next(replicate(0, [()], 1, law, [params], seeds=bad))
-        with pytest.raises(ValueError, match="must be an integer, got 1.5"):
-            next(replicate(0, [()], 1, law, [params], seeds=(1.5,)))
-        assert _chain(law, params, 0, seeds=(np.int64(3), 3)) == _chain(law, params, 0, seeds=(3,))
+        for seeds in [(0,), (3,), (19,), (np.int64(3), 3), (1, 2), (), (-1,), (20,), (1.5,)]:
+            _assert_fixed_seeds_refused(monkeypatch, law, seeds)
+            _assert_fixed_seeds_refused(monkeypatch, law, seeds, (3.0, 2, 0.5))
+        monkeypatch.undo()
+        for result in _chain(law, IHCParams(0.5, 0.5, 0.5), 0, reps=20):
+            assert len(result.seeds) == 1 and 0 <= result.seeds[0] < 20
 
     def test_per_agent_probabilities_are_rejected(self):
         law = ErdosRenyi(20, 4.0)
@@ -660,10 +672,10 @@ class TestErdosRenyiSampler:
     def test_seed_neighbours_follow_their_draw_schedule(self, n, mean_degree, monkeypatch):
         """The leader's world child draws the coverage histogram and the
         hub's label, and the seed leaves the class whose cumulative count
-        holds its id. The leader's network child draws the seed's degree,
-        ``binomial(n - 1, p)``, then its split over the coverage classes, one
-        ``hypergeometric(class, later classes, left)`` call per class but
-        the last; every cell runs on that split."""
+        holds its id. The leader's network child draws the seed's
+        neighbours, one ``binomial(U_c, p)`` call per coverage class in
+        ascending order, over the class's unreached agents; every cell runs
+        on those counts."""
         law = ErdosRenyi(n, mean_degree)
         calls = []
         chain = cascade.run_chain
@@ -681,22 +693,16 @@ class TestErdosRenyiSampler:
             world_rng.integers(n)  # the hub's label
             seed = int(node_rng.integers(n))
             unreached[np.searchsorted(np.cumsum(unreached), seed, side="right")] -= 1
-            left = net_rng.binomial(n - 1, law.p)
-            neighbours = []
-            for c in range(2):
-                later = int(unreached[c + 1 :].sum())
-                part = net_rng.hypergeometric(unreached[c], later, left) if left else 0
-                neighbours.append(part)
-                left -= part
-            neighbours.append(left)
+            neighbours = [net_rng.binomial(size, law.p) for size in unreached.tolist()]
             want = (law.p, unreached.tolist(), neighbours, seed)
             for p_r, args in zip([0.3, 1.0], calls[2 * rep : 2 * rep + 2]):
                 assert args == ([0.0, 0.5, 1.0], [0.0, 0.0, 1.0], p_r, *want)
 
-    def test_a_group_shares_the_seed_star(self):
+    def test_a_group_shares_the_seed_star(self, monkeypatch):
         """Each replication draws one seed agent and its degree, from the
-        leader's children, and every cell runs from them; a fixed seed is
-        used as given. ``replicate`` yields the seed's degree."""
+        leader's children, and every cell runs from them. ``replicate``
+        yields the seed's degree. A fixed seed is refused before any stream
+        is built."""
         law = ErdosRenyi(60, 5.0)
         params = [IHCParams(p_r, 0.2, 0.5) for p_r in (0.3, 1.0)]
         runs = list(replicate(9, [(0,), (1,)], 5, law, params))
@@ -706,8 +712,7 @@ class TestErdosRenyiSampler:
         degree, (seed,), _ = runs[0]
         assert seed == int(node_rng.integers(60))
         assert degree == net_rng.binomial(59, law.p)
-        fixed = run_batch(law, params[0], 4, 2, seeds=(5,))
-        assert all(result.seeds == (5,) for result in fixed)
+        _assert_fixed_seeds_refused(monkeypatch, law, (5,))
 
 
 class TestBatch:

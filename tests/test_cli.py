@@ -544,8 +544,8 @@ def _record(monkeypatch, module, name: str, calls: list) -> None:
 
 class TestCommonRandomNetworks:
     """Cells that differ only in cascade parameters share each replication's
-    draws: a BA network, or on G(n, p) the seed agent's degree and its split
-    over the agent classes."""
+    draws: a BA network, or on G(n, p) the seed agent's neighbour counts per
+    agent class."""
 
     @pytest.mark.parametrize(
         "command, config, groups, cells",
@@ -559,9 +559,6 @@ class TestCommonRandomNetworks:
         self, tmp_path, capsys, monkeypatch, command, config, groups, cells
     ):
         built, cascades, worlds, bound = [], [], [], []
-        # on G(n, p) the shared draw is the seed's neighbour split, which
-        # every cell's chain reads as its sixth argument
-        _record(monkeypatch, cascade, "_split", built)
         _record(monkeypatch, cli, "generate_ba", built)
         _record(monkeypatch, cascade, "run_cascade", cascades)
         _record(monkeypatch, cascade, "run_chain", cascades)
@@ -570,17 +567,19 @@ class TestCommonRandomNetworks:
         _sweep(tmp_path, capsys, command, config)
 
         reps = config["reps"]
-        assert len(built) == groups * reps
         assert len(cascades) == groups * cells * reps
         by_network: dict[int, list] = {id(net): [] for _, net in built}
         for args, _ in cascades:
             # run_cascade(network, params, seeds, rng) or
-            # run_chain(p_a, p_h, p_r, p, unreached, neighbours, seed, rng)
+            # run_chain(p_a, p_h, p_r, p, unreached, neighbours, seed, rng);
+            # on G(n, p) the shared draw is the seed's neighbour counts, a
+            # list kept alive by the recorded arguments
             if len(args) == 4:
                 network, seeds, p_r = args[0], args[2], None
             else:
                 network, seeds, p_r = args[5], args[6], args[2]
-            by_network[id(network)].append((seeds, args[-1], p_r))
+            by_network.setdefault(id(network), []).append((seeds, args[-1], p_r))
+        assert len(by_network) == groups * reps
         for runs in by_network.values():
             # one seed node, and one cascade per cell (a cell's stream names it)
             assert len({seeds for seeds, _, _ in runs}) == 1
@@ -702,7 +701,7 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "b134e941113cd65226e5c9fbf1ee24b39a8dd67b03e60330f01d463f11456461",
+            "d2ecafcbdc31f19f78337da329f9ff942f1b77726f5f77bcc205324c4125d987",
         ),
         (
             "empirical",
@@ -735,7 +734,7 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "291a57402e529fa3daa532027e1477b1af8202665e8d109a58f164937c1431bd",
+            "963b9330de1bbff4a14793095b6ffae737bc11fa4504f7e62de1fd534a544124",
         ),
         (
             "empirical",

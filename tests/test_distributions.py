@@ -105,17 +105,25 @@ _ER_COMPARISONS = len(_ER_DEGREES) * (len(_ER_CELLS) * (len(_ER_METRICS) - 1) + 
 _ER_Z_BOUND = stats.norm.isf(ALPHA / (2 * _ER_COMPARISONS))
 
 
-def _chain_run(world, node: int, degree: int, p: float, cell, rng):
-    """``run_chain`` from ``node`` of a seed ``degree``, the way ``replicate``
-    runs a G(n, p) cell: one class for scalar ``p_a``/``p_h``, else the
-    world's coverage classes with the seed taken out."""
+def _unreached(world, node: int) -> list[int]:
+    """The world's coverage class sizes with the seed agent ``node`` taken out."""
+    unreached = np.bincount(world.coverage, minlength=world.vacancy_size + 1).tolist()
+    unreached[world.coverage[node]] -= 1
+    return unreached
+
+
+def _chain_run(world, node: int, neighbours: list[int], p: float, cell, rng):
+    """``run_chain`` from ``node``, whose neighbours per coverage class are
+    ``neighbours``, the way ``replicate`` runs a G(n, p) cell: one class,
+    holding them all, for scalar ``p_a``/``p_h``, else the world's coverage
+    classes with the seed taken out."""
     p_r, skilled = cell
     p_a, p_h, unreached = [0.2], [0.0], [_ER_N - 1]
     if skilled:
         p_a, p_h = coverage_classes(world.vacancy_size)
-        unreached = np.bincount(world.coverage, minlength=len(p_a)).tolist()
-        unreached[world.coverage[node]] -= 1
-    neighbours = cascade._split(degree, unreached, rng)
+        unreached = _unreached(world, node)
+    else:
+        neighbours = [sum(neighbours)]
     return cascade.run_chain(
         p_a, p_h, p_r, p, unreached, neighbours, node, rng, record_trace=True
     )
@@ -126,8 +134,9 @@ def _er_outcomes(mean_degree: float, sampled: bool, seed: int) -> np.ndarray:
 
     Each replication draws a uniform seed agent, a skill world (rate 3,
     vacancy size 2) and the graph by ``generate_er``, or, when ``sampled``,
-    only the seed's degree, ``binomial(n - 1, p)``. It then runs every cell
-    from that seed with a trace: ``run_cascade`` on the graph, or
+    only the seed's neighbours, ``binomial(U_c, p)`` in each coverage class
+    of ``U_c`` other agents, whose sum is its degree. It then runs every
+    cell from that seed with a trace: ``run_cascade`` on the graph, or
     ``run_chain``. One generator feeds every draw in turn.
     """
     rng = np.random.default_rng(seed)
@@ -137,13 +146,14 @@ def _er_outcomes(mean_degree: float, sampled: bool, seed: int) -> np.ndarray:
         node = int(rng.integers(_ER_N))
         world = sample_skill_world(_ER_N, 3.0, 2, rng)
         if sampled:
-            seed_degree = int(rng.binomial(_ER_N - 1, p))
+            neighbours = [int(rng.binomial(size, p)) for size in _unreached(world, node)]
+            seed_degree = sum(neighbours)
         else:
             network = generate_er(_ER_N, mean_degree, rng)
             seed_degree = len(network.out_neighbors(node))
         for cell, (p_r, skilled) in enumerate(_ER_CELLS):
             if sampled:
-                result = _chain_run(world, node, seed_degree, p, (p_r, skilled), rng)
+                result = _chain_run(world, node, neighbours, p, (p_r, skilled), rng)
             else:
                 params = bind_params(world, p_r) if skilled else IHCParams(p_r, 0.2, 0.0)
                 result = run_cascade(network, params, (node,), rng, record_trace=True)

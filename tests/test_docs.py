@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -69,12 +70,17 @@ def test_readme_config_command_runs(capsys, command, path):
         assert 0.0 <= float(row["success_rate"]) <= 1.0
 
 
-def test_payout_split_script_runs(monkeypatch, capsys):
+def _payout_split_script():
     path = ROOT / "scripts" / "payout_split.py"
     assert f"python {path.relative_to(ROOT)}" in README.read_text(encoding="utf-8")
     spec = importlib.util.spec_from_file_location("payout_split", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_payout_split_script_runs(monkeypatch, capsys):
+    script = _payout_split_script()
     monkeypatch.setattr(script, "REPS", 5)
     script.main()
     lines = capsys.readouterr().out.splitlines()
@@ -83,6 +89,17 @@ def test_payout_split_script_runs(monkeypatch, capsys):
         "p_r", "hires", "mean_depth", "poster_keeps", "worker_take", "depth_range"
     ]
     assert [float(line.split()[0]) for line in lines[2:]] == list(script.P_RECOMMEND)
+
+
+def test_payout_split_output_pinned(capsys):
+    """The script's whole output at its own seed and reps, pinned across
+    versions: its cells run on G(n, p) as scalar chains, so a change to
+    their draw schedule moves this hash and must say so."""
+    _payout_split_script().main()
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "13424c2df25b98edb376de1dc22db9e67899d8358d53bfd64b18de9b1cf867ae"
+    )
 
 
 def _readme_prose() -> str:

@@ -315,6 +315,9 @@ class TestTruncationBounds:
             truncation_bounds(100, -0.1, 3.0)
         with pytest.raises(ValueError):
             truncation_bounds(100, 0.5, 3.0, mass_threshold=0.0)
+        for skill_rate in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="skill_rate must be finite"):
+                truncation_bounds(100, 0.5, skill_rate)
 
 
 def _scalar_kernel_success(spec: OracleSpec, mass_threshold: float = 0.98) -> float:
