@@ -27,8 +27,10 @@ reads comes from ``replication_streams``, which starts it at a PCG64 state
 read off a Philox counter block named by the master seed, the cell's path,
 the stream's child index and the replication. Only public numpy calls make
 them. On G(n, p) with skills the world stream draws a coverage histogram
-(``skills.sample_coverage_counts``) and the hub's label, and the oracle's
-two streams draw the posting as counts (``oracle.post_vacancy``).
+(``skills.sample_coverage_counts``) and the hub's label. Direct posting is
+a ``run_chain`` that stops after one hop (``oracle.post_vacancy``): the
+oracle's star stream draws how many of the reached agents are qualified,
+and its run stream runs the chain.
 """
 from __future__ import annotations
 
@@ -284,9 +286,6 @@ def run_chain(
 
 # -- streams ------------------------------------------------------------------
 
-_BLOCK = 1024  # replications whose stream words one Philox read returns
-
-
 def replication_streams(
     seed: int | Sequence[int], streams: Sequence[tuple[tuple[int, ...], int]], reps: int
 ) -> Iterator[list[np.random.Generator]]:
@@ -308,9 +307,9 @@ def replication_streams(
 
     A call builds its generators once and sets them to each replication's
     states in turn, with no half-word buffered, so a replication's
-    generators are valid until the iterator advances. It reads each
-    stream's words ``_BLOCK`` replications at a time, so its memory does
-    not grow with ``reps``.
+    generators are valid until the iterator advances. Philox is sequential,
+    so it reads each stream's four words per replication as it goes, and
+    its memory does not grow with ``reps``.
     """
     keys: dict[tuple[int, ...], np.ndarray] = {}
     philoxes = []
@@ -323,18 +322,16 @@ def replication_streams(
         philoxes.append(np.random.Philox(key=keys[path], counter=child << 64))
     blank = np.random.SeedSequence(0)  # every state is set below
     generators = [np.random.Generator(np.random.PCG64(blank)) for _ in philoxes]
-    for start in range(0, reps, _BLOCK):
-        size = min(_BLOCK, reps - start)
-        columns = [philox.random_raw(4 * size).reshape(size, 4).tolist() for philox in philoxes]
-        for words in zip(*columns):
-            for rng, (w0, w1, w2, w3) in zip(generators, words):
-                rng.bit_generator.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            yield generators
+    for _ in range(reps if philoxes else 0):  # no streams, no replications
+        for rng, philox in zip(generators, philoxes):
+            w0, w1, w2, w3 = philox.random_raw(4).tolist()
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        yield generators
 
 
 def replicate(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeResult
+from .cascade import CascadeResult, run_chain
 from .skills import SkillWorld
 
 MASS_THRESHOLD = 0.98  # the paper's share of the catalog size's mass below its cap
@@ -109,11 +109,10 @@ def p_success_trial(reached: int, p_r: float) -> float:
 # -- qualified-agent probability ---------------------------------------------
 
 _ULP = 1 << 1074  # 1 in units of 2**-1074, the gap between subnormal doubles
+_Table = tuple[list[float], list[float]]  # a catalog table: Poisson pmf, catalog-size cdf
 
 
-def _catalog(
-    population: int, skill_rate: float, mass_threshold: float
-) -> tuple[list[float], list[float]]:
+def _catalog(population: int, skill_rate: float, mass_threshold: float) -> _Table:
     """Poisson pmf and catalog-size cdf for sizes 0..cap, built in one pass.
 
     The skill catalog is as large as the biggest per-agent Poisson count, so
@@ -171,7 +170,12 @@ def p_lambda(
     if vacancy_size < 0:
         raise ValueError("vacancy_size must be non-negative")
     _check_mass_threshold(mass_threshold)
-    pmf, cdf = _catalog(population, skill_rate, mass_threshold)
+    return _covered(_catalog(population, skill_rate, mass_threshold), vacancy_size)
+
+
+def _covered(table: _Table, vacancy_size: int) -> float:
+    """``p_lambda`` over a ``_catalog`` table."""
+    pmf, cdf = table
     total = 0.0
     prev = 0.0
     for catalog, cum in enumerate(cdf):
@@ -195,23 +199,32 @@ def truncation_bounds(
     mass_threshold: float = MASS_THRESHOLD,
 ) -> TruncationBounds:
     """Truncation window used by ``oracle_success_probability``."""
-    if not 0 <= p_qualified <= 1:
-        raise ValueError("p_qualified must lie in [0, 1]")
     _check_skill_rate(skill_rate)
     _check_mass_threshold(mass_threshold)
+    table = _catalog(population, skill_rate, mass_threshold)
+    return _window(population, p_qualified, table, mass_threshold)
+
+
+def _window(
+    population: int, p_qualified: float, table: _Table, mass_threshold: float
+) -> TruncationBounds:
+    """``truncation_bounds`` with the catalog cap read off a ``_catalog`` table."""
+    if not 0 <= p_qualified <= 1:
+        raise ValueError("p_qualified must lie in [0, 1]")
     mean = population * p_qualified
     sd = math.sqrt(population * p_qualified * (1 - p_qualified))
     l_min = max(0, math.floor(mean - 2.5 * sd))
     l_max = min(population, math.ceil(mean + 2.5 * sd))
-    k_max = len(_catalog(population, skill_rate, mass_threshold)[1]) - 1
-    return TruncationBounds(l_min, l_max, k_max, mass_threshold)
+    return TruncationBounds(l_min, l_max, len(table[1]) - 1, mass_threshold)
 
 
 def oracle_success_probability(spec: OracleSpec, mass_threshold: float = MASS_THRESHOLD) -> float:
     """Chance the hub's direct posting produces at least one hire."""
-    p_q = p_lambda(spec.skill_rate, spec.vacancy_size, spec.population, mass_threshold)
-    bounds = truncation_bounds(spec.population, p_q, spec.skill_rate, mass_threshold)
-    return truncated_series(spec, p_q, bounds)
+    _check_mass_threshold(mass_threshold)
+    # one catalog table serves both p_lambda and the window
+    table = _catalog(spec.population, spec.skill_rate, mass_threshold)
+    p_q = _covered(table, spec.vacancy_size)
+    return truncated_series(spec, p_q, _window(spec.population, p_q, table, mass_threshold))
 
 
 @functools.lru_cache(maxsize=4)
@@ -266,22 +279,20 @@ def truncated_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBou
 def post_vacancy(
     n: int, qualified: int, reach_fraction: float, p_r: float, star_seed, run_seed
 ) -> CascadeResult:
-    """One stochastic trial of the hub posting, drawn as counts.
+    """One stochastic trial of the hub posting: a cascade that stops after one hop.
 
-    The hub posts straight to d = round(reach_fraction * (n - 1)) distinct
-    agents drawn uniformly from the n - 1 others, ``qualified`` of which
-    cover every required skill. Each reached agent is recommended with
-    probability ``p_r`` and then always applies, and an applicant is hired
-    when it is qualified. The recommended agents are a uniform subset of
-    the others given their number, so that number is ``binomial(d, p_r)``
-    and the hires among them are hypergeometric. The result reads as a
-    one-step cascade seeded at the hub, agent 0: successful runs report
-    chain length 2.
+    The hub, agent 0, posts straight to d = round(reach_fraction * (n - 1))
+    distinct agents drawn uniformly from the n - 1 others, ``qualified`` of
+    which cover every required skill. Each reached agent is recommended with
+    probability ``p_r`` and then always applies, and is hired when
+    qualified. So the posting is ``run_chain`` from the hub over two
+    classes, unqualified and qualified (hired with chance 0 and 1), whose
+    neighbours are the reached agents; successful runs report chain length 2.
 
-    Draws: the run stream, ``run_seed``, gives R = ``binomial(d, p_r)``
-    recommended agents; if R > 0, the star stream, ``star_seed``, gives
-    ``hypergeometric(qualified, n - 1 - qualified, R)`` hires. Neither
-    stream is read when d is 0. Each seed is anything
+    Draws: if d > 0, the star stream, ``star_seed``, gives the reached
+    qualified count x = ``hypergeometric(qualified, n - 1 - qualified, d)``,
+    and the run stream, ``run_seed``, runs ``run_chain``'s step on the
+    pools d - x and x. Nothing is drawn when d is 0. Each seed is anything
     ``numpy.random.default_rng`` accepts.
     """
     if n < 1:
@@ -293,22 +304,13 @@ def post_vacancy(
     if not 0 <= p_r <= 1:
         raise ValueError(f"p_r must lie in [0, 1], got {p_r}")
     reach = round(reach_fraction * (n - 1))
-    recommended = hired = 0
+    others = [n - 1 - qualified, qualified]
+    hit = 0
     if reach:
-        recommended = int(np.random.default_rng(run_seed).binomial(reach, p_r))
-        if recommended:
-            hired = int(
-                np.random.default_rng(star_seed).hypergeometric(
-                    qualified, n - 1 - qualified, recommended
-                )
-            )
-    return CascadeResult(
-        success=bool(hired),
-        chain_length=2 if recommended else 1,
-        applicants=recommended,
-        halters=hired,
-        steps=1,
-        seeds=(0,),
+        hit = np.random.default_rng(star_seed).hypergeometric(qualified, others[0], reach)
+    return run_chain(
+        [1.0, 1.0], [0.0, 1.0], p_r, 0.0, others, [reach - hit, hit], 0,
+        np.random.default_rng(run_seed),
     )
 
 

@@ -921,11 +921,11 @@ class TestSeedTree:
         assert list(replication_streams(5, [((), 0)], 0)) == []
 
     def test_states_across_block_edges_follow_the_layout(self):
-        # words are read a block of replications at a time; the next block
-        # goes on from the same Philox counter
-        seed, reps = 31, 2 * cascade._BLOCK + 1
+        # words are read four per replication from one Philox per stream; the
+        # layout's state holds at any rep, past any power-of-two boundary
+        seed, reps = 31, 2049
         streams = [((2,), 0), ((), 3)]
-        checked = {cascade._BLOCK - 1, cascade._BLOCK, cascade._BLOCK + 1, 2 * cascade._BLOCK}
+        checked = {1023, 1024, 1025, 2048}
         for rep, rngs in enumerate(replication_streams(seed, streams, reps)):
             if rep in checked:
                 want = [

@@ -701,19 +701,19 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8"],
-            "d2ecafcbdc31f19f78337da329f9ff942f1b77726f5f77bcc205324c4125d987",
+            "60c2ed498b7cc1b1091eefa7750fbbcd67e9e394bd437729ad863271cd6b016a",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9"],
-            "0f101e8b87b01c2ac574c097755fb7de8633e7a644fd78ce1759936309e5043b",
+            "2f0261b411efeeea30142bd02bb7ce22fe6711c206e41a4383a74a02ff025919",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--directed"],
-            "90b5649ed7ef22d7eb7a1d1f292fd39b08ee55601899b51167b7f89d214bb89d",
+            "ccc00ec389e17f94c63aa1d750b66dae9447d7adcf9dd3827fc7dafd4303a415",
         ),
         (
             "heatmap",
@@ -734,19 +734,19 @@ class TestCommonRandomNetworks:
             {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
              "p_r": [0.3, 1.0], "reps": 5},
             ["--seed", "8", "--format", "jsonl"],
-            "963b9330de1bbff4a14793095b6ffae737bc11fa4504f7e62de1fd534a544124",
+            "7da3e3ab65f714da16e50c02cdf2640c3ff4718460945cb19133c4cfcb12ae1a",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--format", "jsonl"],
-            "4cba07e5205a653e15ea93e2322b49ebff26d2f1c58304ee71cf5e543937a815",
+            "3283993e983da7198fd986ba30c2596dc7706a64f6474f6d626177a82b7ac973",
         ),
         (
             "empirical",
             None,
             ["--seed", "3", "--reps", "9", "--directed", "--format", "jsonl"],
-            "359f8c463be883cdd2519a183d0cb4910da817f519122e25f26a40b20f1c34cc",
+            "9cc5d04f4308746c3839693afb486205223eb5b6fd5777e721d754bc4b764d44",
         ),
     ],
     # named by sweep, not by hash, so that a re-pin keeps every test's id
@@ -796,7 +796,7 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
             8,
             "system",
             "oracle",
-            "5e5a601ce712635ba939dcdf9776e4cafd04bc8254346c079244203636d19635",
+            "97c51311138e6c5ed0bd01a9b5587b8e6457ea2b16c429a2f3abb8bd2418936d",
         ),
     ],
     ids=["ba-vs-er-ba-rows", "ihc-vs-oracle-oracle-rows"],
@@ -806,8 +806,9 @@ def test_rows_off_g_n_p_are_pinned(tmp_path, capsys, command, config, seed, colu
     pinned sweeps' seeds: BA rows read their own network and seed streams,
     and oracle rows their world and oracle streams. The BA rows were pinned
     before G(n, p) cascades became a chain over counts, which left them
-    unmoved; the oracle rows moved once, when worlds became coverage
-    histograms and posting one count-level draw."""
+    unmoved; the oracle rows moved when worlds became coverage histograms
+    and posting count-level draws, and again when posting became a one-hop
+    ``run_chain`` that draws the reached qualified count first."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "out.csv"

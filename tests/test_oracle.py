@@ -284,6 +284,18 @@ class TestCatalogTable:
         assert pmf == [poisson_pmf(k, skill_rate) for k in range(len(pmf))]
         assert cdf == [min(1.0, math.fsum(pmf[: k + 1])) ** population for k in range(len(pmf))]
 
+    def test_one_build_per_success_probability(self, monkeypatch):
+        builds = []
+        build = oracle._catalog
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(oracle, "_catalog", counting)
+        oracle_success_probability(OracleSpec(2000, 0.5, 0.2, 3.0, 4), 0.98)
+        assert builds == [(2000, 3.0, 0.98)]
+
     def test_skill_rate_3000_within_a_second(self):
         started = time.perf_counter()
         pmf, cdf = oracle._catalog(2000, 3000.0, 0.98)
@@ -534,8 +546,12 @@ class TestSimulatedOracle:
     @example(n=40, share=1.0, reach=1.0, p_r=0.5, seed=2)
     @settings(max_examples=200, deadline=None)
     def test_posting_follows_its_draw_schedule(self, n, share, reach, p_r, seed):
-        """The run stream gives ``binomial(d, p_r)`` recommended agents, the
-        star stream, only if any, ``hypergeometric(q, n - 1 - q, R)`` hires."""
+        """The star stream gives x = ``hypergeometric(q, n - 1 - q, d)``
+        reached qualified agents, only if d > 0. The run stream runs
+        ``run_chain``'s step over the unqualified, then the qualified class:
+        ``binomial(pool, p_r)`` recruits from a non-empty pool of d - x, then
+        x; if any, ``binomial(recruits, 1)`` appliers; if any, their hires
+        at chance 0, then 1."""
         qualified = round(share * (n - 1))
         (star, run), (star_want, run_want) = (
             [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)]
@@ -543,13 +559,67 @@ class TestSimulatedOracle:
         )
         got = post_vacancy(n, qualified, reach, p_r, star, run)
         reach_count = round(reach * (n - 1))
-        recommended = int(run_want.binomial(reach_count, p_r)) if reach_count else 0
-        hired = 0
-        if recommended:
-            hired = int(star_want.hypergeometric(qualified, n - 1 - qualified, recommended))
-        assert (got.applicants, got.halters, got.success) == (recommended, hired, hired > 0)
+        hit = 0
+        if reach_count:
+            hit = int(star_want.hypergeometric(qualified, n - 1 - qualified, reach_count))
+        applicants = hired = 0
+        for pool, p_h in ((reach_count - hit, 0.0), (hit, 1.0)):
+            recruits = int(run_want.binomial(pool, p_r)) if pool else 0
+            if recruits:
+                appliers = int(run_want.binomial(recruits, 1.0))
+                applicants += appliers
+                if appliers:
+                    hired += int(run_want.binomial(appliers, p_h))
+        assert (got.applicants, got.halters, got.success) == (applicants, hired, hired > 0)
+        assert (got.chain_length, got.steps, got.seeds) == (2 if applicants else 1, 1, (0,))
         assert star.bit_generator.state == star_want.bit_generator.state
         assert run.bit_generator.state == run_want.bit_generator.state
+
+    def test_posting_matches_its_exact_law(self):
+        """Success, applicants and halters of ``post_vacancy`` against the
+        posting's exact law over 4000 draws per spec. With x ~ Hyp(n - 1, Q,
+        d) reached qualified agents, P(success) = 1 - E[(1 - p_r)^x], the
+        applicants are Binomial(d, p_r), and the halters Binomial(x, p_r)
+        given x, so their mean is d p_r Q / (n - 1). z of each mean against
+        the exact one, over the exact variance, two-sided, with a Bonferroni
+        bound at ``ALPHA``; a metric of zero variance must be its constant."""
+        world = sample_skill_world(2000, 3.0, 4, seed=0)
+        bench_q = int(np.count_nonzero(world.coverage[1:] == 4))
+        # (n, Q, reach, p_r): the benchmark's posting (d = 1000) at both p_r,
+        # no, one and only qualified agents, nothing reached, and two agents
+        specs = [(2000, bench_q, 0.5, 0.2), (2000, bench_q, 0.5, 1.0), (300, 0, 0.5, 0.3),
+                 (300, 1, 0.5, 0.3), (300, 299, 0.5, 0.3), (300, 40, 0.0, 0.3),
+                 (2, 1, 1.0, 0.5), (2, 0, 1.0, 0.5)]
+        runs, metrics = 4000, ("success", "applicants", "halters")
+        bound = stats.norm.isf(ALPHA / (2 * len(specs) * len(metrics)))
+        assert 0 < bench_q < 1999 and round(0.5 * 1999) == 1000
+        worst = (0.0, "")
+        for case, (n, q, reach, p_r) in enumerate(specs):
+            d = round(reach * (n - 1))
+            star, run = (np.random.default_rng([41, case, child]) for child in range(2))
+            draws = [post_vacancy(n, q, reach, p_r, star, run) for _ in range(runs)]
+            x = np.arange(max(0, d - (n - 1 - q)), min(q, d) + 1)
+            pmf = stats.hypergeom.pmf(x, n - 1, q, d) if d else np.ones(1)
+            miss = float(np.sum(pmf * (1 - p_r) ** x))
+            halters_mean = float(np.sum(pmf * x * p_r))
+            halters_sq = float(np.sum(pmf * (x * p_r * (1 - p_r) + (x * p_r) ** 2)))
+            exact = {
+                "success": (1 - miss, miss * (1 - miss)),
+                "applicants": (d * p_r, d * p_r * (1 - p_r)),
+                "halters": (halters_mean, max(0.0, halters_sq - halters_mean**2)),
+            }
+            assert halters_mean == pytest.approx(d * p_r * q / (n - 1), abs=1e-9)
+            for metric in metrics:
+                got = np.array([getattr(r, metric) for r in draws], float)
+                mean, var = exact[metric]
+                if var < 1e-12:
+                    assert got.min() == got.max() == pytest.approx(mean, abs=1e-9), (case, metric)
+                    continue
+                z = (got.mean() - mean) / math.sqrt(var / runs)
+                if abs(z) > abs(worst[0]):
+                    worst = (z, f"spec {case} {metric}: {got.mean():.4f} vs {mean:.4f}")
+        print(f"worst z={worst[0]:.2f} at {worst[1]}; bound {bound:.2f}")
+        assert abs(worst[0]) < bound
 
     def test_reads_the_qualified_count_off_the_world(self):
         # agent 0 is the hub: its coverage never counts

@@ -56,3 +56,29 @@ def test_no_module_imports_a_name_it_never_uses():
     modules += sorted((ROOT / "scripts").glob("*.py"))
     assert {path.parent.name for path in modules} == {"halting_cascade", "scripts"}
     assert [unused for path in modules for unused in _unused_imports(path)] == []
+
+
+def _calls_to(name: str) -> list[str]:
+    """The scopes in ``src/`` that call ``name``, as ``module.function``."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.append(scope)
+            visit(child, inner)
+
+    for path in sorted((ROOT / "src" / "halting_cascade").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_only_the_two_engines_build_cascade_results():
+    """Every outcome comes from ``run_cascade`` or ``run_chain``: a system
+    that states its outcome fields by hand would be a second engine."""
+    assert sorted(_calls_to("CascadeResult")) == ["cascade.run_cascade", "cascade.run_chain"]
