@@ -5,15 +5,15 @@ fraction of the population from a central hub. Success needs at least one
 reached agent that is both recommended and fully qualified. The analytic
 value marginalizes over the number of qualified agents (binomial), how many
 of them land in the reached sample (hypergeometric), and whether any of
-those gets recommended. All kernels run in log space so population-scale
-terms stay finite, and the outer sums are truncated to the bulk of their
-probability mass.
+those gets recommended. The kernels run in log space or as ratio walks, so
+population-scale terms stay finite, and the outer sums are truncated to
+the bulk of their probability mass.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 import math
-import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,50 +227,48 @@ def oracle_success_probability(spec: OracleSpec, mass_threshold: float = MASS_TH
     return truncated_series(spec, p_q, _window(spec.population, p_q, table, mass_threshold))
 
 
-@functools.lru_cache(maxsize=4)
-def _log_factorials(n: int) -> np.ndarray:
-    """Read-only ``lgamma(i + 1)`` for i = 0..n, built once per population."""
-    table = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    table.flags.writeable = False
-    return table
+def _binomial_run(trials: int, p: float) -> tuple[int, list[float]]:
+    """First count and weights in proportion to ``Binomial(trials, p)``.
+
+    Neighbour ratios walk out from 1 at the mode, with no ``lgamma``, until
+    they fall below the smallest normal double (kept at the ends; a subnormal
+    times a ratio near 1 can round to itself). Walking down is walking up
+    ``Binomial(trials, 1 - p)`` from ``trials - peak``.
+    """
+    peak = min(math.floor((trials + 1) * p), trials)
+    sides = []
+    for start, a, b in ((peak, p, 1 - p), (trials - peak, 1 - p, p)):
+        sides.append([weight := 1.0])
+        for k in range(start, trials):
+            weight *= (trials - k) * a / ((k + 1) * b)
+            sides[-1].append(weight)
+            if weight < sys.float_info.min:
+                break
+    up, down = sides
+    return peak + 1 - len(down), down[:0:-1] + up
 
 
 def truncated_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBounds) -> float:
     """The success series of ``oracle_success_probability`` over its window.
 
-    Sums, for each qualified count in ``bounds.l_min..l_max``, its binomial
-    weight times the chance that some reached qualified agent is
-    recommended. The hypergeometric terms are the log-space expression
-    ``C(q, x) C(n - q, d - x) / C(n, d)``, evaluated from the population's
-    table of ``lgamma(i + 1)`` in the scalar expression's operation order, so every
-    term is bit-identical to the scalar ``hypergeom_pmf`` that
-    ``tests/test_oracle.py`` keeps as a reference.
+    Over the qualified counts Q in ``bounds.l_min..l_max`` it sums
+    ``Bin(Q; n, p) Hyp(x; Q, n - Q, d) p_success_trial(x, p_r)``. That
+    weight is ``Bin(x; d, p) Bin(Q - x; n - d, p)``: the reached and missed
+    qualified counts X and Y are independent. So it is one sum over x, each
+    term times P(l_min <= x + Y <= l_max) off Y's running sum, each run
+    scaled by its sum; the cost grows with the spread of X and Y, not with n.
     """
-    n = spec.population
-    draws = round(spec.reach_fraction * n)
-    lf = _log_factorials(n)
-    trial = [p_success_trial(k, spec.p_r) for k in range(min(draws, bounds.l_max) + 1)]
-    log_all_draws = lf[n] - lf[draws] - lf[n - draws]
-
-    total = 0.0
-    for qualified in range(bounds.l_min, bounds.l_max + 1):
-        outer = binomial_pmf(qualified, n, p_qualified)
-        if outer == 0.0:
-            continue
-        lo = max(0, draws - (n - qualified))
-        hi = min(qualified, draws)
-        in_reach = np.arange(lo, hi + 1)
-        missed = n - qualified
-        log_terms = (
-            (lf[qualified] - lf[in_reach] - lf[qualified - in_reach])
-            + (lf[missed] - lf[draws - in_reach] - lf[missed - draws + in_reach])
-            - log_all_draws
-        )
-        reached_terms = math.fsum(
-            map(operator.mul, map(math.exp, log_terms.tolist()), trial[lo : hi + 1])
-        )
-        total += outer * reached_terms
-    return min(1.0, total)
+    draws = round(spec.reach_fraction * spec.population)
+    x0, reached = _binomial_run(draws, p_qualified)
+    y0, missed = _binomial_run(spec.population - draws, p_qualified)
+    cum = list(itertools.accumulate(missed, initial=0.0))  # cum[i] / cum[-1] = P(Y < y0 + i)
+    lo, hi, top = bounds.l_min - y0, bounds.l_max + 1 - y0, len(missed)
+    total = math.fsum(
+        p_success_trial(x, spec.p_r) * reached[x - x0]
+        * (cum[min(hi - x, top)] - cum[max(lo - x, 0)])
+        for x in range(max(x0, lo + 1 - top), min(x0 + len(reached), hi))
+    )
+    return min(1.0, total / (math.fsum(reached) * cum[-1]))
 
 
 # -- simulation counterpart ---------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for the direct-recommendation baseline, analytic and simulated."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from halting_cascade.oracle import (
     poisson_pmf,
     post_vacancy,
     simulate_oracle,
+    truncated_series,
     truncation_bounds,
 )
 from halting_cascade.skills import SkillWorld, sample_skill_world
@@ -352,7 +355,89 @@ def _scalar_kernel_success(spec: OracleSpec, mass_threshold: float = 0.98) -> fl
     return min(1.0, total)
 
 
+# The series is a ratio walk scaled by its own sum; the scalar kernels read
+# each term off lgamma at arguments up to n + 1, whose ulp is about 7e-12 at
+# n = 5000. Each bound is the stated error of one form against exact values.
+SERIES_BOUND = 1e-12
+KERNEL_BOUND = 1e-11
+
+
+def _exact_series(spec: OracleSpec, p_qualified: float, bounds: TruncationBounds) -> Fraction:
+    """The truncated double sum in exact rationals, on the float ``p_qualified``
+    and ``p_r`` as given: sum over Q in the window of ``Bin(Q; n, p)`` times
+    ``sum_x Hyp(x; Q, n - Q, d) (1 - (1 - p_r)^x)``, capped at 1. Every
+    probability is an integer over ``den^n C(n, d) D^d``, where ``den`` and
+    ``D`` are the powers of two under ``p`` and ``1 - p_r``."""
+    n = spec.population
+    draws = round(spec.reach_fraction * n)
+    a, den = Fraction(p_qualified).as_integer_ratio()
+    c, big_d = (1 - Fraction(spec.p_r)).as_integer_ratio()
+    one = big_d**draws  # 1 over D^d
+    # (1 - p_r)^x, the chance that none of x is recommended, as an integer over D^d
+    none_recommended = [c**x * big_d ** (draws - x) for x in range(min(draws, bounds.l_max) + 1)]
+    numerator = 0
+    for qualified in range(bounds.l_min, bounds.l_max + 1):
+        outer = math.comb(n, qualified) * a**qualified * (den - a) ** (n - qualified)
+        numerator += outer * sum(
+            math.comb(qualified, x) * math.comb(n - qualified, draws - x)
+            * (one - none_recommended[x])
+            for x in range(max(0, draws - (n - qualified)), min(qualified, draws) + 1)
+        )
+    return min(Fraction(1), Fraction(numerator, den**n * math.comb(n, draws) * one))
+
+
 class TestSuccessProbability:
+    def test_matches_exact_rational_reference(self):
+        """The series and the scalar-kernel double sum against ``_exact_series``
+        on the code's own ``p_q`` and window: the small populations over the
+        full grid, and a few specs at the populations of the sweeps."""
+        specs = [
+            OracleSpec(population, reach, p_r, rate, vacancy)
+            for population, reach, p_r, vacancy, rate in itertools.product(
+                (1, 2, 37, 500), (0.0, 0.35, 0.5, 1.0), (0.0, 0.2, 1.0), (0, 2, 4, 8),
+                (0.0, 3.0, 7.5),
+            )
+        ]
+        specs += [
+            OracleSpec(2000, 0.5, 0.2, 3.0, 2),
+            OracleSpec(2000, 0.5, 1.0, 3.0, 4),
+            OracleSpec(5000, 0.5, 0.2, 3.0, 4),
+            OracleSpec(5000, 0.5, 1.0, 3.0, 6),
+            OracleSpec(5000, 0.1, 0.2, 3.0, 8),
+        ]
+        worst_series = worst_kernel = 0.0
+        for spec in specs:
+            p_q = p_lambda(spec.skill_rate, spec.vacancy_size, spec.population)
+            bounds = truncation_bounds(spec.population, p_q, spec.skill_rate)
+            exact = _exact_series(spec, p_q, bounds)
+            series = float(abs(Fraction(truncated_series(spec, p_q, bounds)) - exact))
+            kernel = float(abs(Fraction(_scalar_kernel_success(spec)) - exact))
+            assert series <= SERIES_BOUND, (spec, series)
+            assert kernel <= KERNEL_BOUND, (spec, kernel)
+            worst_series = max(worst_series, series)
+            worst_kernel = max(worst_kernel, kernel)
+        print(
+            f"{len(specs)} specs: worst error {worst_series:.2g} for the series "
+            f"(bound {SERIES_BOUND:g}), {worst_kernel:.2g} for the scalar kernels "
+            f"(bound {KERNEL_BOUND:g})"
+        )
+
+    def test_full_window_is_the_untruncated_closed_form(self):
+        """Over the window 0..n the X/Y split sums every term, so the series is
+        the README's untruncated ``1 - (1 - p_r p_q)^d``."""
+        for n, reach, p_r, p_q in itertools.product(
+            (1, 2, 37, 500, 5000, 10**6), (0.0, 0.35, 1.0), (0.0, 0.2, 1.0),
+            (0.0, 1e-6, 0.0136, 0.5, 0.99, 1.0),
+        ):
+            spec = OracleSpec(n, reach, p_r, 3.0, 4)
+            full = dataclasses.replace(truncation_bounds(n, p_q, 3.0), l_min=0, l_max=n)
+            draws = round(reach * n)
+            hit = p_r * p_q  # log1p(-1) raises, and a sure hit has the closed form [d > 0]
+            closed = float(draws > 0) if hit == 1 else -math.expm1(draws * math.log1p(-hit))
+            assert truncated_series(spec, p_q, full) == pytest.approx(closed, abs=1e-12), (
+                n, reach, p_r, p_q
+            )
+
     @pytest.mark.parametrize("population", [1, 2, 37, 500, 5000])
     def test_equals_scalar_kernel_sum(self, population):
         specs = [
@@ -362,11 +447,15 @@ class TestSuccessProbability:
             )
         ]
         specs += [OracleSpec(population, 0.5, 0.2, rate, 2) for rate in (0.0, 7.5)]
+        # both forms are within their stated bounds of the exact series
+        bound = SERIES_BOUND + KERNEL_BOUND
         for spec in specs:
-            assert oracle_success_probability(spec) == _scalar_kernel_success(spec), spec
+            assert oracle_success_probability(spec) == pytest.approx(
+                _scalar_kernel_success(spec), abs=bound
+            ), spec
         tight = OracleSpec(population, 0.5, 0.2, 3.0, 4)
-        assert oracle_success_probability(tight, 0.999) == _scalar_kernel_success(
-            tight, 0.999
+        assert oracle_success_probability(tight, 0.999) == pytest.approx(
+            _scalar_kernel_success(tight, 0.999), abs=bound
         )
 
     def test_matches_independent_reference(self):
