@@ -533,6 +533,7 @@ def _parent(*arguments: tuple[tuple[str, ...], dict[str, Any]]) -> argparse.Argu
     return parser
 
 
+@functools.cache  # built on the first call, then shared: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="halting-cascade",

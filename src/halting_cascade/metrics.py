@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -47,7 +47,8 @@ class BatchSummary:
     mean_applicants: float
 
     def as_dict(self) -> dict[str, object]:
-        return asdict(self)
+        """The fields in declaration order, which is the CLI's column order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def classify_regime(mean_degree: float, p_r: float, p_a: float, p_h: float) -> RegimeReport:

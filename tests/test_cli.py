@@ -973,3 +973,99 @@ def test_config_keys_are_pinned():
     for name, keys in _CONFIG_KEYS.items():
         schema = cli._COMMANDS[name].schema
         assert [(key, f.default, f.required) for key, f in schema.items()] == keys, name
+
+
+# -- one parser per process ----------------------------------------------------
+
+_SMALL_IHC = {"population": 80, "mean_degree": 6.0, "vacancy_sizes": [1, 2],
+              "p_r": [0.3, 1.0], "reps": 5}
+
+
+def _ihc_config(tmp_path) -> str:
+    path = tmp_path / "ihc.json"
+    path.write_text(json.dumps(_SMALL_IHC), encoding="utf-8")
+    return str(path)
+
+
+def _alone(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)`` on a parser built for this call only, as in a fresh process."""
+    cli.build_parser.cache_clear()
+    return _run(capsys, argv)
+
+
+def _help(capsys, parser, argv: list[str]) -> str:
+    with pytest.raises(SystemExit) as stop:
+        parser.parse_args(argv)
+    assert stop.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_matches_a_fresh_parser(self, tmp_path, capsys, command):
+        argv = ([] if command is None else [command]) + ["--help"]
+        assert _run(capsys, ["payout", "--chain-length", "2"])[0] == EXIT_OK
+        assert _run(capsys, ["ihc-vs-oracle", "--config", _ihc_config(tmp_path),
+                             "--seed", "1", "--reps", "2"])[0] == EXIT_OK
+        shared = _help(capsys, cli.build_parser(), argv)
+        assert shared == _help(capsys, cli.build_parser.__wrapped__(), argv)
+        assert shared.startswith("usage: halting-cascade")
+
+    def test_calls_in_one_process_print_what_they_print_alone(self, tmp_path, capsys):
+        ihc = ["ihc-vs-oracle", "--config", _ihc_config(tmp_path), "--seed", "3"]
+        calls = [
+            ihc + ["--reps", "2"],
+            ["heatmap", "--config", _heatmap_config(tmp_path), "--seed", "9"],
+            ihc,
+        ]
+        alone = [_alone(capsys, argv) for argv in calls]
+        assert alone[0][1] != alone[2][1]  # --reps 2 is not the config's 5
+        assert [_run(capsys, argv) for argv in calls] == alone
+        assert all(code == EXIT_OK and out for code, out, _ in alone)
+
+    def test_rejected_calls_leave_later_calls_unchanged(self, tmp_path, capsys):
+        good = ["ihc-vs-oracle", "--config", _ihc_config(tmp_path), "--seed", "3"]
+        clean = _alone(capsys, good)
+        with pytest.raises(SystemExit) as stop:
+            main(["ihc-vs-oracle", "--no-such-flag"])
+        assert stop.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        code, out, err = _run(capsys, ["ihc-vs-oracle", "--config", "/no/such/config.json",
+                                       "--seed", "3"])
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "cannot read config" in err
+        assert _run(capsys, good) == clean
+
+    def test_fresh_process_builds_one_parser_and_prints_the_same_bytes(self, tmp_path, capsys):
+        """Importing the CLI builds no parser, and a one-shot run of
+        ``python -m halting_cascade`` builds exactly one, whose output
+        matches an in-process call made after other subcommands."""
+        argv = ["ihc-vs-oracle", "--config", _ihc_config(tmp_path), "--seed", "3"]
+        script = (
+            "import runpy, sys\n"
+            "from halting_cascade import cli\n"
+            "print(cli.build_parser.cache_info().currsize, file=sys.stderr)\n"
+            "try:\n"
+            "    runpy.run_module('halting_cascade', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as stop:\n"
+            "    print(stop.code, cli.build_parser.cache_info().misses, file=sys.stderr)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, timeout=60, env=env,
+        )
+        # after import: no parser; after the run: exit 0 and one parser built
+        assert done.stderr.decode().splitlines() == ["0", f"{EXIT_OK} 1"]
+
+        assert _run(capsys, ["payout", "--chain-length", "3"])[0] == EXIT_OK
+        assert _run(capsys, ["heatmap", "--config", _heatmap_config(tmp_path),
+                             "--seed", "9"])[0] == EXIT_OK
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.encode() == done.stdout

@@ -150,6 +150,14 @@ class TestSummarize:
             "mean_chain_depth": 2.0,
             "mean_applicants": 1.0,
         }
+        # the CLI's header is the rows' first-seen key order
+        assert list(summary.as_dict()) == [
+            "n_runs",
+            "success_rate",
+            "median_chain_length",
+            "mean_chain_depth",
+            "mean_applicants",
+        ]
 
 
 class TestDegreeBin:
