@@ -111,12 +111,12 @@ def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
             ids.append(operator.index(s))
         except TypeError:
             raise ValueError(f"seed agent id must be an integer, got {s!r}") from None
-    arr = _sort_unique(np.array(ids, dtype=np.int64))
-    if arr.size == 0:
+    if not ids:
         raise ValueError("at least one seed agent is required")
-    if arr[0] < 0 or arr[-1] >= n:
+    # checked on Python ints: no numpy scalar per run, and no id past int64 reaches numpy
+    if min(ids) < 0 or max(ids) >= n:
         raise ValueError("seed agent id out of range")
-    return arr
+    return _sort_unique(np.array(ids, dtype=np.int64))
 
 
 def _per_agent(value, n: int, name: str) -> float | np.ndarray:
@@ -151,12 +151,20 @@ def run_cascade(
     Each step costs time in the arcs leaving its frontier, not in ``n``:
     passive targets are found by reading one passive bit per arc, recruits
     are deduplicated by sorting them, and the next frontier is the recruits
-    that did not apply. Scalar ``p_a``/``p_h`` are compared to the draws
-    directly. Every agent recruited at step s belongs to generation s + 1,
-    so the deepest generation is one more than the last step that recruited
-    anyone, and halters, all recruited at the final step, sit at that depth.
-    The trace tallies the other four states: the frontier is the fresh
-    agents, and the unhired applicants are all applicants but the halters.
+    that did not apply. A one-agent frontier's arcs are one neighbour list,
+    sorted and free of repeats (a ``Network`` rejects duplicate edges), so
+    its recruits need no sort; and a lone seed's arcs all reach passive
+    agents (a ``Network`` rejects self-loops), so step 1 from one seed reads
+    no passive bit. Scalar ``p_a``/``p_h`` are compared to the draws
+    directly, and the hires are counted, not listed. What a run pays
+    whatever its size is the length-n passive table, and, in a batch with
+    drawn seeds, the seed draw and the setting of its two generators (see
+    ``replication_streams``). Every agent recruited at step s belongs to
+    generation s + 1, so the deepest generation is one more than the last
+    step that recruited anyone, and halters, all recruited at the final
+    step, sit at that depth. The trace tallies the other four states: the
+    frontier is the fresh agents, and the unhired applicants are all
+    applicants but the halters.
     """
     n = network.n
     seed_arr = _normalize_seeds(seeds, n)
@@ -165,29 +173,28 @@ def run_cascade(
     per_agent_a = isinstance(p_a, np.ndarray)
     per_agent_h = isinstance(p_h, np.ndarray)
     p_r = params.p_r
-    rng = np.random.default_rng(rng_seed)
+    random = np.random.default_rng(rng_seed).random
 
     passive = np.ones(n, dtype=bool)
     passive[seed_arr] = False
 
     frontier = seed_arr
     unreached = n - seed_arr.size
-    spent = 0
-    applicants_total = 0
-    last_recruiting_step = 0
-    halters = _NONE
+    spent = applicants_total = halters = last_recruiting_step = steps = 0
     trace = [StateCounts(unreached, frontier.size, 0, 0, 0)] if record_trace else None
-    steps = 0
 
     while True:
         steps += 1
         dst = network.out_arcs(frontier)
-        # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
-        dst = dst.compress(passive.take(dst))
+        if steps > 1 or frontier.size > 1:  # a lone seed's arcs all reach passive agents
+            # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
+            dst = dst.compress(passive.take(dst))
         newly = _NONE
         if dst.size:
             # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
-            newly = _sort_unique(dst.compress(rng.random(dst.size) < p_r))
+            newly = dst.compress(random(dst.size) < p_r)
+            if frontier.size > 1:  # one agent's arcs are sorted, with no repeats
+                newly = _sort_unique(newly)
         spent += frontier.size
 
         frontier = _NONE
@@ -195,28 +202,29 @@ def run_cascade(
             passive[newly] = False
             unreached -= newly.size
             last_recruiting_step = steps
-            draws = rng.random(newly.size)
-            applies = draws < (p_a[newly] if per_agent_a else p_a)
-            appliers = newly[applies]
-            if appliers.size:
-                applicants_total += int(appliers.size)
-                draws = rng.random(appliers.size)
-                halters = appliers[draws < (p_h[appliers] if per_agent_h else p_h)]
-                frontier = newly[~applies]
+            applies = random(newly.size) < (p_a[newly] if per_agent_a else p_a)
+            applied = int(np.count_nonzero(applies))
+            if applied:
+                applicants_total += applied
+                hire = p_h[newly[applies]] if per_agent_h else p_h
+                halters = int(np.count_nonzero(random(applied) < hire))
+                if applied < newly.size:
+                    frontier = newly[~applies]
             else:
                 frontier = newly
 
         if trace is not None:
-            unhired = applicants_total - halters.size
-            trace.append(StateCounts(unreached, frontier.size, spent, unhired, halters.size))
-        if halters.size or frontier.size == 0:
+            trace.append(
+                StateCounts(unreached, frontier.size, spent, applicants_total - halters, halters)
+            )
+        if halters or frontier.size == 0:
             break
 
     return CascadeResult(
-        success=bool(halters.size),
+        success=bool(halters),
         chain_length=last_recruiting_step + 1,
         applicants=applicants_total,
-        halters=int(halters.size),
+        halters=halters,
         steps=steps,
         seeds=tuple(seed_arr.tolist()),
         trace=tuple(trace) if trace is not None else None,
@@ -286,6 +294,9 @@ def run_chain(
 
 # -- streams ------------------------------------------------------------------
 
+_BLOCK = 64  # replications whose Philox words replication_streams reads in one call
+
+
 def replication_streams(
     seed: int | Sequence[int], streams: Sequence[tuple[tuple[int, ...], int]], reps: int
 ) -> Iterator[list[np.random.Generator]]:
@@ -308,8 +319,9 @@ def replication_streams(
     A call builds its generators once and sets them to each replication's
     states in turn, with no half-word buffered, so a replication's
     generators are valid until the iterator advances. Philox is sequential,
-    so it reads each stream's four words per replication as it goes, and
-    its memory does not grow with ``reps``.
+    so it reads each stream's words as it goes, one ``random_raw`` call per
+    ``_BLOCK`` replications, and its memory does not grow with ``reps``.
+    Setting the states remains a fixed cost per stream and replication.
     """
     keys: dict[tuple[int, ...], np.ndarray] = {}
     philoxes = []
@@ -322,16 +334,19 @@ def replication_streams(
         philoxes.append(np.random.Philox(key=keys[path], counter=child << 64))
     blank = np.random.SeedSequence(0)  # every state is set below
     generators = [np.random.Generator(np.random.PCG64(blank)) for _ in philoxes]
-    for _ in range(reps if philoxes else 0):  # no streams, no replications
-        for rng, philox in zip(generators, philoxes):
-            w0, w1, w2, w3 = philox.random_raw(4).tolist()
-            rng.bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        yield generators
+    for start in range(0, reps if philoxes else 0, _BLOCK):  # no streams, no replications
+        rows = min(_BLOCK, reps - start)
+        blocks = [philox.random_raw(4 * rows).reshape(rows, 4).tolist() for philox in philoxes]
+        for row in range(rows):
+            for rng, block in zip(generators, blocks):
+                w0, w1, w2, w3 = block[row]
+                rng.bit_generator.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": w0 << 64 | w1, "inc": w2 << 64 | w3 | 1},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            yield generators
 
 
 def replicate(

@@ -113,10 +113,13 @@ class Network:
         sources = np.asarray(sources, dtype=np.int64)
         if sources.size == 1:
             return self.out_neighbors(sources.item())
-        starts = self._out_ptr[sources]
-        lens = self._out_ptr[sources + 1] - starts
-        offsets = starts - (np.cumsum(lens) - lens)
-        arcs = np.repeat(offsets, lens)
+        starts = self._out_ptr.take(sources)
+        lens = self._out_ptr.take(sources + 1)
+        lens -= starts
+        before = np.cumsum(lens)
+        before -= lens
+        starts -= before  # arc i of the gather sits at starts[its source] + i
+        arcs = np.repeat(starts, lens)
         arcs += np.arange(arcs.size)
         return self._out_idx.take(arcs)  # 5-13% faster than [arcs] from 2,000 arcs up
 
@@ -364,14 +367,17 @@ def load_edge_list(source: str | Path | IO[str], directed: bool = False) -> Netw
             raise EdgeListError(text.count("\n") + 1, "not UTF-8 text")
 
     labels = _read_labels(text)
-    if labels is None:
-        raw = _parse_lines(io.StringIO(text))
-        if not raw:
-            raise EdgeListError(None, "no edges")
-        # Python ints: labels beyond int64 stay distinct and sort by value
-        labels = np.array(raw, dtype=object)
-    ids, pairs = np.unique(labels, return_inverse=True)
-    n = len(ids)
+    if labels is not None and _dense(labels):
+        n, pairs = int(labels.max()) + 1, labels  # np.unique would map each label to itself
+    else:
+        if labels is None:
+            raw = _parse_lines(io.StringIO(text))
+            if not raw:
+                raise EdgeListError(None, "no edges")
+            # Python ints: labels beyond int64 stay distinct and sort by value
+            labels = np.array(raw, dtype=object)
+        ids, pairs = np.unique(labels, return_inverse=True)
+        n = len(ids)
     pairs = pairs.reshape(-1, 2)
 
     loops = pairs[:, 0] == pairs[:, 1]
@@ -416,6 +422,18 @@ def _read_labels(text: str) -> np.ndarray | None:
             )
         except (ValueError, Warning):
             return None
+
+
+def _dense(labels: np.ndarray) -> bool:
+    """Whether the int64 ``labels`` are exactly 0..n-1 for some n.
+
+    The largest label must lie below the label count, so that the
+    ``bincount`` is no longer than the labels, and every count must be
+    non-zero.
+    """
+    return bool(
+        labels.min() >= 0 and labels.max() < labels.size and np.bincount(labels.ravel()).all()
+    )
 
 
 def _sort_unique(arr: np.ndarray) -> np.ndarray:

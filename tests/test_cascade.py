@@ -280,6 +280,8 @@ class TestSingleRun:
             run_cascade(network, params, (3,), 0)
         with pytest.raises(ValueError, match="out of range"):
             run_cascade(network, params, (-1,), 0)
+        with pytest.raises(ValueError, match="out of range"):
+            run_cascade(network, params, (1, 2**70), 0)
         # a non-integer id is named, not truncated to agent 1
         for seed in (1.7, np.float64(1.0), "1"):
             with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {seed!r}")):
@@ -454,6 +456,44 @@ class TestLargeFrontierEquivalence:
                     assert large and not got.success
                 halted_late |= large and got.success
         assert halted_late
+
+
+class TestShortcuts:
+    """Runs where the engine skips the passive filter or the recruit sort, or
+    builds no next frontier from a mask: results, traces included, are
+    ``==`` to the reference's."""
+
+    CASES = {
+        # every frontier after step 1 is one agent, whose arc back to the
+        # spent seed the passive filter must drop
+        "directed-path": (
+            Network(8, [(i, i + 1) for i in range(7)] + [(i, 0) for i in range(1, 8)], True),
+            (0,),
+        ),
+        # step 1 must drop the arc between the seeds, and the shared
+        # neighbours' repeated arcs must be merged
+        "adjacent-seeds": (_complete(6), (2, 3)),
+        "lone-seed-directed": (_random_digraph(40, 3, seed=2), (5,)),
+    }
+    PARAMS = {
+        "scalar": IHCParams(0.8, 0.2, 0.5),
+        "every-recruit-applies": IHCParams(0.8, 1.0, 0.3),
+        "no-recruit-applies": IHCParams(0.8, 0.0, 0.3),
+    }
+
+    @pytest.mark.parametrize("point", sorted(PARAMS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_engine_equals_reference(self, case, point):
+        network, seeds = self.CASES[case]
+        scalar = self.PARAMS[point]
+        per_agent = IHCParams(
+            scalar.p_r, np.full(network.n, scalar.p_a), np.linspace(0, 1, network.n)
+        )
+        for params in (scalar, per_agent):
+            for rng_seed in range(100):
+                got = run_cascade(network, params, seeds, rng_seed, record_trace=True)
+                want = _reference_cascade(network, params, seeds, rng_seed, record_trace=True)
+                assert got == want
 
 
 class TestIcEquivalence:
@@ -921,11 +961,12 @@ class TestSeedTree:
         assert list(replication_streams(5, [((), 0)], 0)) == []
 
     def test_states_across_block_edges_follow_the_layout(self):
-        # words are read four per replication from one Philox per stream; the
-        # layout's state holds at any rep, past any power-of-two boundary
+        # words are read in blocks of replications from one Philox per stream;
+        # the layout's state holds at any rep, past any block or power-of-two
+        # boundary
         seed, reps = 31, 2049
         streams = [((2,), 0), ((), 3)]
-        checked = {1023, 1024, 1025, 2048}
+        checked = {63, 64, 65, 128, 1023, 1024, 1025, 2048}
         for rep, rngs in enumerate(replication_streams(seed, streams, reps)):
             if rep in checked:
                 want = [

@@ -694,6 +694,16 @@ class TestGenerateStar:
         assert 0 not in leaves
 
 
+def _shuffled_dense_labels() -> str:
+    """An edge list that uses every label 0..29, in shuffled order, with a
+    self-loop and repeated edges."""
+    rng = np.random.default_rng(11)
+    label = rng.permutation(30)
+    pairs = [(label[i], label[(i + 1) % 30]) for i in range(30)] + [(label[3], label[3])]
+    pairs += [(label[1], label[0])] + [tuple(rng.integers(30, size=2)) for _ in range(20)]
+    return "".join(f"{u} {v}\n" for u, v in pairs)
+
+
 class TestLoadEdgeList:
     def test_two_line_undirected(self):
         net = load_edge_list(io.StringIO("0 1\n1 2\n"))
@@ -784,6 +794,26 @@ class TestLoadEdgeList:
             with open(path, "r", encoding="utf-8") as fh:
                 want = _outcome(lambda: _reference_load(fh, directed))
             _assert_same(_outcome(lambda: load_edge_list(path, directed)), want)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize(
+        "text, dense",
+        [
+            (_shuffled_dense_labels(), True),
+            ("0 1\n1 3\n", False),  # a gap: 2 is missing
+            ("1 2\n2 3\n", False),  # no 0
+            ("-1 0\n0 1\n", False),
+            ("0 7\n", False),  # the largest label past the label count
+            (f"{2**64} 0\n0 1\n", False),  # past int64: the line parser's labels
+        ],
+        ids=["shuffled-dense", "gap", "no-zero", "negative", "sparse-top", "past-int64"],
+    )
+    def test_dense_labels_skip_the_relabel(self, text, dense, directed, monkeypatch):
+        labels = graph._read_labels(text)
+        assert (labels is not None and graph._dense(labels)) == dense
+        got = load_edge_list(io.StringIO(text), directed)
+        monkeypatch.setattr(graph, "_dense", lambda labels: False)  # every file takes np.unique
+        assert got == load_edge_list(io.StringIO(text), directed)
 
     def test_self_loop_only_file_loads(self):
         net = load_edge_list(io.StringIO("5 5\n"))
