@@ -84,15 +84,16 @@ def _check_prob(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class CascadeResult:
+class CascadeResult(NamedTuple):
     """Outcome of one cascade run.
 
     ``chain_length`` counts agents on the recommendation path from seed to
     halter inclusive (a direct hire gives 2). For runs with no hire it is
     the deepest recommendation generation reached, counting seeds as 1.
     ``applicants`` counts every agent that ever applied, hired or not, and
-    ``halters`` the number of agents hired at the last step.
+    ``halters`` the number of agents hired at the last step. A named tuple,
+    like ``StateCounts``: immutable, and about a third of a frozen
+    dataclass's cost to build.
     """
 
     success: bool
@@ -104,25 +105,31 @@ class CascadeResult:
     trace: tuple[StateCounts, ...] | None = None
 
 
-def _normalize_seeds(seeds: Iterable[int], n: int) -> np.ndarray:
+def _normalize_seeds(seeds: Iterable[int], n: int) -> list[int]:
+    """The distinct seed ids, ascending, as Python ints."""
     ids = []
     for s in seeds:
         try:
+            if isinstance(s, bool):  # operator.index reads True as agent 1
+                raise TypeError
             ids.append(operator.index(s))
         except TypeError:
             raise ValueError(f"seed agent id must be an integer, got {s!r}") from None
     if not ids:
         raise ValueError("at least one seed agent is required")
+    if len(ids) > 1:
+        ids = sorted(set(ids))
     # checked on Python ints: no numpy scalar per run, and no id past int64 reaches numpy
-    if min(ids) < 0 or max(ids) >= n:
+    if ids[0] < 0 or ids[-1] >= n:
         raise ValueError("seed agent id out of range")
-    return _sort_unique(np.array(ids, dtype=np.int64))
+    return ids
 
 
-def _per_agent(value, n: int, name: str) -> float | np.ndarray:
-    """A scalar stays a float; a per-agent sequence becomes a length-n array."""
+def _per_agent(value, n: int, name: str) -> np.float64 | np.ndarray:
+    """A scalar becomes an ``np.float64``, which the draws compare with faster
+    than with a Python float; a per-agent sequence becomes a length-n array."""
     if np.isscalar(value):
-        return float(value)
+        return np.float64(value)
     arr = np.asarray(value, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
@@ -155,51 +162,59 @@ def run_cascade(
     sorted and free of repeats (a ``Network`` rejects duplicate edges), so
     its recruits need no sort; and a lone seed's arcs all reach passive
     agents (a ``Network`` rejects self-loops), so step 1 from one seed reads
-    no passive bit. Scalar ``p_a``/``p_h`` are compared to the draws
-    directly, and the hires are counted, not listed. What a run pays
-    whatever its size is the length-n passive table, and, in a batch with
-    drawn seeds, the seed draw and the setting of its two generators (see
-    ``replication_streams``). Every agent recruited at step s belongs to
-    generation s + 1, so the deepest generation is one more than the last
-    step that recruited anyone, and halters, all recruited at the final
-    step, sit at that depth. The trace tallies the other four states: the
-    frontier is the fresh agents, and the unhired applicants are all
-    applicants but the halters.
+    no passive bit. The length-n passive table is built only when a step
+    will read it: before step 1 from several seeds, and from a lone seed
+    once the run goes past step 1, when the seed and its recruits are
+    marked; a lone-seed run that ends at step 1 builds none. Scalar
+    ``p_r``/``p_a``/``p_h`` become ``np.float64`` once per run and are
+    compared to the draws directly, and the hires are counted, not listed.
+    What a run pays whatever its size is a few numpy calls per step and, in
+    a batch with drawn seeds, the seed draw and the setting of its two
+    generators (see ``replication_streams``). Every agent recruited at step
+    s belongs to generation s + 1, so the deepest generation is one more
+    than the last step that recruited anyone, and halters, all recruited at
+    the final step, sit at that depth. The trace tallies the other four
+    states: the frontier is the fresh agents, and the unhired applicants
+    are all applicants but the halters.
     """
     n = network.n
-    seed_arr = _normalize_seeds(seeds, n)
+    seed_ids = _normalize_seeds(seeds, n)
     p_a = _per_agent(params.p_a, n, "p_a")
     p_h = _per_agent(params.p_h, n, "p_h")
     per_agent_a = isinstance(p_a, np.ndarray)
     per_agent_h = isinstance(p_h, np.ndarray)
-    p_r = params.p_r
+    p_r = np.float64(params.p_r)
     random = np.random.default_rng(rng_seed).random
 
-    passive = np.ones(n, dtype=bool)
-    passive[seed_arr] = False
+    # a lone seed's arcs all reach passive agents, so its table waits for step 2
+    passive = None
+    if len(seed_ids) > 1:
+        passive = np.ones(n, dtype=bool)
+        passive[seed_ids] = False
 
-    frontier = seed_arr
-    unreached = n - seed_arr.size
+    frontier = seed_ids  # a list at step 1, then an array
+    unreached = n - len(seed_ids)
     spent = applicants_total = halters = last_recruiting_step = steps = 0
-    trace = [StateCounts(unreached, frontier.size, 0, 0, 0)] if record_trace else None
+    trace = [StateCounts(unreached, len(frontier), 0, 0, 0)] if record_trace else None
 
     while True:
         steps += 1
         dst = network.out_arcs(frontier)
-        if steps > 1 or frontier.size > 1:  # a lone seed's arcs all reach passive agents
+        if passive is not None:
             # compress/take, not dst[mask]: masking branches per element, 4-5x slower at half kept
             dst = dst.compress(passive.take(dst))
         newly = _NONE
         if dst.size:
             # per arc again: 10% kept of 20,000 arcs, compress 17 us, dst[mask] 49 us
             newly = dst.compress(random(dst.size) < p_r)
-            if frontier.size > 1:  # one agent's arcs are sorted, with no repeats
+            if len(frontier) > 1:  # one agent's arcs are sorted, with no repeats
                 newly = _sort_unique(newly)
-        spent += frontier.size
+        spent += len(frontier)
 
         frontier = _NONE
         if newly.size:
-            passive[newly] = False
+            if passive is not None:
+                passive[newly] = False
             unreached -= newly.size
             last_recruiting_step = steps
             applies = random(newly.size) < (p_a[newly] if per_agent_a else p_a)
@@ -219,6 +234,10 @@ def run_cascade(
             )
         if halters or frontier.size == 0:
             break
+        if passive is None:  # a lone seed's run goes on: mark it and its recruits
+            passive = np.ones(n, dtype=bool)
+            passive[seed_ids[0]] = False
+            passive[newly] = False
 
     return CascadeResult(
         success=bool(halters),
@@ -226,7 +245,7 @@ def run_cascade(
         applicants=applicants_total,
         halters=halters,
         steps=steps,
-        seeds=tuple(seed_arr.tolist()),
+        seeds=tuple(seed_ids),
         trace=tuple(trace) if trace is not None else None,
     )
 
@@ -437,30 +456,33 @@ def replicate(
             chains = [([c.p_a], [c.p_h], c.p_r) for c in params]
         else:
             raise ValueError("a G(n, p) cascade takes scalar p_a and p_h")
-    shared = (skills is not None, er or callable(network), seeds is None)  # world, network, seed
-    lead = sum(shared[:2]) + 1  # the seed-node child keeps its number when not built
-    children = [lead, lead + 1, lead + 2] if skills is not None else [lead]  # cascade, oracle
+    # the shared streams: skill world, network, seed node
+    uses_world, factory, draws_seed = skills is not None, callable(network), seeds is None
+    uses_net = er or factory
+    lead = uses_world + uses_net + 1  # the seed-node child keeps its number when not built
+    children = [lead, lead + 1, lead + 2] if uses_world else [lead]  # cascade, oracle
     streams = replication_streams(
         seed,
-        [(paths[0], child) for child in range(sum(shared))]
+        [(paths[0], child) for child in range(lead - 1 + draws_seed)]
         + [(path, child) for path in paths for child in children],
         reps,
     )
-    net = network
+    net, rep_seeds, world = network, seeds, None
     for rngs in map(iter, streams):
-        world_rng, net_rng, node_rng = [next(rngs) if used else None for used in shared]
-        if callable(network):
+        world_rng = next(rngs) if uses_world else None
+        net_rng = next(rngs) if uses_net else None
+        if factory:
             net = network(net_rng)
         n = net.n
-        rep_seeds = seeds if node_rng is None else (int(node_rng.integers(n)),)
-        world = None
+        if draws_seed:
+            rep_seeds = (int(next(rngs).integers(n)),)
         if law is not None:
             # agents are labelled class by class; the hub and the seed hold uniform labels
             unreached = sample_coverage_counts(law, world_rng)
             hub = int(world_rng.integers(n))
             qualified = unreached[-1] - (hub >= n - unreached[-1])
             unreached[bisect.bisect_right(list(itertools.accumulate(unreached)), rep_seeds[0])] -= 1
-        elif skills is not None:
+        elif uses_world:
             world = sample_skill_world(n, *skills[:2], world_rng)
         elif er:
             unreached = [n - 1]
@@ -479,7 +501,7 @@ def replicate(
                     net, cascade_params, rep_seeds, next(rngs), record_trace=record_trace
                 )
             oracle = None
-            if skills is not None:
+            if uses_world:
                 star, run = next(rngs), next(rngs)
                 if world is None:
                     oracle = post_vacancy(n, qualified, skills[2], cell_params, star, run)

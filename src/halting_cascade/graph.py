@@ -104,22 +104,22 @@ class Network:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self._out_ptr)
 
-    def out_arcs(self, sources: np.ndarray) -> np.ndarray:
+    def out_arcs(self, sources) -> np.ndarray:
         """Targets of all arcs leaving ``sources``, in ascending (source, target) order.
 
-        ``sources`` must already be sorted ascending. A single source gets a
-        read-only view of the network's own storage, as ``out_neighbors`` does.
+        ``sources`` is a sequence of node ids, sorted ascending. A single
+        source gets a read-only view of the network's own storage, as
+        ``out_neighbors`` does.
         """
+        if len(sources) == 1:
+            return self.out_neighbors(sources[0])
         sources = np.asarray(sources, dtype=np.int64)
-        if sources.size == 1:
-            return self.out_neighbors(sources.item())
         starts = self._out_ptr.take(sources)
-        lens = self._out_ptr.take(sources + 1)
-        lens -= starts
-        before = np.cumsum(lens)
-        before -= lens
-        starts -= before  # arc i of the gather sits at starts[its source] + i
-        arcs = np.repeat(starts, lens)
+        ends = self._out_ptr[1:].take(sources)
+        lens = np.subtract(ends, starts, out=starts)
+        # arc i of the gather sits at ends[its source] - (arcs through its source) + i
+        ends -= np.cumsum(lens)
+        arcs = np.repeat(ends, lens)
         arcs += np.arange(arcs.size)
         return self._out_idx.take(arcs)  # 5-13% faster than [arcs] from 2,000 arcs up
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import itertools
 import math
 import re
@@ -271,6 +272,16 @@ class TestSingleRun:
         result = run_cascade(_complete(4), IHCParams(0.5, 0.5, 0.5), (0,), 11)
         assert result.trace is None
 
+    def test_result_is_immutable_with_fixed_field_order(self):
+        fields = ("success", "chain_length", "applicants", "halters", "steps", "seeds", "trace")
+        assert tuple(inspect.signature(CascadeResult).parameters) == fields
+        engine = run_cascade(_complete(4), IHCParams(0.5, 0.5, 0.5), (0,), 11)
+        chain = cascade.run_chain([0.5], [0.5], 0.5, 0.5, [3], [3], 0, np.random.default_rng(11))
+        for result in (engine, chain):
+            for name in fields:
+                with pytest.raises(AttributeError):
+                    setattr(result, name, getattr(result, name))
+
     def test_invalid_seeds(self):
         network = _complete(3)
         params = IHCParams(0.5, 0.5, 0.5)
@@ -283,7 +294,7 @@ class TestSingleRun:
         with pytest.raises(ValueError, match="out of range"):
             run_cascade(network, params, (1, 2**70), 0)
         # a non-integer id is named, not truncated to agent 1
-        for seed in (1.7, np.float64(1.0), "1"):
+        for seed in (1.7, np.float64(1.0), "1", True):
             with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {seed!r}")):
                 run_cascade(network, params, (seed,), 0)
         assert run_cascade(network, params, (np.int64(1), 1), 0) == run_cascade(
@@ -474,11 +485,18 @@ class TestShortcuts:
         # neighbours' repeated arcs must be merged
         "adjacent-seeds": (_complete(6), (2, 3)),
         "lone-seed-directed": (_random_digraph(40, 3, seed=2), (5,)),
+        # the passive table is built once a lone seed's run goes past step 1,
+        # and step 2 must drop every recruit's arc back to the seed
+        "lone-seed-undirected": (generate_ba(30, 2, 2, seed=3), (4,)),
     }
     PARAMS = {
         "scalar": IHCParams(0.8, 0.2, 0.5),
         "every-recruit-applies": IHCParams(0.8, 1.0, 0.3),
         "no-recruit-applies": IHCParams(0.8, 0.0, 0.3),
+        # no recruit: a lone seed's run ends at step 1 and builds no table
+        "no-recruit": IHCParams(0.0, 0.5, 0.5),
+        # every applicant hired: with scalar p_h a recruit ends the run at step 1
+        "every-applicant-hired": IHCParams(0.8, 1.0, 1.0),
     }
 
     @pytest.mark.parametrize("point", sorted(PARAMS))

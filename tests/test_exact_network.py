@@ -16,6 +16,11 @@ Each network's 20,000 runs from ``run_batch`` are compared with its law by
 a chi-square test, cells with an expected count below 5 pooled. The seeds
 are fixed; a bound that fails at its seed is a finding, not a seed to
 change. The test prints its statistics.
+
+``chain_law`` weights ``exact_law`` over every graph on five agents, each
+with chance ``p**e (1 - p)**(10 - e)``: the joint law of a cascade on
+G(5, p), which ``run_chain`` samples as a chain over class counts. Its
+20,000 runs per case are compared with that law the same way.
 """
 from __future__ import annotations
 
@@ -28,8 +33,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from halting_cascade.cascade import IHCParams, run_batch
+from halting_cascade.cascade import IHCParams, run_batch, run_chain
 from halting_cascade.graph import Network, generate_ba, load_edge_list
+from halting_cascade.skills import coverage_classes
 
 RUNS = 20_000
 ALPHA = 1e-3  # over all networks, Bonferroni-corrected per network below
@@ -190,5 +196,75 @@ class TestExactLaw:
             results[name] = (stat, df, p, len(law), outside)
             print(f"{name}: chi2 {stat:.1f} on {df} df, p {p:.3f}, {len(law)} cells")
         for name, (stat, df, p, _, outside) in results.items():
+            assert not outside, f"{name}: outcomes outside the law: {sorted(outside)}"
+            assert p > threshold, f"{name}: chi2 {stat:.1f} on {df} df, p {p:.2e}"
+
+
+# -- run_chain: the same law on G(n, p), weighted over every graph -------------
+
+CHAIN_N = 5
+CHAIN_PAIRS = list(itertools.combinations(range(CHAIN_N), 2))
+
+# name: (p, p_r, p_a per class, p_h per class, the class of each agent but the seed)
+CHAIN_CASES = {
+    "one-class": (0.6, 0.5, [0.3], [0.5], [0, 0, 0, 0]),
+    # vacancy 2: coverage 1 applies half the time and is never hired
+    "skill-classes": (0.5, 0.7, *coverage_classes(2), [0, 1, 1, 2]),
+    "p_r-one": (0.4, 1.0, [0.2], [0.5], [0, 0, 0, 0]),
+}
+
+
+def chain_law(p, p_r, p_a, p_h, classes) -> dict[tuple, float]:
+    """The joint law of a cascade from agent 0 on G(5, p): ``exact_law`` on
+    each of the 2**10 graphs on five agents, weighted by ``p**e (1 - p)**(10
+    - e)`` for its e edges. Agent i + 1 is in class ``classes[i]``; the
+    seed's chances are never read, since a seed never applies."""
+    params = IHCParams(
+        p_r, [0.0] + [p_a[c] for c in classes], [0.0] + [p_h[c] for c in classes]
+    )
+    law: dict[tuple, float] = defaultdict(float)
+    for mask in range(2 ** len(CHAIN_PAIRS)):
+        edges = [pair for i, pair in enumerate(CHAIN_PAIRS) if mask >> i & 1]
+        weight = p ** len(edges) * (1 - p) ** (len(CHAIN_PAIRS) - len(edges))
+        for cell, chance in exact_law(Network(CHAIN_N, edges), params, (0,)).items():
+            law[cell] += weight * chance
+    return dict(law)
+
+
+def chain_runs(p, p_r, p_a, p_h, classes, runs: int, seed: int) -> Counter:
+    """Outcome cells of ``runs`` ``run_chain`` cascades from agent 0, the
+    seed's neighbours drawn per class as ``replicate`` draws them."""
+    unreached = np.bincount(classes, minlength=len(p_a)).tolist()
+    rng = np.random.default_rng(seed)
+    observed: Counter = Counter()
+    for _ in range(runs):
+        neighbours = [rng.binomial(size, p) for size in unreached]
+        r = run_chain(p_a, p_h, p_r, p, unreached, neighbours, 0, rng)
+        observed[(r.success, r.chain_length, r.applicants, r.halters, r.steps)] += 1
+    return observed
+
+
+class TestChainLaw:
+    """``run_chain`` against ``exact_law`` weighted over every graph on five
+    agents, with one class and with skill classes: success, chain length,
+    applicants, halters and steps, where ``tests/test_exact_gnp.py`` checks
+    the success rate alone. α = 1e-3 over the cases, Bonferroni-corrected."""
+
+    @pytest.mark.parametrize("case", CHAIN_CASES)
+    def test_law_sums_to_one(self, case):
+        assert sum(chain_law(*CHAIN_CASES[case]).values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_chain_follows_the_exact_law(self):
+        threshold = ALPHA / len(CHAIN_CASES)
+        results = {}
+        for seed, (name, case) in enumerate(CHAIN_CASES.items()):
+            law = chain_law(*case)
+            observed = chain_runs(*case, RUNS, 20261022 + seed)
+            outside = set(observed) - set(law)
+            stat, df = chi_square(law, observed, RUNS)
+            p = float(stats.chi2.sf(stat, df))
+            results[name] = (stat, df, p, outside)
+            print(f"{name}: chi2 {stat:.1f} on {df} df, p {p:.3f}, {len(law)} cells")
+        for name, (stat, df, p, outside) in results.items():
             assert not outside, f"{name}: outcomes outside the law: {sorted(outside)}"
             assert p > threshold, f"{name}: chi2 {stat:.1f} on {df} df, p {p:.2e}"

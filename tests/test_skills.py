@@ -351,6 +351,43 @@ class TestCoverageCounts:
             CoverageLaw(n, skill_rate, vacancy_size)
 
 
+class TestCatalogRule:
+    """The catalog holds K = max(M, v) skills, M the largest count, so when
+    M >= v the agents at M hold every catalog skill and cover any vacancy:
+    such a world always has a qualified agent."""
+
+    GRID = [(1000, 3.0, 2), (1000, 3.0, 8), (50, 3.0, 6), (20, 1.0, 4), (200, 0.5, 3), (5, 2.0, 0)]
+
+    def test_agents_at_the_largest_count_are_qualified(self):
+        rng = np.random.default_rng(20)
+        ruled = unruled = 0
+        for n, skill_rate, v in self.GRID:
+            for _ in range(200):
+                world = sample_skill_world(n, skill_rate, v, rng)
+                top = world.counts.max()
+                if top < v:
+                    unruled += 1
+                    continue
+                ruled += 1
+                at_top = int(np.count_nonzero(world.counts == top))
+                assert np.count_nonzero(world.coverage == v) >= at_top >= 1
+        assert ruled and unruled  # the grid holds worlds on both sides of M = v
+
+    def test_histogram_has_a_qualified_agent_when_the_law_all_but_ensures_it(self):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for n, skill_rate, v in self.GRID + [(1000, 3.0, 6), (10**6, 3.0, 8), (10**8, 10.0, 20)]:
+            law = CoverageLaw(n, skill_rate, v)
+            below = v - 1 - law.low  # the largest count M < v iff M <= v - 1
+            p_below = 0.0 if below < 0 else float(law.max_cdf[min(below, law.max_cdf.size - 1)])
+            if p_below >= 1e-12:
+                continue
+            checked += 1
+            for _ in range(500):
+                assert sample_coverage_counts(law, rng)[v] >= 1
+        assert checked >= 5
+
+
 class TestProbabilities:
     def test_hiring_requires_every_skill(self):
         assert hiring_probability({1, 2, 3}, {1, 2}) == 1.0
