@@ -22,7 +22,6 @@ from .graph import (
     degree_stats,
     generate_ba,
     generate_er,
-    generate_star,
     load_edge_list,
 )
 from .incentives import PayoutSchedule, compute_payouts, surplus_to_length
@@ -80,7 +79,6 @@ __all__ = [
     "degree_stats",
     "generate_ba",
     "generate_er",
-    "generate_star",
     "load_edge_list",
     "oracle_success_probability",
     "p_lambda",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import io
 import logging
-import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -142,27 +141,6 @@ class Network:
 # -- generators -------------------------------------------------------------
 
 
-# the largest double below 2**63: every double up to it converts to int64 exactly
-_JUMP_CEILING = float(2**63 - 1024)
-
-
-def _jumps(rng: np.random.Generator, p: float, size: int, cap: int) -> np.ndarray:
-    """``size`` geometric(p) jumps for 0 < p < 1, clipped to ``[1, cap]``.
-
-    Each jump is ``ceil(-E / log1p(-p))`` for a standard exponential E, which
-    is geometric on 1, 2, ... exactly: P(jump > j) = P(E > -j log1p(-p)) =
-    (1 - p)**j. The exponentials are drawn as one block.
-    """
-    jumps = rng.standard_exponential(size)
-    # a subnormal p overflows the quotient to inf, which the ceiling clamps
-    with np.errstate(over="ignore"):
-        jumps /= -math.log1p(-p)
-    np.ceil(jumps, out=jumps)
-    np.minimum(jumps, _JUMP_CEILING, out=jumps)
-    jumps = jumps.astype(np.int64)
-    return np.clip(jumps, 1, cap, out=jumps)
-
-
 def _er_probability(n: int, mean_degree: float) -> float:
     """The pair probability p = mean_degree/(n-1) of G(n, p), after checking both."""
     if n < 2:
@@ -176,43 +154,20 @@ def generate_er(n: int, mean_degree: float, seed) -> Network:
     """Erdos-Renyi G(n, p) with p chosen to hit the requested mean degree.
 
     Every unordered pair is an edge independently with p = mean_degree/(n-1).
-    Sampling walks the pair index space with geometric jumps (Batagelj &
-    Brandes, PRE 71, 036113, 2005), so the cost is proportional to the number
-    of edges drawn.
+    Equivalently, the edge count is Binomial(n(n-1)/2, p) and, given the
+    count, the edge set is uniform over the sets of pairs of that size; the
+    graph is drawn that way.
 
-    Draw schedule: pairs are indexed row-major over the upper triangle. The
-    walk starts at pos = -1 and takes ``_jumps`` in blocks of ``int((n(n-1)/2
-    - pos) * p * 1.1) + 16``, each block one ``rng.standard_exponential``
-    call, until a jump leaves the pair range. p = 0 draws nothing and takes
-    no pair; p = 1 draws nothing and takes every pair.
+    Draw schedule: pairs are indexed row-major over the upper triangle. One
+    ``rng.binomial(n(n-1)/2, p)`` call draws the edge count m, then one
+    ``rng.choice(n(n-1)/2, m, replace=False, shuffle=False)`` call draws the
+    pair indices, which are sorted before they are decoded.
     """
     p = _er_probability(n, mean_degree)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
-
-    if p == 0:
-        selected = np.empty(0, dtype=np.int64)
-    elif p == 1:
-        selected = np.arange(total_pairs, dtype=np.int64)
-    else:
-        parts = []
-        pos = -1
-        while True:
-            block = int((total_pairs - pos) * p * 1.1) + 16
-            # tiny p can overflow the jump; any jump past the pair range exits
-            # the walk regardless of magnitude, so clamping keeps the
-            # distribution exact and the cumsum overflow-free
-            steps = _jumps(rng, p, block, total_pairs + 1)
-            np.cumsum(steps, out=steps)
-            steps += pos
-            # jumps are positive, so the steps ascend and the walk leaves the
-            # pair range at one cut
-            cut = int(np.searchsorted(steps, total_pairs))
-            parts.append(steps[:cut])
-            if cut < len(steps):
-                break
-            pos = int(steps[-1])
-        selected = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    selected = rng.choice(total_pairs, rng.binomial(total_pairs, p), replace=False, shuffle=False)
+    selected.sort()
 
     # pair index t -> (i, j) with i < j, row-major over the upper triangle;
     # selected ascends, so row i's pairs are one run found by n searches

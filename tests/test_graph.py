@@ -1,7 +1,9 @@
 import io
+import itertools
 import logging
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from halting_cascade import cascade, graph
 from halting_cascade.cascade import IHCParams, replicate
@@ -22,6 +25,7 @@ from halting_cascade.graph import (
     generate_star,
     load_edge_list,
 )
+from test_exact_network import ALPHA, RUNS, chi_square
 
 
 def _complete(n: int) -> Network:
@@ -147,17 +151,6 @@ def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generat
     return twins
 
 
-# the largest p whose numpy geometric draw is an inversion, as ``_jumps`` is
-_BELOW_THIRD = float(np.nextafter(1 / 3, 0))
-
-
-class _ZeroExponentials(np.random.Generator):
-    """A generator whose standard exponentials are all exactly 0."""
-
-    def standard_exponential(self, size=None, dtype=np.float64, method="zig", out=None):
-        return np.zeros(size)
-
-
 class _CountingIntegers(np.random.Generator):
     """A generator that counts its ``integers`` calls with a scalar bound."""
 
@@ -169,9 +162,11 @@ class _CountingIntegers(np.random.Generator):
 
 
 def _reference_er(n: int, mean_degree: float, seed) -> Network:
-    """``generate_er`` as it was before its in-place walk and per-row search,
-    with each jump ``ceil(-E / log1p(-p))`` clipped to [1, pairs + 1]: the
-    draws and the pair order it fixes, which the library must keep."""
+    """G(n, p) drawn by the geometric-jump walk ``generate_er`` took before
+    its binomial edge count and uniform pair set: each jump ``ceil(-E /
+    log1p(-p))`` clipped to [1, pairs + 1]. Kept only to build the graph of
+    ``tests/test_cascade.py``'s ``TestBatch::test_batch_output_pinned``,
+    whose digests were computed on that graph."""
     p = mean_degree / (n - 1)
     total_pairs = n * (n - 1) // 2
     rng = np.random.default_rng(seed)
@@ -482,45 +477,34 @@ class TestGenerateEr:
         degree = mean_degree * (n - 1)
         assert generate_er(n, degree, seed) == generate_er(n, degree, seed)
 
-    @given(
-        n=st.integers(2, 300),
-        fraction=st.floats(0, 1, allow_nan=False),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=150, deadline=None)
-    @example(n=2, fraction=5e-324, seed=0)  # the jump overflows
-    @example(n=300, fraction=1.0, seed=0)  # complete graph, no draw
-    @example(n=2000, fraction=50 / 1999, seed=1)
-    @example(n=4, fraction=2 / 3, seed=0)  # n - 1 of 3 keeps p == fraction exactly
-    @example(n=40, fraction=0.1, seed=244)  # the walk needs a second block
-    def test_equals_reference(self, n, fraction, seed):
-        """The same graph, and the generator left where the reference leaves it."""
-        degree = fraction * (n - 1)
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        _assert_same(generate_er(n, degree, ours), _reference_er(n, degree, theirs))
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
-
-    def test_walk_continues_into_a_second_block(self, monkeypatch):
-        sizes = []
-        jumps = graph._jumps
-
-        def counting(rng, p, size, cap):
-            sizes.append(size)
-            return jumps(rng, p, size, cap)
-
-        monkeypatch.setattr(graph, "_jumps", counting)
-        net = generate_er(40, 0.1 * 39, 244)
-        assert len(sizes) == 2
-        _assert_same(net, _reference_er(40, 0.1 * 39, 244))
-
-    def test_zero_exponential_jumps_leave_the_pair_range(self):
-        # E == 0 gives ceil(0) == 0, clipped to the smallest jump, 1: the walk
-        # takes every pair and leaves the pair range after the last
-        rng = _ZeroExponentials(np.random.PCG64(3))
-        assert np.random.default_rng(rng) is rng
-        assert graph._jumps(rng, 0.1, 5, 46).tolist() == [1] * 5
-        assert generate_er(10, 0.9, rng).edge_count == 45
+    def test_five_node_graphs_follow_the_exact_law(self):
+        """20,000 graphs of G(5, p) per p against the chance ``p**e (1 - p)**(10
+        - e)`` of each of the 1,024 graphs with e edges, by a chi-square test
+        with cells below 5 expected pooled; α = 1e-3 over both p,
+        Bonferroni-corrected; then p = 0 and p = 1. The seeds are fixed; the
+        test prints its worst p."""
+        pairs = list(itertools.combinations(range(5), 2))
+        threshold = ALPHA / 2
+        worst = 1.0
+        for seed, p in enumerate([0.3, 0.75]):
+            law = {}
+            for mask in range(2 ** len(pairs)):
+                chosen = frozenset(pair for i, pair in enumerate(pairs) if mask >> i & 1)
+                law[chosen] = p ** len(chosen) * (1 - p) ** (len(pairs) - len(chosen))
+            rng = np.random.default_rng(20261022 + seed)
+            observed = Counter(
+                frozenset((u, v) for u, v in edges(generate_er(5, 4 * p, rng)) if u < v)
+                for _ in range(RUNS)
+            )
+            stat, df = chi_square(law, observed, RUNS)
+            chance = float(stats.chi2.sf(stat, df))
+            print(f"G(5, {p}): chi2 {stat:.1f} on {df} df, p {chance:.3f}")
+            assert chance > threshold, f"G(5, {p}): chi2 {stat:.1f} on {df} df, p {chance:.2e}"
+            worst = min(worst, chance)
+        print(f"worst p {worst:.3f}")
+        # at p = 0 and p = 1 the law is one graph
+        assert generate_er(5, 0.0, rng) == Network(5, [])
+        assert generate_er(5, 4.0, rng) == _complete(5)
 
 
 class TestErdosRenyi:
@@ -548,30 +532,6 @@ class TestErdosRenyi:
         for seeds in [(-1,), (10,), (1.5,), (2, 3), (9,)]:
             with pytest.raises(ValueError, match="seeds must be None"):
                 next(replicate(0, [()], 1, law, params, seeds=seeds))
-
-
-class TestJumps:
-    """``graph._jumps`` below p = 1/3, where numpy's ``rng.geometric`` inverts
-    exponentials the same way, against it clamped the way the walk clamps."""
-
-    @pytest.mark.parametrize(
-        "p", [5e-324, 1e-300, 1e-6, 20 / 1999, 50 / 1999, 0.2, 0.3, _BELOW_THIRD]
-    )
-    @pytest.mark.parametrize("cap", [1, 47, 10**6, 2**62, 2**63 - 1025])
-    def test_equals_clamped_geometric(self, p, cap):
-        ours, theirs = _twins(9, buffered=False)
-        got = graph._jumps(ours, p, 3000, cap)
-        want = np.minimum(theirs.geometric(p, size=3000), cap)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.random() == theirs.random()
-
-    def test_subnormal_p_warns_nothing(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            jumps = graph._jumps(np.random.default_rng(0), 5e-324, 100, 2**62)
-        assert (jumps == 2**62).all()
 
 
 class TestGenerateBa:
@@ -857,13 +817,10 @@ class TestLoadEdgeList:
 
     def test_write_then_load_roundtrip(self):
         for directed in (False, True):
-            original = (
-                # full reach so every node appears in some edge: loading
-                # remaps to referenced labels, so isolates cannot roundtrip
-                generate_star(20, 1.0, seed=3)
-                if directed
-                else generate_er(20, 4, seed=3)
-            )
+            # loading remaps to referenced labels, so isolates cannot
+            # roundtrip: a full-reach star, and a BA graph, where every added
+            # node takes edges and the core is a ring
+            original = generate_star(20, 1.0, seed=3) if directed else generate_ba(20, 3, 2, seed=3)
             lines = [f"# {original!r}"]
             lines += [f"{u} {v}" for u, v in sorted(edges(original)) if directed or u < v]
             reloaded = load_edge_list(io.StringIO("\n".join(lines) + "\n"), directed=directed)
