@@ -213,18 +213,18 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     the list a node draws from holds every earlier node's edges; its size at
     a node is known in advance, since every added node adds k edges. For
     each run of ``_CHUNK`` added nodes, one ``rng.integers(0, sizes[:, None],
-    (rows, 2k+4))`` call draws every node's first pool of ``2k+4`` indices
-    into the list as it stands at that node, reading the generator as one
-    scalar-bound call per node in turn would. A node's targets are the first
-    k distinct candidates of its pool in draw order, found by one scan. A
-    node whose pool holds fewer than k distinct candidates puts them ahead
-    of a further pool from the same ``rng``, ``rng.integers(0, size,
-    2*want+4)`` with ``want`` the number still missing, and scans that
-    again, until it has k; these draws come when the scan reaches the node,
-    so ``_CHUNK`` only decides where they fall. Its k targets, sorted, are
-    appended after the node as k edges (new, target). When the core is one
-    node, the first added node attaches to node 0 with no draw, and the
-    chunks start after it. The tests keep this schedule as a plain
+    (rows, pool))`` call draws every node's first pool of ``pool = k + k//2
+    + 2`` indices into the list as it stands at that node, reading the
+    generator as one scalar-bound call per node in turn would. A node's
+    targets are the first k distinct candidates of its pool in draw order,
+    found by one scan. A node whose pool holds fewer than k distinct
+    candidates puts them ahead of a further pool of the same size from the
+    same ``rng``, ``rng.integers(0, size, pool)``, and scans that again,
+    until it has k; these draws come when the scan reaches the node, so
+    ``_CHUNK`` only decides where they fall. Its k targets, in the order
+    found, are appended after the node as k edges (new, target). When the
+    core is one node, the first added node attaches to node 0 with no draw,
+    and the chunks start after it. The tests keep this schedule as a plain
     list-and-set loop, which must give ``==`` graphs.
     """
     if not 1 <= k <= n0 < n:
@@ -246,11 +246,13 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
     endpoints = pairs.reshape(-1)
     targets = pairs[len(core) :].reshape(n - n0, k, 2)[:, :, 1]
 
-    pool = 2 * k + 4
-    draw = np.arange(pool)
-    # first[v]: the first draw index of node v in the current scan, ``pool``
-    # when absent; np.minimum.at applies every repeated index in turn
-    first = np.full(n, pool)
+    pool = k + k // 2 + 2
+    absent = pool + k  # past every draw index: a scan keeps < k, then one pool
+    draw = np.arange(absent)
+    head = draw[:pool]
+    # first[v]: the first draw index of node v in the current scan, ``absent``
+    # when v is not in it; np.minimum.at applies every repeated index in turn
+    first = np.full(n, absent)
     start = 0
     if not len(core):  # one-node core: the first added node can only pick node 0
         targets[0] = 0
@@ -259,21 +261,18 @@ def generate_ba(n: int, n0: int, k: int, seed) -> Network:
         sizes = 2 * (len(core) + k * np.arange(row, min(row + _CHUNK, n - n0)))
         picks = rng.integers(0, sizes[:, None], (len(sizes), pool))
         for i, size in enumerate(sizes.tolist()):
-            cands, order = endpoints[picks[i]], draw
+            cands, order = endpoints[picks[i]], head
             while True:
                 np.minimum.at(first, cands, order)
                 distinct = cands[first[cands] == order]
-                first[cands] = pool
+                first[cands] = absent
                 if len(distinct) >= k:
                     break
-                # the distinct ones lead the next scan, so they all stay; it
-                # holds 2k+4 - len(distinct) candidates, at most ``pool``
-                more = endpoints[rng.integers(0, size, 2 * (k - len(distinct)) + 4)]
+                # the distinct ones lead the next scan, so they all stay
+                more = endpoints[rng.integers(0, size, pool)]
                 cands = np.concatenate((distinct, more))
                 order = draw[: len(cands)]
-            picked = distinct[:k]
-            picked.sort()
-            targets[row + i] = picked
+            targets[row + i] = distinct[:k]
     return Network(n, pairs, directed=False)
 
 

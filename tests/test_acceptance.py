@@ -280,7 +280,7 @@ def test_11_seed_connectivity_drives_success_on_hub_networks():
     # with the mean degree 97.55, the diffusion value p_r (1 - p_a) k is
     # about 0.88 and the halting value p_r p_a p_h k about 0.05, below both of
     # classify_regime's mean-degree boundaries; with this graph's mean excess
-    # degree <k^2 - k>/<k> = 144.76 the diffusion value is 1.30, above the
+    # degree <k^2 - k>/<k> = 144.62 the diffusion value is 1.30, above the
     # spreading boundary. At p_r = 0.2 the mean-degree diffusion value is
     # about 17.6 and every degree bin hires in every run
     results = run_batch(network, IHCParams(0.01, 0.1, 0.5), 2000, 424242)

@@ -678,7 +678,7 @@ class TestCommonRandomNetworks:
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4"],
-            "0d8021d100fff1f5f4ac7451301a488ab7da72209ac75f807e1025cee8ec8ef4",
+            "4368c0cee764537cdc19f58156cdbdcb1d42f5a25456e68cae280eec2a78aad1",
         ),
         (
             "ihc-vs-oracle",
@@ -711,7 +711,7 @@ class TestCommonRandomNetworks:
             {"n": 80, "er_mean_degree": 6.0, "ba_attachment": 3, "p_r": [0.1, 0.5],
              "reps": 6},
             ["--seed", "4", "--format", "jsonl"],
-            "94257d07fc58d7273a5ea26c80ee79afe4b10fc33cd76f4e5f5da559bfa3980b",
+            "b27e1a08be13c404ee66d717e7ae61cd092d519eed9f29d1c84aa4efa9561325",
         ),
         (
             "ihc-vs-oracle",
@@ -771,7 +771,7 @@ def test_stochastic_output_pinned(tmp_path, capsys, command, config, flags, sha2
             4,
             "topology",
             "ba",
-            "5d9185da7fa8f1ce9e78610ff4bc0efe03439f004445e8ad5181c1c4c2425e2a",
+            "5be16a56022cbd08005b54341f76b52d93d1cf3456f9f73c5b270527ae17407c",
         ),
         (
             "ihc-vs-oracle",
@@ -790,8 +790,9 @@ def test_rows_off_g_n_p_are_pinned(tmp_path, capsys, command, config, seed, colu
     pinned sweeps' seeds: BA rows read their own network and seed streams,
     and oracle rows their world and oracle streams. The BA rows were pinned
     before G(n, p) cascades became a chain over counts, which left them
-    unmoved; the oracle rows moved when worlds became coverage histograms
-    and posting count-level draws, and again when posting became a one-hop
+    unmoved, and moved when ``generate_ba`` took smaller pools; the oracle
+    rows moved when worlds became coverage histograms and posting
+    count-level draws, and again when posting became a one-hop
     ``run_chain`` that draws the reached qualified count first. Their
     ``analytic_oracle_success`` column moved in its last digits when the
     series became one sum over the reached qualified count."""

@@ -118,28 +118,56 @@ def _chunked_reference_ba(n: int, n0: int, k: int, seed) -> tuple[Network, int]:
     if not endpoints:  # one-node core: the first node picks node 0 undrawn
         endpoints += [n0, 0]
         first += 1
+    width = k + k // 2 + 2
     extra = 0
     for start in range(first, n, graph._CHUNK):
         stop = min(start + graph._CHUNK, n)
         sizes = len(endpoints) + 2 * k * np.arange(stop - start)
-        pools = rng.integers(0, sizes[:, None], (stop - start, 2 * k + 4))
+        pools = rng.integers(0, sizes[:, None], (stop - start, width))
         for new, pool in zip(range(start, stop), pools.tolist()):
-            targets: set[int] = set()
+            targets: dict[int, None] = {}  # a set that keeps the order found
             size = len(endpoints)
             while True:
                 for c in pool:
-                    targets.add(endpoints[c])
+                    targets[endpoints[c]] = None
                     if len(targets) == k:
                         break
                 if len(targets) == k:
                     break
                 extra += 1
-                pool = rng.integers(0, size, 2 * (k - len(targets)) + 4).tolist()
-            for t in sorted(targets):
+                pool = rng.integers(0, size, width).tolist()
+            for t in targets:
                 endpoints.append(new)
                 endpoints.append(t)
     network = Network(n, np.array(endpoints, dtype=np.int64).reshape(-1, 2), directed=False)
     return network, extra
+
+
+def _ba_law(n: int, n0: int, k: int) -> dict[frozenset, float]:
+    """The chance of every graph ``generate_ba(n, n0, k)`` can draw, keyed by
+    its edge set. Node t takes the target set S with chance ``sum over the
+    orderings s of S of prod_j w[s_j] / (W - w[s_1] - ... - w[s_(j-1)])``,
+    w the degrees before t and W their sum: k picks proportional to degree
+    among the nodes not yet picked, which is the law of the first k distinct
+    of i.i.d. picks proportional to degree. After a one-node core the first
+    added node takes node 0."""
+    core = _ring_core(n0)
+    law = {frozenset((min(e), max(e)) for e in core or [(0, 1)]): 1.0}
+    for new in range(n0 if core else 2, n):
+        grown: dict[frozenset, float] = {}
+        for drawn, chance in law.items():
+            degree = Counter(v for e in drawn for v in e)
+            for targets in itertools.combinations(range(new), k):
+                total = 0.0
+                for order in itertools.permutations(targets):
+                    left, ordered = 2 * len(drawn), 1.0
+                    for v in order:
+                        ordered *= degree[v] / left
+                        left -= degree[v]
+                    total += ordered
+                grown[drawn | {(t, new) for t in targets}] = chance * total
+        law = grown
+    return law
 
 
 def _twins(seed, buffered: bool) -> tuple[np.random.Generator, np.random.Generator]:
@@ -593,6 +621,32 @@ class TestGenerateBa:
         assert got._out_idx.dtype == want._out_idx.dtype
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.random() == theirs.random()
+
+    def test_tiny_graphs_follow_the_exact_law(self):
+        """20,000 graphs per case against the chance of each graph the case
+        can draw (``_ba_law``), by a chi-square test with cells below 5
+        expected pooled; α = 1e-3 over the cases, Bonferroni-corrected. The
+        cases take a ring core with k < n0 and k = n0, a one-node core and a
+        two-node core. The seeds are fixed; the test prints its worst p."""
+        cases = {(6, 3, 2): 180, (7, 3, 3): 800, (6, 1, 1): 120, (7, 2, 2): 2700}
+        threshold = ALPHA / len(cases)
+        worst = 1.0
+        for seed, (case, graphs) in enumerate(cases.items()):
+            law = _ba_law(*case)
+            assert len(law) == graphs
+            assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+            rng = np.random.default_rng(20261023 + seed)
+            observed = Counter(
+                frozenset((u, v) for u, v in edges(generate_ba(*case, rng)) if u < v)
+                for _ in range(RUNS)
+            )
+            assert set(observed) <= set(law)
+            stat, df = chi_square(law, observed, RUNS)
+            chance = float(stats.chi2.sf(stat, df))
+            print(f"BA{case}: chi2 {stat:.1f} on {df} df, p {chance:.3f}")
+            assert chance > threshold, f"BA{case}: chi2 {stat:.1f} on {df} df, p {chance:.2e}"
+            worst = min(worst, chance)
+        print(f"worst p {worst:.3f}")
 
     @pytest.mark.parametrize(
         "n, n0, k, least", [(60, 20, 20, 1), (2000, 50, 50, 1), (30, 1, 1, 0), (40, 4, 4, 0)]
